@@ -170,9 +170,6 @@ def elementwise_mul(a, b) -> Node:
     return _op("mul", value, (a, b), backward)
 
 
-mul = elementwise_mul
-
-
 def scale(a, c: float) -> Node:
     a = as_node(a)
     c = float(c)
@@ -293,28 +290,6 @@ def embedding_lookup(table, indices) -> Node:
     return _op("embedding_lookup", value, (table,), backward)
 
 
-def cross_entropy(logits, target_index: int) -> Node:
-    """Negative log softmax probability of one target class (1-d logits)."""
-    logits = as_node(logits)
-    if logits.value.ndim != 1:
-        raise ShapeError(f"cross_entropy: expected 1-d logits, got {logits.shape}")
-    t = int(target_index)
-    if not 0 <= t < logits.shape[0]:
-        raise ShapeError(f"cross_entropy: target {t} out of range for {logits.shape}")
-    x = logits.value
-    m = x.max()
-    lse = m + np.log(np.exp(x - m).sum())
-    value = lse - x[t]
-
-    def backward(g):
-        if logits.requires_grad:
-            p = np.exp(x - lse)
-            p[t] -= 1.0
-            logits.accumulate(g * p)
-
-    return _op("cross_entropy", value, (logits,), backward)
-
-
 def cross_entropy_rows(logits, targets, mask=None) -> Node:
     """Sum of per-row cross entropies for a matrix of logits.
 
@@ -401,13 +376,6 @@ def slice_rows(a, start: int, stop: int) -> Node:
     return _op("slice_rows", value, (a,), backward)
 
 
-def row(a, i: int) -> Node:
-    n = a.value.shape[0] if isinstance(a, Node) else np.asarray(a).shape[0]
-    if i < 0:
-        i += n
-    return slice_rows(a, i, i + 1)
-
-
 def slice_cols(a, start: int, stop: int) -> Node:
     a = as_node(a)
     if a.value.ndim != 2 or not (0 <= start < stop <= a.shape[1]):
@@ -421,20 +389,6 @@ def slice_cols(a, start: int, stop: int) -> Node:
             a.grad[:, start:stop] += g
 
     return _op("slice_cols", value, (a,), backward)
-
-
-def tile_rows(a, n: int) -> Node:
-    """Repeat a 1 x d row n times (backward sums the copies)."""
-    a = as_node(a)
-    if a.value.ndim != 2 or a.shape[0] != 1:
-        raise ShapeError(f"tile_rows: expected 1 x d, got {a.shape}")
-    value = np.repeat(a.value, n, axis=0)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.sum(axis=0, keepdims=True))
-
-    return _op("tile_rows", value, (a,), backward)
 
 
 def pad_cols(a, n: int) -> Node:
@@ -520,25 +474,6 @@ class GruCell:
                         matmul(elementwise_mul(r, h), self.u_h.node)))
         return add(h, elementwise_mul(z, sub(cand, h)))
 
-    def sequence(self, xs: Node, reverse: bool = False) -> Node:
-        """Run the recurrence over a T x input_dim sequence from a zero state.
-
-        Returns the T x hidden_dim matrix of hidden states aligned to input
-        positions. This is a fused op: the whole unrolled loop registers one
-        backward closure (hand-rolled BPTT), which keeps graphs small.
-        """
-        return gru_sequence(self, xs, reverse=reverse)
-
-
-def gru_cell(x, h_prev, cell: GruCell) -> Node:
-    """Functional form of one GRU step (see :meth:`GruCell.step`)."""
-    return cell.step(as_node(x), as_node(h_prev))
-
-
-def gru_sequence(cell: GruCell, xs, reverse: bool = False) -> Node:
-    xs = as_node(xs)
-    return gru_sequence_batch(cell, xs, [xs.shape[0]], reverse=reverse)
-
 
 def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
                        reverse: bool = False) -> Node:
@@ -558,9 +493,9 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     xs = as_node(xs)
     lengths = [int(n) for n in lengths]
     if xs.value.ndim != 2 or xs.shape[1] != cell.input_dim:
-        raise ShapeError(f"gru_sequence: input {xs.shape} vs input_dim {cell.input_dim}")
+        raise ShapeError(f"gru_sequence_batch: input {xs.shape} vs input_dim {cell.input_dim}")
     if min(lengths, default=0) < 1 or sum(lengths) != xs.shape[0]:
-        raise ShapeError(f"gru_sequence: lengths {lengths} do not cover {xs.shape[0]} rows")
+        raise ShapeError(f"gru_sequence_batch: lengths {lengths} do not cover {xs.shape[0]} rows")
     n_batch, t_max, d = len(lengths), max(lengths), cell.hidden_dim
     d_in = cell.input_dim
     offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
@@ -650,7 +585,7 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         if b_h.requires_grad:
             b_h.accumulate(dxh_flat.sum(axis=0))
 
-    return _op("gru_sequence", out, (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h), backward)
+    return _op("gru_sequence_batch", out, (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +638,6 @@ def backward(loss: Node) -> None:
             if not np.all(np.isfinite(node.grad)):
                 raise GraphError(f"backward: non-finite gradient at op {node.op!r}")
             node._backward(node.grad)
-
-
-def find_nonfinite(loss: Node) -> str | None:
-    """Name of the first op (dependency order) with a non-finite value."""
-    return _first_nonfinite(_topo(loss))
 
 
 # ---------------------------------------------------------------------------

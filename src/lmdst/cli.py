@@ -120,11 +120,8 @@ def cmd_train(args) -> int:
     dialogues, ontology = _load_corpus(args)
     model, report = fit(dialogues, ontology, cfg, checkpoint_path=args.checkpoint,
                         vectors_path=args.vectors, progress=not args.quiet)
-    from .training import split_corpus
-    _, val = split_corpus(dialogues, cfg.val_fraction)
-    preds = predict_instances(model, val)
-    print(format_metrics_table(joint_accuracy(preds),
-                               slot_accuracy(preds, ontology),
+    best = report.epochs[report.best_epoch - 1]
+    print(format_metrics_table(report.best_val_joint, best.val_slot,
                                label=ablation_name(cfg)))
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_json(), indent=1, sort_keys=True))

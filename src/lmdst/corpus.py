@@ -367,7 +367,8 @@ def generate_synthetic(config: SynthConfig) -> tuple[list[Dialogue], Ontology]:
     config.validate()
     rng = np.random.default_rng(config.seed)
 
-    reserved = set(_DOMAIN_WORDS[:config.n_domains]) | {
+    # "none" is how belief states spell an absent value, never a value word
+    reserved = {"none"} | set(_DOMAIN_WORDS[:config.n_domains]) | {
         _slot_name(i) for i in range(config.n_domains * config.n_slots_per_domain)}
     pool: list[str] = []
     i = 0

@@ -1,32 +1,25 @@
 """Bi-directional GRU language model over the embedded dialogue context.
 
 Forward hidden states predict the next word, backward states the previous
-word, each through its own softmax projection. The per-sequence loss is the
-sum of both negative log-likelihood chains:
+word, each through its own softmax projection. The loss of one sequence is
+the sum of both negative log-likelihood chains:
 
     loss = - sum_{t=1}^{T-1} log P(w_{t+1} | forward state t)
            - sum_{t=2}^{T}   log P(w_{t-1} | backward state t)
 
 (1-indexed; a length-1 sequence has loss exactly 0, and no begin-of-sequence
-token is prepended). The summed directional states also serve as the fused
-representation handed to the utterance encoder.
+token is prepended). :meth:`LanguageModel.forward` runs a micro-batch of
+sequences stacked back to back through one masked batched recurrence per
+direction and returns the summed directional states, which the model fuses
+with the embeddings, together with the loss summed over the sequences. A
+single sequence is the batch ``lengths=[T]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-
-
-@dataclass
-class LMOutput:
-    forward_hiddens: ad.Node   # T x d_h
-    backward_hiddens: ad.Node  # T x d_h
-    fused: ad.Node             # T x d_h, sum of the two
-    lm_loss: ad.Node | None = None
 
 
 class LanguageModel:
@@ -42,57 +35,28 @@ class LanguageModel:
         self.w_f = store.new("lm.w_f", (hidden_dim, vocab_size), bound)
         self.w_b = store.new("lm.w_b", (hidden_dim, vocab_size), bound)
 
-    def forward(self, embedded: ad.Node) -> LMOutput:
-        """Run both directions over a T x input_dim embedded context."""
-        if embedded.value.ndim != 2 or embedded.shape[0] < 1:
-            raise ad.ShapeError(f"lm forward: need a non-empty T x d input, got {embedded.shape}")
-        f = self.fwd.sequence(embedded)
-        b = self.bwd.sequence(embedded, reverse=True)
-        return LMOutput(f, b, ad.add(f, b))
+    def forward(self, xs: ad.Node, token_ids, lengths) -> tuple[ad.Node, ad.Node]:
+        """(forward + backward states, summed loss) for stacked sequences.
 
-    def next_word_logits(self, out: LMOutput) -> ad.Node:
-        """Logits predicting token t+1 from forward state t (rows 0..T-2)."""
-        t_len = out.forward_hiddens.shape[0]
-        return ad.matmul(ad.slice_rows(out.forward_hiddens, 0, t_len - 1), self.w_f.node)
-
-    def prev_word_logits(self, out: LMOutput) -> ad.Node:
-        """Logits predicting token t-1 from backward state t (rows 1..T-1)."""
-        t_len = out.backward_hiddens.shape[0]
-        return ad.matmul(ad.slice_rows(out.backward_hiddens, 1, t_len), self.w_b.node)
-
-    def loss(self, out: LMOutput, token_ids) -> ad.Node:
-        """Summed NLL of next-word and previous-word predictions (Eq-style sum,
-        not a mean; the trainer averages over the batch)."""
+        ``xs`` holds the embedded sequences back to back (rows ``offset_i ..
+        offset_i + lengths[i]`` belong to sequence i) and ``token_ids`` their
+        vocabulary ids in the same layout. The loss is a sum over sequences,
+        not a mean; the trainer averages over the batch.
+        """
         ids = np.asarray(token_ids, dtype=np.intp)
-        t_len = out.forward_hiddens.shape[0]
-        if ids.shape != (t_len,):
-            raise ad.ShapeError(f"lm loss: {ids.shape} token ids for T={t_len}")
-        loss = ad.Node(0.0)
-        if t_len > 1:
-            loss = ad.add(
-                ad.cross_entropy_rows(self.next_word_logits(out), ids[1:]),
-                ad.cross_entropy_rows(self.prev_word_logits(out), ids[:-1]))
-        out.lm_loss = loss
-        return loss
-
-    def predictive_distributions(self, out: LMOutput) -> tuple[ad.Node, ad.Node]:
-        """Row-normalized next-word and previous-word distributions
-        ((T-1) x |V| each); only defined for T >= 2."""
-        return (ad.softmax(self.next_word_logits(out), axis=1),
-                ad.softmax(self.prev_word_logits(out), axis=1))
-
-
-def lm_forward(model: LanguageModel, embedded: ad.Node) -> LMOutput:
-    return model.forward(embedded)
-
-
-def lm_loss(model: LanguageModel, out: LMOutput, token_ids) -> ad.Node:
-    return model.loss(out, token_ids)
-
-
-def fuse_with_embedding(out: LMOutput, embedded: ad.Node) -> ad.Node:
-    """embedded_t + forward_t + backward_t; requires d_h == embedding dim."""
-    if out.fused.shape != embedded.shape:
-        raise ad.ShapeError(
-            f"fuse: LM states {out.fused.shape} vs embeddings {embedded.shape}")
-    return ad.add(embedded, out.fused)
+        if ids.shape != (xs.shape[0],):
+            raise ad.ShapeError(f"lm forward: {ids.shape} token ids for {xs.shape[0]} rows")
+        offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
+        f = ad.gru_sequence_batch(self.fwd, xs, lengths)
+        b = ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True)
+        rows_f = np.concatenate([off + np.arange(n - 1)
+                                 for off, n in zip(offsets, lengths)]).astype(np.intp)
+        if rows_f.size:
+            next_ce = ad.cross_entropy_rows(
+                ad.matmul(ad.embedding_lookup(f, rows_f), self.w_f.node), ids[rows_f + 1])
+            prev_ce = ad.cross_entropy_rows(
+                ad.matmul(ad.embedding_lookup(b, rows_f + 1), self.w_b.node), ids[rows_f])
+            loss = ad.add(next_ce, prev_ce)
+        else:
+            loss = ad.Node(0.0)
+        return ad.add(f, b), loss

@@ -35,12 +35,6 @@ DEFAULT_MAX_VALUE_LEN = 10
 
 
 @dataclass
-class EncoderOutput:
-    hiddens: ad.Node      # T x d_h (forward + backward states)
-    final_state: ad.Node  # 1 x d_h (sum of directional finals)
-
-
-@dataclass
 class SlotGateDecision:
     probs: np.ndarray  # over GATE_CLASSES, sums to 1
 
@@ -62,14 +56,10 @@ class TurnContext:
     """Everything decoding needs for one (dialogue, turn) instance."""
 
     tokens: list[str]
-    ids: np.ndarray          # vocabulary ids (OOV -> UNK)
     ext_ids: np.ndarray      # extended ids (OOV -> |V| + surface index)
     oov_surfaces: list[str]  # distinct OOV surfaces, first-appearance order
-    untagged_length: int
-    encoder: EncoderOutput
-    hiddens_t: ad.Node       # cached transpose of encoder hiddens
-    example_index: int
-    batch: "BatchContext"
+    hiddens: ad.Node         # T x d_h encoder states (forward + backward)
+    hiddens_t: ad.Node       # cached transpose of ``hiddens``
     gen_steps: list[GeneratorStep] = field(default_factory=list)
 
     @property
@@ -127,13 +117,21 @@ class Encoder:
         self.fwd = ad.GruCell(store, "enc.fwd", input_dim, hidden_dim)
         self.bwd = ad.GruCell(store, "enc.bwd", input_dim, hidden_dim)
 
-    def forward(self, x: ad.Node) -> EncoderOutput:
-        if x.value.ndim != 2 or x.shape[0] < 1:
-            raise ad.ShapeError(f"encode: need a non-empty T x d input, got {x.shape}")
-        f = self.fwd.sequence(x)
-        b = self.bwd.sequence(x, reverse=True)
-        final = ad.add(ad.row(f, -1), ad.row(b, 0))
-        return EncoderOutput(ad.add(f, b), final)
+    def forward(self, xs: ad.Node, lengths) -> tuple[ad.Node, ad.Node]:
+        """(forward + backward states, one final state per sequence).
+
+        ``xs`` holds the sequences back to back (see
+        :func:`lmdst.autodiff.gru_sequence_batch`); the final state of
+        sequence i is its last forward state plus its first backward state.
+        """
+        offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
+        f = ad.gru_sequence_batch(self.fwd, xs, lengths)
+        b = ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True)
+        hiddens = ad.add(f, b)
+        last_rows = np.array([off + n - 1 for off, n in zip(offsets, lengths)], dtype=np.intp)
+        first_rows = offsets.astype(np.intp)
+        finals = ad.add(ad.embedding_lookup(f, last_rows), ad.embedding_lookup(b, first_rows))
+        return hiddens, finals
 
 
 class DstModel:
@@ -203,7 +201,7 @@ class DstModel:
             tokens_per.append(seq.tokens)
             ids_per.append(ids)
             ext_per.append(ext_ids)
-            oov_per.append((oov, seq.untagged_length))
+            oov_per.append(oov)
         lengths = [len(t) for t in tokens_per]
         offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
         ids_all = np.concatenate(ids_per)
@@ -222,32 +220,13 @@ class DstModel:
             emb = ad.elementwise_mul(emb, ad.Node(mask))
 
         if self.lm_enabled:
-            f = ad.gru_sequence_batch(self.lm.fwd, emb, lengths)
-            b = ad.gru_sequence_batch(self.lm.bwd, emb, lengths, reverse=True)
-            rows_f = np.concatenate([off + np.arange(n - 1)
-                                     for off, n in zip(offsets, lengths)]).astype(np.intp)
-            if rows_f.size:
-                next_ce = ad.cross_entropy_rows(
-                    ad.matmul(ad.embedding_lookup(f, rows_f), self.lm.w_f.node),
-                    ids_all[rows_f + 1])
-                prev_ce = ad.cross_entropy_rows(
-                    ad.matmul(ad.embedding_lookup(b, rows_f + 1), self.lm.w_b.node),
-                    ids_all[rows_f])
-                lm_sum = ad.add(next_ce, prev_ce)
-            else:
-                lm_sum = ad.Node(0.0)
-            fused = ad.add(emb, ad.add(f, b))
+            states, lm_sum = self.lm.forward(emb, ids_all, lengths)
+            fused = ad.add(emb, states)
         else:
             lm_sum = ad.Node(0.0)
             fused = emb
 
-        enc_f = ad.gru_sequence_batch(self.encoder.fwd, fused, lengths)
-        enc_b = ad.gru_sequence_batch(self.encoder.bwd, fused, lengths, reverse=True)
-        hiddens_all = ad.add(enc_f, enc_b)
-        last_rows = np.array([off + n - 1 for off, n in zip(offsets, lengths)], dtype=np.intp)
-        first_rows = offsets.astype(np.intp)
-        final_all = ad.add(ad.embedding_lookup(enc_f, last_rows),
-                           ad.embedding_lookup(enc_b, first_rows))
+        hiddens_all, final_all = self.encoder.forward(fused, lengths)
         if rng is not None and self.dropout > 0:
             mask = (rng.random(hiddens_all.shape) >= self.dropout) / (1.0 - self.dropout)
             hiddens_all = ad.elementwise_mul(hiddens_all, ad.Node(mask))
@@ -255,23 +234,15 @@ class DstModel:
         batch = BatchContext([], table, table_t, final_all, lm_sum)
         for i, (off, n) in enumerate(zip(offsets, lengths)):
             hiddens = ad.slice_rows(hiddens_all, int(off), int(off + n))
-            enc = EncoderOutput(hiddens, ad.slice_rows(final_all, i, i + 1))
-            oov, untagged = oov_per[i]
             batch.contexts.append(TurnContext(
-                tokens_per[i], ids_per[i], ext_per[i], oov, untagged,
-                enc, ad.transpose(hiddens), i, batch))
+                tokens_per[i], ext_per[i], oov_per[i], hiddens, ad.transpose(hiddens)))
         return batch
-
-    def prepare_turn(self, dialogue: Dialogue, turn: int,
-                     rng: np.random.Generator | None = None) -> TurnContext:
-        """Single-instance convenience wrapper around :meth:`prepare_batch`."""
-        return self.prepare_batch([(dialogue, turn)], rng).contexts[0]
 
     def _attend_and_mix(self, ctx: TurnContext, h_i: ad.Node, x_i: ad.Node,
                         vocab_probs_i: ad.Node):
         """Attention, p_gen and the copy mixture for one example's slot rows."""
         attn = ad.softmax(ad.matmul(h_i, ctx.hiddens_t), axis=1)
-        context_vec = ad.matmul(attn, ctx.encoder.hiddens)
+        context_vec = ad.matmul(attn, ctx.hiddens)
         p_gen = ad.sigmoid(ad.add(
             ad.matmul(ad.concat(ad.concat(h_i, context_vec, axis=1), x_i, axis=1),
                       self.w_pgen.node),
@@ -378,19 +349,6 @@ class DstModel:
         dst_sum = ad.scale(ad.add(token_total, gate_total), 1.0 / n_s)
         return dst_sum, batch.lm_loss_sum
 
-    def turn_loss(self, dialogue: Dialogue, turn: int,
-                  rng: np.random.Generator | None = None) -> tuple[ad.Node, ad.Node]:
-        """(state-tracking loss, LM loss) for a single turn instance."""
-        return self.batch_loss([(dialogue, turn)], rng)
-
-    def dst_loss(self, instances: list[tuple[Dialogue, int]],
-                 rng: np.random.Generator | None = None) -> ad.Node:
-        """Mean state-tracking loss over a batch of (dialogue, turn) pairs."""
-        if not instances:
-            raise ValueError("dst_loss: empty batch")
-        dst_sum, _ = self.batch_loss(instances, rng)
-        return ad.scale(dst_sum, 1.0 / len(instances))
-
     # -- inference ---------------------------------------------------------
 
     def _token_for(self, ctx: TurnContext, idx: int) -> str:
@@ -438,19 +396,18 @@ class DstModel:
             x = self.embedding.embed_ids(batch.table, prev_ids)
         return gates, words
 
-    def decode_slot(self, slot: tuple[str, str], ctx: TurnContext,
-                    max_len: int | None = None) -> tuple[SlotGateDecision, list[str]]:
-        """Gate decision and greedy value tokens for one (domain, slot)."""
+    def decode_slot(self, slot: tuple[str, str], batch: BatchContext,
+                    max_len: int | None = None) -> list[tuple[SlotGateDecision, list[str]]]:
+        """Gate decision and greedy value tokens for one (domain, slot), one
+        pair per example of a batch from :meth:`prepare_batch`."""
         if max_len is not None and max_len < 1:
             raise ValueError("max_len must be >= 1")
         try:
             row_i = self.ontology.domain_slots.index(tuple(slot))
         except ValueError:
             raise KeyError(f"unknown slot {slot!r}") from None
-        gates, words = self._greedy_decode(ctx.batch, [row_i],
-                                           max_len or self.max_value_len)
-        i = ctx.example_index
-        return gates[i][0], words[i][0]
+        gates, words = self._greedy_decode(batch, [row_i], max_len or self.max_value_len)
+        return [(g[0], w[0]) for g, w in zip(gates, words)]
 
     def _assemble_state(self, gates: list[SlotGateDecision],
                         words: list[list[str]]) -> BeliefState:

@@ -166,10 +166,6 @@ class Trainer:
         """One micro-batch: backward into the accumulator, update every
         ``delay_update_steps`` micro-steps. Returns (dst, lm) mean values."""
         loss, dst, lm = self.micro_batch_loss(batch)
-        if not np.isfinite(loss.value):
-            bad = ad.find_nonfinite(loss)
-            raise ad.GraphError(f"training aborted: non-finite loss "
-                                f"(first non-finite op: {bad})")
         ad.backward(loss)
         self.micro_step += 1
         if self.micro_step % self.config.delay_update_steps == 0:

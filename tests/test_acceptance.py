@@ -102,7 +102,7 @@ def test_criterion_1_gradient_correctness():
         c = store.new("c", (3, 5), 1.0)
         d = store.new("d", (3, 5), 1.0)
         emb = store.new("emb", (6, 4), 1.0)
-        logits1d = store.new("logits1d", (5,), 1.0)
+        logits_row = store.new("logits_row", (1, 5), 1.0)
         for p in store.parameters():
             p.value = rng.normal(size=p.value.shape)
         idx = rng.integers(0, 6, size=5)
@@ -118,7 +118,7 @@ def test_criterion_1_gradient_correctness():
             s = ad.elementwise_mul(s, ad.tanh(d.node))           # tanh
             sm = ad.softmax(s, axis=1)                           # softmax
             ce = ad.cross_entropy_rows(s, targets)               # batched cross entropy
-            ce1 = ad.cross_entropy(logits1d.node, int(targets[0]))
+            ce1 = ad.cross_entropy_rows(logits_row.node, [int(targets[0])])  # one row
             looked = ad.embedding_lookup(emb.node, idx)          # lookup
             cat = ad.concat(looked, ad.transpose(b.node), axis=0)
             sc = ad.scatter_cols(ad.softmax(cat, axis=1), cols, 7)
@@ -130,15 +130,15 @@ def test_criterion_1_gradient_correctness():
                               ad.grad_check(build, store.parameters(), eps=1e-5))
     assert worst_primitive < 1e-4
 
-    # GRU cell and sequence
+    # fused GRU sequence op, one sequence in each direction
     store = ad.ParameterStore(5)
     cell = ad.GruCell(store, "g", 3, 4)
     xs = store.new("xs", (6, 3), 1.0)
     xs.value = rng.normal(size=(6, 3))
 
     def gru_build():
-        f = ad.gru_sequence(cell, xs.node)
-        b = ad.gru_sequence(cell, xs.node, reverse=True)
+        f = ad.gru_sequence_batch(cell, xs.node, [6])
+        b = ad.gru_sequence_batch(cell, xs.node, [6], reverse=True)
         return ad.sum_all(ad.elementwise_mul(f, b))
 
     gru_err = ad.grad_check(gru_build, store.parameters(), eps=1e-5)
@@ -171,19 +171,19 @@ def test_criterion_2_lm_loss_oracle():
     rng = np.random.default_rng(7)
     emb = rng.normal(size=(5, 5))
     ids = rng.integers(0, 12, size=5)
-    got = float(lm.loss(lm.forward(ad.Node(emb)), ids).value)
+    got = float(lm.forward(ad.Node(emb), ids, [5])[1].value)
     _, _, want = numpy_bigru_lm(emb, ids.tolist(), lm)
     err = abs(got - want)
     assert err < 1e-9
 
-    t1 = float(lm.loss(lm.forward(ad.Node(rng.normal(size=(1, 5)))), [3]).value)
+    t1 = float(lm.forward(ad.Node(rng.normal(size=(1, 5))), [3], [1])[1].value)
     assert t1 == 0.0
 
     store4 = ad.ParameterStore(9)
     lm4 = LanguageModel(store4, 4, 4, 4)
     lm4.w_f.value = np.zeros_like(lm4.w_f.value)
     lm4.w_b.value = np.zeros_like(lm4.w_b.value)
-    uniform = float(lm4.loss(lm4.forward(ad.Node(rng.normal(size=(3, 4)))), [0, 1, 2]).value)
+    uniform = float(lm4.forward(ad.Node(rng.normal(size=(3, 4))), [0, 1, 2], [3])[1].value)
     uniform_err = abs(uniform - 4 * math.log(4))
     assert uniform_err < 1e-12
     report(2, f"T=5 |V|=12 oracle err {err:.2e} (<1e-9); T=1 exact 0; "

@@ -142,11 +142,11 @@ def test_fd_embedding_lookup(seed):
 def test_fd_cross_entropy(seed):
     rng = np.random.default_rng(500 + seed)
     store = ad.ParameterStore(seed)
-    logits = make_param(store, "logits", (6,), rng)
+    logits = make_param(store, "logits", (1, 6), rng)  # a single row
     t = int(rng.integers(0, 6))
 
     def loss():
-        return ad.cross_entropy(logits.node, t)
+        return ad.cross_entropy_rows(logits.node, [t])
 
     _fd_case(loss, [logits], seed)
 
@@ -177,7 +177,7 @@ def test_fd_scatter_pad_tile(seed):
 
     def loss():
         sc = ad.scatter_cols(ad.softmax(w.node, axis=1), ids, 5)
-        tiled = ad.tile_rows(v.node, 3)
+        tiled = ad.embedding_lookup(v.node, np.zeros(3, dtype=np.intp))  # row repeated 3x
         padded = ad.pad_cols(tiled, 1)
         return ad.sum_all(ad.elementwise_mul(sc, padded))
 
@@ -193,7 +193,7 @@ def test_fd_gru_cell_and_sequence(seed):
     xs = make_param(store, "xs", (t_len, d_in), rng)
 
     def loss():
-        h = cell.sequence(xs.node, reverse=bool(seed % 2))
+        h = ad.gru_sequence_batch(cell, xs.node, [t_len], reverse=bool(seed % 2))
         return ad.sum_all(ad.elementwise_mul(h, h))
 
     _fd_case(loss, store.parameters(), seed)
@@ -266,7 +266,7 @@ def test_gru_sequence_matches_stepwise_composition():
     cell = ad.GruCell(store, "g", 3, 5)
     xs = rng.normal(size=(6, 3))
 
-    fused = cell.sequence(ad.Node(xs)).value
+    fused = ad.gru_sequence_batch(cell, ad.Node(xs), [6]).value
     h = ad.Node(np.zeros((1, 5)))
     stepped = []
     for t in range(6):
@@ -274,7 +274,7 @@ def test_gru_sequence_matches_stepwise_composition():
         stepped.append(h.value[0])
     np.testing.assert_allclose(fused, np.array(stepped), rtol=0, atol=1e-12)
 
-    rev = cell.sequence(ad.Node(xs), reverse=True).value
+    rev = ad.gru_sequence_batch(cell, ad.Node(xs), [6], reverse=True).value
     h = ad.Node(np.zeros((1, 5)))
     stepped_rev = [None] * 6
     for t in range(5, -1, -1):
@@ -291,7 +291,8 @@ def test_gru_sequence_gradients_match_composed_path():
     xs.value = rng.normal(size=(5, 2))
 
     store.zero_grad()
-    loss = ad.sum_all(ad.elementwise_mul(cell.sequence(xs.node), cell.sequence(xs.node)))
+    loss = ad.sum_all(ad.elementwise_mul(ad.gru_sequence_batch(cell, xs.node, [5]),
+                                         ad.gru_sequence_batch(cell, xs.node, [5])))
     ad.backward(loss)
     fused_grads = {p.name: p.grad.copy() for p in store.parameters()}
 
@@ -299,7 +300,7 @@ def test_gru_sequence_gradients_match_composed_path():
     h = ad.Node(np.zeros((1, 3)))
     rows = []
     for t in range(5):
-        h = cell.step(ad.row(xs.node, t), h)
+        h = cell.step(ad.slice_rows(xs.node, t, t + 1), h)
         rows.append(h)
     acc = None
     for r in rows:
@@ -333,8 +334,8 @@ def test_gru_sequence_batch_matches_per_example(reverse):
     total = None
     singles = []
     for part in xs_parts:
-        h = ad.gru_sequence(cell, ad.slice_rows(stacked.node, offset, offset + len(part)),
-                            reverse=reverse)
+        h = ad.gru_sequence_batch(cell, ad.slice_rows(stacked.node, offset, offset + len(part)),
+                                  [len(part)], reverse=reverse)
         singles.append(h.value.copy())
         sq = ad.sum_all(ad.elementwise_mul(h, h))
         total = sq if total is None else ad.add(total, sq)

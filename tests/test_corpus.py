@@ -220,6 +220,15 @@ def test_synth_zero_dialogues():
     assert len(ontology) == 15
 
 
+def test_synth_value_pool_skips_none():
+    """Pool word 1519 spells "none", which encodes absence in belief states;
+    the generator must skip it rather than fail to store it."""
+    dialogues, ontology = synth(vocab_size=1600, seed=15)
+    values = {v for d in dialogues for t in d.turns for v in t.gold_state.entries().values()}
+    assert dialogues and "none" not in values
+    assert all("none" not in pool for pool in ontology.known_values.values())
+
+
 def test_synth_vocab_too_small():
     with pytest.raises(ValueError):
         synth(n_dialogues=1, n_domains=5, n_slots_per_domain=3, vocab_size=10)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from lmdst import autodiff as ad
-from lmdst.lm import LanguageModel, LMOutput, fuse_with_embedding, lm_forward, lm_loss
+from lmdst.lm import LanguageModel
+
+from test_model import tiny_dialogue, tiny_model
 
 
 def make_lm(input_dim=4, hidden_dim=4, vocab=6, seed=0):
@@ -47,24 +49,41 @@ def numpy_bigru_lm(emb, ids, lm):
     return f, b, loss
 
 
+
+
+def run_lm(lm, emb, ids):
+    """One sequence through the batched forward: the batch ``lengths=[T]``."""
+    return lm.forward(ad.Node(emb), ids, [len(ids)])
+
+
 def test_distributions_sum_to_one():
-    lm, _ = make_lm(seed=5)
+    """The next-word and previous-word heads are normalized distributions.
+
+    With the other head's projection zeroed its term is exactly log |V|, so
+    at T=2 the loss gives one head's probability of each possible target.
+    """
     rng = np.random.default_rng(5)
-    out = lm.forward(ad.Node(rng.normal(size=(7, 4))))
-    nxt, prv = lm.predictive_distributions(out)
-    np.testing.assert_allclose(nxt.value.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(prv.value.sum(axis=1), 1.0, atol=1e-12)
-    assert (nxt.value >= 0).all() and (prv.value >= 0).all()
+    emb = rng.normal(size=(2, 4))
+    for zeroed, varied in (("w_b", 1), ("w_f", 0)):
+        lm, _ = make_lm(seed=5)
+        getattr(lm, zeroed).value = np.zeros_like(getattr(lm, zeroed).value)
+        probs = []
+        for v in range(6):
+            ids = [3, 3]
+            ids[varied] = v
+            _, loss = run_lm(lm, emb, ids)
+            probs.append(math.exp(math.log(6) - float(loss.value)))
+        assert min(probs) >= 0
+        assert abs(sum(probs) - 1.0) < 1e-12
 
 
 def test_zero_projection_gives_uniform():
     lm, _ = make_lm(vocab=5, seed=1)
     lm.w_f.value = np.zeros_like(lm.w_f.value)
     lm.w_b.value = np.zeros_like(lm.w_b.value)
-    out = lm.forward(ad.Node(np.random.default_rng(1).normal(size=(4, 4))))
-    nxt, prv = lm.predictive_distributions(out)
-    np.testing.assert_allclose(nxt.value, 0.2, atol=1e-15)
-    np.testing.assert_allclose(prv.value, 0.2, atol=1e-15)
+    _, loss = run_lm(lm, np.random.default_rng(1).normal(size=(4, 4)), [0, 4, 2, 1])
+    # 2 * (T - 1) predictions, each of probability 1/|V|
+    assert abs(math.exp(-float(loss.value) / 6) - 0.2) < 1e-15
 
 
 def test_forward_matches_scalar_recomputation():
@@ -72,28 +91,34 @@ def test_forward_matches_scalar_recomputation():
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(3, 3))
     ids = [1, 3, 0]
-    out = lm.forward(ad.Node(emb))
+    states, got = run_lm(lm, emb, ids)
     f, b, loss = numpy_bigru_lm(emb, ids, lm)
-    np.testing.assert_allclose(out.forward_hiddens.value, f, atol=1e-12)
-    np.testing.assert_allclose(out.backward_hiddens.value, b, atol=1e-12)
-    np.testing.assert_allclose(out.fused.value, f + b, atol=1e-12)
-    got = float(lm.loss(out, ids).value)
-    assert abs(got - loss) < 1e-12
+    np.testing.assert_allclose(states.value, f + b, atol=1e-12)
+    assert abs(float(got.value) - loss) < 1e-12
+
+    # the same sequence stacked between two others: its rows and its share
+    # of the summed loss are unchanged
+    others = [(rng.normal(size=(2, 3)), [2, 2]), (rng.normal(size=(4, 3)), [0, 1, 3, 1])]
+    stacked, stacked_loss = lm.forward(
+        ad.Node(np.concatenate([others[0][0], emb, others[1][0]])),
+        others[0][1] + ids + others[1][1], [2, 3, 4])
+    np.testing.assert_allclose(stacked.value[2:5], f + b, atol=1e-12)
+    want = loss + sum(numpy_bigru_lm(e, i, lm)[2] for e, i in others)
+    assert abs(float(stacked_loss.value) - want) < 1e-12
 
 
 def test_loss_t1_is_zero():
     lm, _ = make_lm()
-    out = lm.forward(ad.Node(np.random.default_rng(0).normal(size=(1, 4))))
-    assert float(lm.loss(out, [2]).value) == 0.0
+    _, loss = run_lm(lm, np.random.default_rng(0).normal(size=(1, 4)), [2])
+    assert float(loss.value) == 0.0
 
 
 def test_loss_uniform_t3_v4():
     lm, _ = make_lm(vocab=4, seed=3)
     lm.w_f.value = np.zeros_like(lm.w_f.value)
     lm.w_b.value = np.zeros_like(lm.w_b.value)
-    out = lm.forward(ad.Node(np.random.default_rng(3).normal(size=(3, 4))))
-    loss = float(lm.loss(out, [0, 1, 2]).value)
-    assert abs(loss - 4 * math.log(4)) < 1e-12
+    _, loss = run_lm(lm, np.random.default_rng(3).normal(size=(3, 4)), [0, 1, 2])
+    assert abs(float(loss.value) - 4 * math.log(4)) < 1e-12
 
 
 def test_loss_seeded_t5_v12_matches_oracle():
@@ -101,10 +126,9 @@ def test_loss_seeded_t5_v12_matches_oracle():
     rng = np.random.default_rng(7)
     emb = rng.normal(size=(5, 5))
     ids = rng.integers(0, 12, size=5)
-    out = lm.forward(ad.Node(emb))
-    got = float(lm.loss(out, ids).value)
+    _, got = run_lm(lm, emb, ids)
     _, _, want = numpy_bigru_lm(emb, ids.tolist(), lm)
-    assert abs(got - want) < 1e-9
+    assert abs(float(got.value) - want) < 1e-9
 
 
 def test_loss_nonnegative_random():
@@ -112,66 +136,77 @@ def test_loss_nonnegative_random():
     for seed in range(5):
         lm, _ = make_lm(vocab=7, seed=seed)
         t_len = int(rng.integers(1, 7))
-        out = lm.forward(ad.Node(rng.normal(size=(t_len, 4))))
+        emb = rng.normal(size=(t_len, 4))
         ids = rng.integers(0, 7, size=t_len)
-        assert float(lm.loss(out, ids).value) >= 0.0
+        assert float(run_lm(lm, emb, ids)[1].value) >= 0.0
 
 
 def test_reversal_swaps_directional_roles():
     """Reversing the sequence (and swapping W_f/W_b plus the two GRUs) swaps
-    the forward and backward loss terms."""
-    lm, _ = make_lm(input_dim=3, hidden_dim=3, vocab=5, seed=11)
+    the forward and backward loss terms. Each term is isolated by zeroing
+    the other head's projection, which makes that head's term (T-1) log |V|."""
     rng = np.random.default_rng(11)
     emb = rng.normal(size=(4, 3))
     ids = rng.integers(0, 5, size=4)
+    for zeroed in ("w_b", "w_f"):
+        lm, _ = make_lm(input_dim=3, hidden_dim=3, vocab=5, seed=11)
+        getattr(lm, zeroed).value = np.zeros_like(getattr(lm, zeroed).value)
+        term = float(run_lm(lm, emb, ids)[1].value) - 3 * math.log(5)
 
-    out = lm.forward(ad.Node(emb))
-    fwd_term = float(ad.cross_entropy_rows(lm.next_word_logits(out), ids[1:]).value)
-    bwd_term = float(ad.cross_entropy_rows(lm.prev_word_logits(out), ids[:-1]).value)
-
-    mirrored, _ = make_lm(input_dim=3, hidden_dim=3, vocab=5, seed=99)
-    for mine, theirs in ((mirrored.fwd, lm.bwd), (mirrored.bwd, lm.fwd)):
-        for p_m, p_t in zip(mine.params(), theirs.params()):
-            p_m.value = p_t.value.copy()
-    mirrored.w_f.value = lm.w_b.value.copy()
-    mirrored.w_b.value = lm.w_f.value.copy()
-
-    rev_out = mirrored.forward(ad.Node(emb[::-1].copy()))
-    rev_ids = ids[::-1]
-    rev_fwd = float(ad.cross_entropy_rows(mirrored.next_word_logits(rev_out), rev_ids[1:]).value)
-    rev_bwd = float(ad.cross_entropy_rows(mirrored.prev_word_logits(rev_out), rev_ids[:-1]).value)
-    assert abs(rev_fwd - bwd_term) < 1e-9
-    assert abs(rev_bwd - fwd_term) < 1e-9
+        mirrored, _ = make_lm(input_dim=3, hidden_dim=3, vocab=5, seed=99)
+        for mine, theirs in ((mirrored.fwd, lm.bwd), (mirrored.bwd, lm.fwd)):
+            for p_m, p_t in zip(mine.params(), theirs.params()):
+                p_m.value = p_t.value.copy()
+        mirrored.w_f.value = lm.w_b.value.copy()
+        mirrored.w_b.value = lm.w_f.value.copy()
+        rev_term = float(run_lm(mirrored, emb[::-1].copy(), ids[::-1])[1].value) - 3 * math.log(5)
+        assert abs(rev_term - term) < 1e-9
 
 
 def test_fuse_identity_when_hiddens_zero():
-    emb = ad.Node(np.random.default_rng(4).normal(size=(5, 4)))
-    zero = ad.Node(np.zeros((5, 4)))
-    out = LMOutput(zero, zero, ad.add(zero, zero))
-    fused = fuse_with_embedding(out, emb)
-    np.testing.assert_array_equal(fused.value, emb.value)
+    """All-zero LM GRU weights give all-zero states, so fusion leaves the
+    embeddings, and everything the encoder computes from them, unchanged."""
+    fused_model = tiny_model()
+    for cell in (fused_model.lm.fwd, fused_model.lm.bwd):
+        for p in cell.params():
+            p.value = np.zeros_like(p.value)
+    rng = np.random.default_rng(4)
+    states, _ = run_lm(fused_model.lm, rng.normal(size=(5, 8)), rng.integers(0, 12, size=5))
+    np.testing.assert_array_equal(states.value, 0.0)
+
+    plain_model = tiny_model(lm_enabled=False)
+    d = tiny_dialogue()
+    fused = fused_model.prepare_batch([(d, 0), (d, 1)])
+    plain = plain_model.prepare_batch([(d, 0), (d, 1)])
+    np.testing.assert_array_equal(fused.final_all.value, plain.final_all.value)
+    for got, want in zip(fused.contexts, plain.contexts):
+        np.testing.assert_array_equal(got.hiddens.value, want.hiddens.value)
 
 
 def test_fuse_shape_and_dim_check():
-    lm, _ = make_lm(input_dim=4, hidden_dim=4, vocab=5, seed=6)
+    """States are fused with the embeddings by addition, so the LM width must
+    equal the embedding width (DstModel refuses other configurations)."""
     emb = ad.Node(np.random.default_rng(6).normal(size=(5, 4)))
-    fused = fuse_with_embedding(lm.forward(emb), emb)
-    assert fused.shape == (5, 4)
+    ids = np.arange(5)
+    lm, _ = make_lm(input_dim=4, hidden_dim=4, vocab=5, seed=6)
+    states, _ = lm.forward(emb, ids, [5])
+    assert ad.add(emb, states).shape == (5, 4)
 
     bad_lm, _ = make_lm(input_dim=4, hidden_dim=3, vocab=5, seed=6)
+    bad_states, _ = bad_lm.forward(emb, ids, [5])
     with pytest.raises(ad.ShapeError):
-        fuse_with_embedding(bad_lm.forward(emb), emb)
+        ad.add(emb, bad_states)
 
 
 def test_lm_gradient_matches_finite_differences():
     lm, store = make_lm(input_dim=3, hidden_dim=3, vocab=5, seed=8)
     rng = np.random.default_rng(8)
-    emb_p = store.new("emb", (4, 3), 1.0)
-    emb_p.value = rng.normal(size=(4, 3))
-    ids = rng.integers(0, 5, size=4)
+    emb_p = store.new("emb", (6, 3), 1.0)
+    emb_p.value = rng.normal(size=(6, 3))
+    ids = rng.integers(0, 5, size=6)
 
     def loss():
-        return lm_loss(lm, lm_forward(lm, emb_p.node), ids)
+        return lm.forward(emb_p.node, ids, [4, 2])[1]
 
     err = ad.grad_check(loss, store.parameters(), eps=1e-5)
     assert err < 1e-4
@@ -180,4 +215,6 @@ def test_lm_gradient_matches_finite_differences():
 def test_empty_sequence_rejected():
     lm, _ = make_lm()
     with pytest.raises(ad.ShapeError):
-        lm.forward(ad.Node(np.zeros((0, 4))))
+        lm.forward(ad.Node(np.zeros((0, 4))), [], [0])
+    with pytest.raises(ad.ShapeError):
+        lm.forward(ad.Node(np.zeros((3, 4))), [1, 2], [3])

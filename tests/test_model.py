@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -45,16 +47,19 @@ def tiny_model(**kw):
 def test_encoder_shapes():
     store = ad.ParameterStore(0)
     enc = Encoder(store, 6, 6)
-    out = enc.forward(ad.Node(np.random.default_rng(0).normal(size=(9, 6))))
-    assert out.hiddens.shape == (9, 6)
-    assert out.final_state.shape == (1, 6)
+    hiddens, finals = enc.forward(ad.Node(np.random.default_rng(0).normal(size=(9, 6))), [9])
+    assert hiddens.shape == (9, 6)
+    assert finals.shape == (1, 6)
+    hiddens, finals = enc.forward(ad.Node(np.random.default_rng(0).normal(size=(11, 6))), [9, 2])
+    assert hiddens.shape == (11, 6)
+    assert finals.shape == (2, 6)
 
 
 def test_encoder_t1_final_equals_hidden():
     store = ad.ParameterStore(1)
     enc = Encoder(store, 4, 4)
-    out = enc.forward(ad.Node(np.random.default_rng(1).normal(size=(1, 4))))
-    np.testing.assert_array_equal(out.final_state.value[0], out.hiddens.value[0])
+    hiddens, finals = enc.forward(ad.Node(np.random.default_rng(1).normal(size=(1, 4))), [1])
+    np.testing.assert_array_equal(finals.value[0], hiddens.value[0])
 
 
 def test_encoder_matches_scalar_recomputation():
@@ -78,15 +83,15 @@ def test_encoder_matches_scalar_recomputation():
         return out
 
     f, b = run(enc.fwd, False), run(enc.bwd, True)
-    out = enc.forward(ad.Node(xs))
-    np.testing.assert_allclose(out.hiddens.value, f + b, atol=1e-12)
-    np.testing.assert_allclose(out.final_state.value[0], f[-1] + b[0], atol=1e-12)
+    hiddens, finals = enc.forward(ad.Node(xs), [4])
+    np.testing.assert_allclose(hiddens.value, f + b, atol=1e-12)
+    np.testing.assert_allclose(finals.value[0], f[-1] + b[0], atol=1e-12)
 
 
 def test_encoder_rejects_empty():
     enc = Encoder(ad.ParameterStore(0), 4, 4)
     with pytest.raises(ad.ShapeError):
-        enc.forward(ad.Node(np.zeros((0, 4))))
+        enc.forward(ad.Node(np.zeros((0, 4))), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +174,15 @@ def test_oov_context_ids():
 
 def test_decode_slot_unknown_slot_errors():
     model = tiny_model()
-    ctx = model.prepare_turn(tiny_dialogue(), 0)
+    batch = model.prepare_batch([(tiny_dialogue(), 0)])
     with pytest.raises(KeyError):
-        model.decode_slot(("hotel", "wifi"), ctx)
+        model.decode_slot(("hotel", "wifi"), batch)
 
 
 def test_decode_slot_returns_gate_and_tokens():
     model = tiny_model()
-    ctx = model.prepare_turn(tiny_dialogue(), 1)
-    gate, tokens = model.decode_slot(("hotel", "area"), ctx)
+    batch = model.prepare_batch([(tiny_dialogue(), 1)])
+    [(gate, tokens)] = model.decode_slot(("hotel", "area"), batch)
     assert gate.probs.shape == (3,)
     assert gate.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert gate.label in GATE_CLASSES
@@ -185,12 +190,41 @@ def test_decode_slot_returns_gate_and_tokens():
     assert EOS not in tokens
 
 
+def test_decode_slot_batch_matches_single():
+    model = tiny_model()
+    d = tiny_dialogue()
+    both = model.decode_slot(("hotel", "price"), model.prepare_batch([(d, 0), (d, 1)]))
+    for turn, (gate, tokens) in enumerate(both):
+        [(want_gate, want_tokens)] = model.decode_slot(("hotel", "price"),
+                                                        model.prepare_batch([(d, turn)]))
+        np.testing.assert_allclose(gate.probs, want_gate.probs, atol=1e-12)
+        assert tokens == want_tokens
+
+
+def test_batch_freed_without_cycle_collection():
+    """A batch and its graph go away by reference counting alone as soon as
+    the caller drops them; a reference cycle would keep every step's graph
+    alive until the next full collection."""
+    model = tiny_model()
+    d = tiny_dialogue()
+    gc.collect()
+    gc.disable()
+    try:
+        batch = model.prepare_batch([(d, 0), (d, 1)], np.random.default_rng(0))
+        model.decode_slot(("hotel", "area"), batch)
+        ref = weakref.ref(batch)
+        del batch
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_generator_steps_are_simplexes_for_arbitrary_parameters():
     for seed in range(3):
         model = tiny_model(seed=seed)
-        ctx = model.prepare_turn(tiny_dialogue(), 1)
-        model.decode_slot(("hotel", "price"), ctx)
-        for step in ctx.gen_steps:
+        batch = model.prepare_batch([(tiny_dialogue(), 1)])
+        model.decode_slot(("hotel", "price"), batch)
+        for step in batch.contexts[0].gen_steps:
             final = step.final_distribution.value
             assert (final >= 0).all()
             np.testing.assert_allclose(final.sum(axis=1), 1.0, atol=1e-10)
@@ -231,9 +265,10 @@ def test_copy_path_emits_oov_surface_token():
     model.w_pgen.value = np.zeros_like(model.w_pgen.value)
     d = tiny_dialogue()
     d.turns[1].user_utterance = "i want flurb price ."
-    ctx = model.prepare_turn(d, 1)
+    batch = model.prepare_batch([(d, 1)])
+    ctx = batch.contexts[0]
     assert ctx.oov_surfaces == ["flurb"]
-    _, tokens = model.decode_slot(("hotel", "price"), ctx)
+    [(_, tokens)] = model.decode_slot(("hotel", "price"), batch)
     emitted = set(tokens)
     assert emitted <= set(ctx.tokens)  # copy-only can emit context tokens only
     for step in ctx.gen_steps:
@@ -359,7 +394,7 @@ def numpy_turn_loss(model, dialogue, turn):
 def test_turn_loss_matches_independent_numpy_oracle():
     model = tiny_model()
     d = tiny_dialogue()
-    dst, lm = model.turn_loss(d, 1)
+    dst, lm = model.batch_loss([(d, 1)])
     assert dst.shape == () and lm.shape == ()
     want_dst, want_lm = numpy_turn_loss(model, d, 1)
     assert abs(float(dst.value) - want_dst) < 1e-9
@@ -370,8 +405,8 @@ def test_batch_loss_is_sum_of_turn_losses():
     model = tiny_model()
     d = tiny_dialogue()
     dst_b, lm_b = model.batch_loss([(d, 0), (d, 1)])
-    dst_0, lm_0 = model.turn_loss(d, 0)
-    dst_1, lm_1 = model.turn_loss(d, 1)
+    dst_0, lm_0 = model.batch_loss([(d, 0)])
+    dst_1, lm_1 = model.batch_loss([(d, 1)])
     assert abs(float(dst_b.value) - (float(dst_0.value) + float(dst_1.value))) < 1e-10
     assert abs(float(lm_b.value) - (float(lm_0.value) + float(lm_1.value))) < 1e-10
 
@@ -386,7 +421,7 @@ def test_batched_prediction_matches_single():
 
 def test_dst_loss_empty_batch_errors():
     with pytest.raises(ValueError):
-        tiny_model().dst_loss([])
+        tiny_model().batch_loss([])
 
 
 def test_gradients_reach_encoder_from_both_loss_terms():
@@ -394,7 +429,7 @@ def test_gradients_reach_encoder_from_both_loss_terms():
     d = tiny_dialogue()
 
     def total():
-        dst, lm = model.turn_loss(d, 1)
+        dst, lm = model.batch_loss([(d, 1)])
         return ad.add(dst, ad.scale(lm, 0.9))
 
     model.store.zero_grad()

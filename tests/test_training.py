@@ -131,6 +131,20 @@ def test_nan_loss_aborts_with_op_name():
     assert "op" in str(exc.value)
 
 
+def test_inf_parameter_aborts_naming_the_op():
+    """The backward pass is the trainer's one non-finite check: it names the
+    first non-finite op, here the parameter leaf, before any gradient lands."""
+    trainer, dialogues, _ = small_trainer()
+    trainer.model.store["lm.w_f"].value[:] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(ad.GraphError) as exc:
+        trainer.train_step(turn_instances(dialogues)[:2])
+    assert "non-finite loss" in str(exc.value)
+    assert "param:lm.w_f" in str(exc.value)
+    assert trainer.micro_step == 0
+    assert all(p.node.grad is None for p in trainer.model.store.parameters())
+
+
 # ---------------------------------------------------------------------------
 # adam
 # ---------------------------------------------------------------------------
