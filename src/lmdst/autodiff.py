@@ -483,7 +483,9 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     ``offset_i .. offset_i + lengths[i]`` belong to example i. The output has
     the same arrangement with hidden states aligned to input positions. Each
     sequence starts from its own zero state; shorter sequences are masked
-    out of the padded loop, so results are independent of the batching.
+    out of the padded loop. States equal those of running a sequence alone up
+    to float rounding only: BLAS may sum stacked rows in another order for
+    another batch shape, so an exact tie downstream can resolve differently.
 
     One fused op: forward runs a padded time-major loop, backward is
     hand-rolled BPTT over the stashed gate activations. Batching exists
@@ -497,8 +499,9 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     if min(lengths, default=0) < 1 or sum(lengths) != xs.shape[0]:
         raise ShapeError(f"gru_sequence_batch: lengths {lengths} do not cover {xs.shape[0]} rows")
     n_batch, t_max, d = len(lengths), max(lengths), cell.hidden_dim
-    d_in = cell.input_dim
-    offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
+    # (time, sequence) position of each packed row in the padded layout
+    t_idx = np.concatenate([np.arange(n) for n in lengths])
+    b_idx = np.repeat(np.arange(n_batch), lengths)
     w_zr, u_zr, b_zr = cell.w_zr.node, cell.u_zr.node, cell.b_zr.node
     w_h, u_h, b_h = cell.w_h.node, cell.u_h.node, cell.b_h.node
 
@@ -508,9 +511,8 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     xh_flat = x @ w_h.value + b_h.value
     xzr = np.zeros((t_max, n_batch, 2 * d), dtype=x.dtype)
     xh = np.zeros((t_max, n_batch, d), dtype=x.dtype)
-    for i, (off, n) in enumerate(zip(offsets, lengths)):
-        xzr[:n, i] = xzr_flat[off:off + n]
-        xh[:n, i] = xh_flat[off:off + n]
+    xzr[t_idx, b_idx] = xzr_flat
+    xh[t_idx, b_idx] = xh_flat
     mask = (np.arange(t_max)[:, None] < np.asarray(lengths)[None, :]).astype(x.dtype)[..., None]
 
     order = range(t_max - 1, -1, -1) if reverse else range(t_max)
@@ -535,14 +537,11 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         rs[t] = r
         cands[t] = c
 
-    out = np.empty((x.shape[0], d), dtype=x.dtype)
-    for i, (off, n) in enumerate(zip(offsets, lengths)):
-        out[off:off + n] = aligned[:n, i]
+    out = aligned[t_idx, b_idx]
 
     def backward(g):
         gst = np.zeros((t_max, n_batch, d), dtype=x.dtype)
-        for i, (off, n) in enumerate(zip(offsets, lengths)):
-            gst[:n, i] = g[off:off + n]
+        gst[t_idx, b_idx] = g
         dxzr = np.empty((t_max, n_batch, 2 * d), dtype=x.dtype)
         dxh = np.empty((t_max, n_batch, d), dtype=x.dtype)
         gh = np.zeros((n_batch, d), dtype=x.dtype)
@@ -561,15 +560,10 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
             dxzr[t, :, d:] = dr * r * (1.0 - r)
             gh = gta * (1.0 - z) + (gt - gta) + drh * r + dxzr[t] @ uzr_t
         # big gemms on the unpadded rows (masked padding rows are all zero)
-        dxzr_flat = np.empty((x.shape[0], 2 * d), dtype=x.dtype)
-        dxh_flat = np.empty((x.shape[0], d), dtype=x.dtype)
-        hp_flat = np.empty((x.shape[0], d), dtype=x.dtype)
-        rhp_flat = np.empty((x.shape[0], d), dtype=x.dtype)
-        for i, (off, n) in enumerate(zip(offsets, lengths)):
-            dxzr_flat[off:off + n] = dxzr[:n, i]
-            dxh_flat[off:off + n] = dxh[:n, i]
-            hp_flat[off:off + n] = h_before[:n, i]
-            rhp_flat[off:off + n] = rs[:n, i] * h_before[:n, i]
+        dxzr_flat = dxzr[t_idx, b_idx]
+        dxh_flat = dxh[t_idx, b_idx]
+        hp_flat = h_before[t_idx, b_idx]
+        rhp_flat = rs[t_idx, b_idx] * hp_flat
         if xs.requires_grad:
             xs.accumulate(dxzr_flat @ w_zr.value.T + dxh_flat @ w_h.value.T)
         if w_zr.requires_grad:

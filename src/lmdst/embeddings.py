@@ -68,13 +68,6 @@ class CompositeEmbedding:
         char_part = ad.matmul(ad.Node(self._char_avg), self.char.node)
         return ad.concat(word_node, char_part, axis=1)
 
-    def embed_ids(self, table: ad.Node, ids) -> ad.Node:
-        return ad.embedding_lookup(table, np.asarray(ids, dtype=np.intp))
-
-    def embed(self, token: str) -> ad.Node:
-        """Embedding of a single token (UNK fallback), shape 1 x embedding_dim."""
-        return self.embed_ids(self.table(), [self.vocab.id(token)])
-
     def load_pretrained_vectors(self, path) -> float:
         """Overwrite word rows from a GloVe-format text file.
 

@@ -11,14 +11,17 @@ forms the vocabulary has never seen.
 Turn instances of a micro-batch run through stacked graphs (one embedding
 table build, masked batched recurrences, one decoder GRU step for all
 slots of all examples) purely for throughput; attention, copy mixtures and
-losses stay per example, so results are independent of the batching. Slots
-never interact either: rows of the decode batch are equivalent to decoding
-each slot independently in ontology order.
+losses stay per example. Results equal those of a batch of one up to float
+rounding only: BLAS may sum stacked rows in another order for another batch
+shape (a turn's gate probabilities move by 5.6e-17 between a 1- and a 2-turn
+batch), so an exact tie in a greedy argmax can resolve differently. Slots
+never interact either: to the same rounding, rows of the decode batch equal
+decoding each slot on its own in ontology order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +47,6 @@ class SlotGateDecision:
 
 
 @dataclass
-class GeneratorStep:
-    vocab_distribution: ad.Node    # S x |V|
-    context_distribution: ad.Node  # S x T
-    p_gen: ad.Node                 # S x 1
-    final_distribution: ad.Node    # S x (|V| + n_oov); always a simplex
-
-
-@dataclass
 class TurnContext:
     """Everything decoding needs for one (dialogue, turn) instance."""
 
@@ -60,7 +55,6 @@ class TurnContext:
     oov_surfaces: list[str]  # distinct OOV surfaces, first-appearance order
     hiddens: ad.Node         # T x d_h encoder states (forward + backward)
     hiddens_t: ad.Node       # cached transpose of ``hiddens``
-    gen_steps: list[GeneratorStep] = field(default_factory=list)
 
     @property
     def n_oov(self) -> int:
@@ -206,15 +200,15 @@ class DstModel:
         offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
         ids_all = np.concatenate(ids_per)
 
-        embed_ids = ids_all
+        input_ids = ids_all
         if rng is not None and self.word_dropout > 0:
             drop = rng.random(ids_all.size) < self.word_dropout
             if drop.any():
-                embed_ids = np.where(drop, self.vocab.id(UNK), ids_all)
+                input_ids = np.where(drop, self.vocab.id(UNK), ids_all)
 
         table = self.embedding.table()
         table_t = ad.transpose(table)
-        emb = self.embedding.embed_ids(table, embed_ids)
+        emb = ad.embedding_lookup(table, input_ids)
         if rng is not None and self.dropout > 0:
             mask = (rng.random(emb.shape) >= self.dropout) / (1.0 - self.dropout)
             emb = ad.elementwise_mul(emb, ad.Node(mask))
@@ -238,36 +232,48 @@ class DstModel:
                 tokens_per[i], ext_per[i], oov_per[i], hiddens, ad.transpose(hiddens)))
         return batch
 
-    def _attend_and_mix(self, ctx: TurnContext, h_i: ad.Node, x_i: ad.Node,
-                        vocab_probs_i: ad.Node):
-        """Attention, p_gen and the copy mixture for one example's slot rows."""
-        attn = ad.softmax(ad.matmul(h_i, ctx.hiddens_t), axis=1)
-        context_vec = ad.matmul(attn, ctx.hiddens)
-        p_gen = ad.sigmoid(ad.add(
-            ad.matmul(ad.concat(ad.concat(h_i, context_vec, axis=1), x_i, axis=1),
-                      self.w_pgen.node),
-            self.b_pgen.node))
-        final = copy_mixture(vocab_probs_i, attn, p_gen, ctx.ext_ids,
-                             len(self.vocab), ctx.n_oov)
-        step = GeneratorStep(vocab_probs_i, attn, p_gen, final)
-        ctx.gen_steps.append(step)
-        return context_vec, step
-
-    def _gate_logits(self, context_vec: ad.Node) -> ad.Node:
-        return ad.add(ad.matmul(context_vec, self.w_gate.node), self.b_gate.node)
-
-    def _slot_inputs(self, table: ad.Node, slot_rows: list[int] | None = None) -> ad.Node:
-        m = self._slot_token_avg if slot_rows is None else self._slot_token_avg[slot_rows]
-        return ad.matmul(ad.Node(m), table)
-
     def _decoder_init(self, batch: BatchContext, slot_rows: list[int]):
         """Stacked first inputs (slot embeddings) and initial states (tiled
         encoder finals) for all examples' slot rows, example-major."""
         n_b, n_s = len(batch.contexts), len(slot_rows)
-        x = ad.embedding_lookup(self._slot_inputs(batch.table, slot_rows),
+        x = ad.embedding_lookup(ad.matmul(ad.Node(self._slot_token_avg[slot_rows]), batch.table),
                                 np.tile(np.arange(n_s), n_b))
         h = ad.embedding_lookup(batch.final_all, np.repeat(np.arange(n_b), n_s))
         return x, h
+
+    def _decode_step(self, batch: BatchContext, x: ad.Node, h: ad.Node, first: bool):
+        """One copy-augmented step for all slot rows (example-major ``x``, ``h``).
+
+        The GRU step and the vocabulary softmax run over all rows; attention,
+        p_gen and the copy mixture per example. Returns the new states and per
+        example the gate logits (``first`` step only) and the S x (|V| + n_oov)
+        final distribution.
+        """
+        n_s = x.shape[0] // len(batch.contexts)
+        h = self.decoder_cell.step(x, h)
+        vocab_probs_all = ad.softmax(ad.matmul(h, batch.table_t), axis=1)
+        gate_logits, finals = [], []
+        for i, ctx in enumerate(batch.contexts):
+            h_i = ad.slice_rows(h, i * n_s, (i + 1) * n_s)
+            x_i = ad.slice_rows(x, i * n_s, (i + 1) * n_s)
+            vocab_probs = ad.slice_rows(vocab_probs_all, i * n_s, (i + 1) * n_s)
+            attn = ad.softmax(ad.matmul(h_i, ctx.hiddens_t), axis=1)
+            context_vec = ad.matmul(attn, ctx.hiddens)
+            p_gen = ad.sigmoid(ad.add(
+                ad.matmul(ad.concat(ad.concat(h_i, context_vec, axis=1), x_i, axis=1),
+                          self.w_pgen.node),
+                self.b_pgen.node))
+            finals.append(copy_mixture(vocab_probs, attn, p_gen, ctx.ext_ids,
+                                       len(self.vocab), ctx.n_oov))
+            if first:
+                gate_logits.append(ad.add(ad.matmul(context_vec, self.w_gate.node),
+                                          self.b_gate.node))
+        return h, gate_logits, finals
+
+    def _feed(self, batch: BatchContext, ids: np.ndarray) -> ad.Node:
+        """Next decoder inputs; an extended (copied OOV) id feeds UNK back."""
+        ids = np.where(ids >= len(self.vocab), self.vocab.id(UNK), ids)
+        return ad.embedding_lookup(batch.table, ids)
 
     # -- training ----------------------------------------------------------
 
@@ -314,38 +320,27 @@ class DstModel:
         """
         batch = self.prepare_batch(instances, rng)
         n_b, n_s = len(instances), len(self.ontology)
-        per_example = []
-        max_len = 0
-        for ctx, (dialogue, turn) in zip(batch.contexts, instances):
-            targets, mask, gates = self._target_ids(ctx, dialogue.turns[turn].gold_state)
-            per_example.append((targets, mask, gates))
-            max_len = max(max_len, targets.shape[1])
+        per_example = [self._target_ids(ctx, dialogue.turns[turn].gold_state)
+                       for ctx, (dialogue, turn) in zip(batch.contexts, instances)]
+        max_len = max(targets.shape[1] for targets, _, _ in per_example)
 
         x, h = self._decoder_init(batch, list(range(n_s)))
-        unk, eos = self.vocab.id(UNK), self.vocab.id(EOS)
+        eos = self.vocab.id(EOS)
         token_total: ad.Node | None = None
         gate_total: ad.Node | None = None
         for j in range(max_len):
-            h = self.decoder_cell.step(x, h)
-            vocab_probs_all = ad.softmax(ad.matmul(h, batch.table_t), axis=1)
+            h, gate_logits, finals = self._decode_step(batch, x, h, j == 0)
             prev_ids = np.full(n_b * n_s, eos, dtype=np.intp)
-            for i, ctx in enumerate(batch.contexts):
-                targets, mask, gates = per_example[i]
-                h_i = ad.slice_rows(h, i * n_s, (i + 1) * n_s)
-                x_i = ad.slice_rows(x, i * n_s, (i + 1) * n_s)
-                vp_i = ad.slice_rows(vocab_probs_all, i * n_s, (i + 1) * n_s)
-                context_vec, step = self._attend_and_mix(ctx, h_i, x_i, vp_i)
+            for i, (targets, mask, gates) in enumerate(per_example):
                 if j == 0:
-                    ce = ad.cross_entropy_rows(self._gate_logits(context_vec), gates)
+                    ce = ad.cross_entropy_rows(gate_logits[i], gates)
                     gate_total = ce if gate_total is None else ad.add(gate_total, ce)
                 if j < targets.shape[1]:
-                    nll = ad.nll_rows(step.final_distribution, targets[:, j], mask[:, j])
+                    nll = ad.nll_rows(finals[i], targets[:, j], mask[:, j])
                     token_total = nll if token_total is None else ad.add(token_total, nll)
-                    ids = targets[:, j]
-                    prev_ids[i * n_s:(i + 1) * n_s] = np.where(
-                        ids >= len(self.vocab), unk, ids)  # OOV feeds UNK back
+                    prev_ids[i * n_s:(i + 1) * n_s] = targets[:, j]
             if j + 1 < max_len:
-                x = self.embedding.embed_ids(batch.table, prev_ids)
+                x = self._feed(batch, prev_ids)
         dst_sum = ad.scale(ad.add(token_total, gate_total), 1.0 / n_s)
         return dst_sum, batch.lm_loss_sum
 
@@ -356,32 +351,26 @@ class DstModel:
             return self.vocab.token(idx)
         return ctx.oov_surfaces[idx - len(self.vocab)]
 
-    def _greedy_decode(self, batch: BatchContext, slot_rows: list[int],
-                       max_len: int):
+    def _greedy_decode(self, batch: BatchContext, slot_rows: list[int]):
         """Greedy decoding of ``slot_rows`` for every example in the batch.
 
         Returns per-example ([SlotGateDecision, ...], [token list, ...]).
         Argmax ties break toward the lowest token id.
         """
         n_b, n_s = len(batch.contexts), len(slot_rows)
-        eos, unk = self.vocab.id(EOS), self.vocab.id(UNK)
+        eos = self.vocab.id(EOS)
         x, h = self._decoder_init(batch, slot_rows)
         gates: list[list[SlotGateDecision]] = [[] for _ in range(n_b)]
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
         done = np.zeros((n_b, n_s), dtype=bool)
-        for j in range(max_len):
-            h = self.decoder_cell.step(x, h)
-            vocab_probs_all = ad.softmax(ad.matmul(h, batch.table_t), axis=1)
+        for j in range(self.max_value_len):
+            h, gate_logits, finals = self._decode_step(batch, x, h, j == 0)
             prev_ids = np.full(n_b * n_s, eos, dtype=np.intp)
             for i, ctx in enumerate(batch.contexts):
-                h_i = ad.slice_rows(h, i * n_s, (i + 1) * n_s)
-                x_i = ad.slice_rows(x, i * n_s, (i + 1) * n_s)
-                vp_i = ad.slice_rows(vocab_probs_all, i * n_s, (i + 1) * n_s)
-                context_vec, step = self._attend_and_mix(ctx, h_i, x_i, vp_i)
                 if j == 0:
-                    probs = ad.softmax(self._gate_logits(context_vec), axis=1).value
+                    probs = ad.softmax(gate_logits[i], axis=1).value
                     gates[i] = [SlotGateDecision(p.copy()) for p in probs]
-                choice = np.argmax(step.final_distribution.value, axis=1)
+                choice = np.argmax(finals[i].value, axis=1)
                 for s in range(n_s):
                     if done[i, s]:
                         continue
@@ -390,23 +379,21 @@ class DstModel:
                         done[i, s] = True
                     else:
                         words[i][s].append(self._token_for(ctx, c))
-                        prev_ids[i * n_s + s] = c if c < len(self.vocab) else unk
+                        prev_ids[i * n_s + s] = c
             if done.all():
                 break
-            x = self.embedding.embed_ids(batch.table, prev_ids)
+            x = self._feed(batch, prev_ids)
         return gates, words
 
-    def decode_slot(self, slot: tuple[str, str], batch: BatchContext,
-                    max_len: int | None = None) -> list[tuple[SlotGateDecision, list[str]]]:
+    def decode_slot(self, slot: tuple[str, str],
+                    batch: BatchContext) -> list[tuple[SlotGateDecision, list[str]]]:
         """Gate decision and greedy value tokens for one (domain, slot), one
         pair per example of a batch from :meth:`prepare_batch`."""
-        if max_len is not None and max_len < 1:
-            raise ValueError("max_len must be >= 1")
         try:
             row_i = self.ontology.domain_slots.index(tuple(slot))
         except ValueError:
             raise KeyError(f"unknown slot {slot!r}") from None
-        gates, words = self._greedy_decode(batch, [row_i], max_len or self.max_value_len)
+        gates, words = self._greedy_decode(batch, [row_i])
         return [(g[0], w[0]) for g, w in zip(gates, words)]
 
     def _assemble_state(self, gates: list[SlotGateDecision],
@@ -428,8 +415,7 @@ class DstModel:
         """Greedy predictions for a batch of turns (all slots, fixed order)."""
         with ad.no_grad():
             batch = self.prepare_batch(instances)
-            gates, words = self._greedy_decode(
-                batch, list(range(len(self.ontology))), self.max_value_len)
+            gates, words = self._greedy_decode(batch, list(range(len(self.ontology))))
         return [self._assemble_state(g, w) for g, w in zip(gates, words)]
 
     def predict_state(self, dialogue: Dialogue, turn: int) -> BeliefState:
