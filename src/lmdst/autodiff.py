@@ -91,6 +91,11 @@ class Node:
             self.grad = np.zeros_like(self.value)
         self.grad += g
 
+    @property
+    def name(self) -> str:
+        """A parameter's name: its ``param:<name>`` op label without the prefix."""
+        return self.op.removeprefix("param:")
+
     def __repr__(self) -> str:
         return f"Node(op={self.op!r}, shape={self.shape})"
 
@@ -466,12 +471,12 @@ class GruCell:
                 f"gru step: x {x.shape}, h {h.shape} vs dims "
                 f"({self.input_dim}, {self.hidden_dim})")
         d = self.hidden_dim
-        pre = add(add(matmul(x, self.w_zr.node), self.b_zr.node), matmul(h, self.u_zr.node))
+        pre = add(add(matmul(x, self.w_zr), self.b_zr), matmul(h, self.u_zr))
         zr = sigmoid(pre)
         z = slice_cols(zr, 0, d)
         r = slice_cols(zr, d, 2 * d)
-        cand = tanh(add(add(matmul(x, self.w_h.node), self.b_h.node),
-                        matmul(elementwise_mul(r, h), self.u_h.node)))
+        cand = tanh(add(add(matmul(x, self.w_h), self.b_h),
+                        matmul(elementwise_mul(r, h), self.u_h)))
         return add(h, elementwise_mul(z, sub(cand, h)))
 
 
@@ -502,8 +507,8 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     # (time, sequence) position of each packed row in the padded layout
     t_idx = np.concatenate([np.arange(n) for n in lengths])
     b_idx = np.repeat(np.arange(n_batch), lengths)
-    w_zr, u_zr, b_zr = cell.w_zr.node, cell.u_zr.node, cell.b_zr.node
-    w_h, u_h, b_h = cell.w_h.node, cell.u_h.node, cell.b_h.node
+    w_zr, u_zr, b_zr = cell.w_zr, cell.u_zr, cell.b_zr
+    w_h, u_h, b_h = cell.w_h, cell.u_h, cell.b_h
 
     x = xs.value
     # input projections on the unpadded rows, then staged into padded layout
@@ -638,75 +643,42 @@ def backward(loss: Node) -> None:
 # parameters and checkpointing
 # ---------------------------------------------------------------------------
 
-class Parameter:
-    """Named trainable leaf. Mutate ``value`` in place between steps only."""
-
-    __slots__ = ("name", "node")
-
-    def __init__(self, name: str, node: Node):
-        self.name = name
-        self.node = node
-
-    @property
-    def value(self) -> Tensor:
-        return self.node.value
-
-    @value.setter
-    def value(self, v) -> None:
-        v = np.asarray(v, dtype=_DEFAULT_DTYPE)
-        if v.shape != self.node.value.shape:
-            raise ShapeError(f"parameter {self.name}: shape {v.shape} vs {self.node.value.shape}")
-        self.node.value = v
-
-    @property
-    def grad(self) -> Tensor:
-        if self.node.grad is None:
-            self.node.grad = np.zeros_like(self.node.value)
-        return self.node.grad
-
-    def zero_grad(self) -> None:
-        self.node.grad = None
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.node.value.shape})"
-
-
 class ParameterStore:
-    """Registry of uniquely named parameters with seeded initialization."""
+    """Registry of uniquely named parameter leaves with seeded initialization.
+
+    A parameter is the leaf :class:`Node` itself (``name`` from its op
+    label). Mutate its ``value`` in place between optimizer steps only.
+    """
 
     def __init__(self, seed: int = 0):
-        self._params: dict[str, Parameter] = {}
+        self._params: dict[str, Node] = {}
         self.rng = np.random.default_rng(seed)
 
-    def new(self, name: str, shape: tuple[int, ...], bound: float) -> Parameter:
+    def new(self, name: str, shape: tuple[int, ...], bound: float) -> Node:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         if name.startswith("_"):
             raise ValueError(f"parameter names must not start with '_': {name!r}")
         value = self.rng.uniform(-bound, bound, size=shape).astype(_DEFAULT_DTYPE)
         node = Node(value, requires_grad=True, op=f"param:{name}")
-        p = Parameter(name, node)
-        self._params[name] = p
-        return p
+        self._params[name] = node
+        return node
 
-    def parameters(self) -> list[Parameter]:
+    def parameters(self) -> list[Node]:
         return list(self._params.values())
 
     def names(self) -> list[str]:
         return list(self._params)
 
-    def __getitem__(self, name: str) -> Parameter:
+    def __getitem__(self, name: str) -> Node:
         return self._params[name]
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def zero_grad(self) -> None:
         for p in self._params.values():
-            p.zero_grad()
+            p.grad = None
 
     def state_dict(self) -> dict[str, Tensor]:
-        return {name: p.node.value.copy() for name, p in self._params.items()}
+        return {name: p.value.copy() for name, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, Tensor]) -> None:
         missing = set(self._params) - set(state)
@@ -717,15 +689,15 @@ class ParameterStore:
                 f"unexpected: {sorted(extra)[:3]})")
         for name, p in self._params.items():
             v = np.asarray(state[name], dtype=_DEFAULT_DTYPE)
-            if v.shape != p.node.value.shape:
+            if v.shape != p.value.shape:
                 raise CheckpointError(
-                    f"parameter {name}: checkpoint shape {v.shape} vs model {p.node.value.shape}")
-            p.node.value = v
+                    f"parameter {name}: checkpoint shape {v.shape} vs model {p.value.shape}")
+            p.value = v
 
 
 def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
-    """Write a checkpoint: numpy .npz, one float64 array per parameter name,
-    plus a '_meta' JSON string. Round-trips bit-exactly.
+    """Write a checkpoint: numpy .npz, one array per parameter name in the
+    default dtype, plus a '_meta' JSON string. Round-trips bit-exactly.
     """
     np.savez(path, _meta=np.array(json.dumps(meta or {}, sort_keys=True)), **params)
 
@@ -746,25 +718,26 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
 # finite-difference verification
 # ---------------------------------------------------------------------------
 
-def grad_check(build: Callable[[], Node], params: Sequence[Parameter],
+def grad_check(build: Callable[[], Node], params: Sequence[Node],
                eps: float = 1e-5, max_entries_per_param: int | None = None,
                seed: int = 0) -> float:
     """Compare analytic gradients of ``build()`` against central differences.
 
     ``build`` must be a pure, deterministic function of the parameter values.
-    Returns the max relative error, |a - n| / max(|a|, |n|, 1).
+    Returns the max relative error, |a - n| / max(|a|, |n|, 1). A parameter
+    the loss does not reach has an analytic gradient of zero.
     """
     rng = np.random.default_rng(seed)
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = build()
     backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = [np.zeros_like(p.value) if p.grad is None else p.grad.copy() for p in params]
 
     worst = 0.0
-    for p in params:
-        flat = p.node.value.reshape(-1)
-        a_flat = analytic[p.name].reshape(-1)
+    for p, a in zip(params, analytic):
+        flat = p.value.reshape(-1)
+        a_flat = a.reshape(-1)
         n = flat.size
         if max_entries_per_param is not None and n > max_entries_per_param:
             idxs = rng.choice(n, size=max_entries_per_param, replace=False)

@@ -132,8 +132,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = DstModel.load(args.checkpoint)
-    ontology = Ontology([tuple(key.split("-", 1)) for key in model.meta()["ontology"]])
-    dialogues = load_multiwoz(args.data, ontology)
+    dialogues = load_multiwoz(args.data, model.ontology)
     preds = predict_instances(model, dialogues)
     write_predictions(args.out, preds)
     print(f"{len(preds)} turn predictions -> {args.out}")

@@ -64,9 +64,9 @@ class CompositeEmbedding:
 
     def table(self) -> ad.Node:
         """The full |V| x embedding_dim table as a graph node (rebuilt per use)."""
-        word_node = self.word.node if not self.freeze_word else ad.Node(self.word.value)
-        char_part = ad.matmul(ad.Node(self._char_avg), self.char.node)
-        return ad.concat(word_node, char_part, axis=1)
+        word = self.word if not self.freeze_word else ad.Node(self.word.value)
+        char_part = ad.matmul(ad.Node(self._char_avg), self.char)
+        return ad.concat(word, char_part, axis=1)
 
     def load_pretrained_vectors(self, path) -> float:
         """Overwrite word rows from a GloVe-format text file.

@@ -53,9 +53,9 @@ class LanguageModel:
                                  for off, n in zip(offsets, lengths)]).astype(np.intp)
         if rows_f.size:
             next_ce = ad.cross_entropy_rows(
-                ad.matmul(ad.embedding_lookup(f, rows_f), self.w_f.node), ids[rows_f + 1])
+                ad.matmul(ad.embedding_lookup(f, rows_f), self.w_f), ids[rows_f + 1])
             prev_ce = ad.cross_entropy_rows(
-                ad.matmul(ad.embedding_lookup(b, rows_f + 1), self.w_b.node), ids[rows_f])
+                ad.matmul(ad.embedding_lookup(b, rows_f + 1), self.w_b), ids[rows_f])
             loss = ad.add(next_ce, prev_ce)
         else:
             loss = ad.Node(0.0)

@@ -15,8 +15,8 @@ losses stay per example. Results equal those of a batch of one up to float
 rounding only: BLAS may sum stacked rows in another order for another batch
 shape (a turn's gate probabilities move by 5.6e-17 between a 1- and a 2-turn
 batch), so an exact tie in a greedy argmax can resolve differently. Slots
-never interact either: to the same rounding, rows of the decode batch equal
-decoding each slot on its own in ontology order.
+never interact either: to the same rounding, each row of the decode batch
+depends only on its own example and slot.
 """
 
 from __future__ import annotations
@@ -232,11 +232,11 @@ class DstModel:
                 tokens_per[i], ext_per[i], oov_per[i], hiddens, ad.transpose(hiddens)))
         return batch
 
-    def _decoder_init(self, batch: BatchContext, slot_rows: list[int]):
+    def _decoder_init(self, batch: BatchContext):
         """Stacked first inputs (slot embeddings) and initial states (tiled
-        encoder finals) for all examples' slot rows, example-major."""
-        n_b, n_s = len(batch.contexts), len(slot_rows)
-        x = ad.embedding_lookup(ad.matmul(ad.Node(self._slot_token_avg[slot_rows]), batch.table),
+        encoder finals) for every ontology slot of every example, example-major."""
+        n_b, n_s = len(batch.contexts), len(self.ontology)
+        x = ad.embedding_lookup(ad.matmul(ad.Node(self._slot_token_avg), batch.table),
                                 np.tile(np.arange(n_s), n_b))
         h = ad.embedding_lookup(batch.final_all, np.repeat(np.arange(n_b), n_s))
         return x, h
@@ -261,13 +261,13 @@ class DstModel:
             context_vec = ad.matmul(attn, ctx.hiddens)
             p_gen = ad.sigmoid(ad.add(
                 ad.matmul(ad.concat(ad.concat(h_i, context_vec, axis=1), x_i, axis=1),
-                          self.w_pgen.node),
-                self.b_pgen.node))
+                          self.w_pgen),
+                self.b_pgen))
             finals.append(copy_mixture(vocab_probs, attn, p_gen, ctx.ext_ids,
                                        len(self.vocab), ctx.n_oov))
             if first:
-                gate_logits.append(ad.add(ad.matmul(context_vec, self.w_gate.node),
-                                          self.b_gate.node))
+                gate_logits.append(ad.add(ad.matmul(context_vec, self.w_gate),
+                                          self.b_gate))
         return h, gate_logits, finals
 
     def _feed(self, batch: BatchContext, ids: np.ndarray) -> ad.Node:
@@ -324,7 +324,7 @@ class DstModel:
                        for ctx, (dialogue, turn) in zip(batch.contexts, instances)]
         max_len = max(targets.shape[1] for targets, _, _ in per_example)
 
-        x, h = self._decoder_init(batch, list(range(n_s)))
+        x, h = self._decoder_init(batch)
         eos = self.vocab.id(EOS)
         token_total: ad.Node | None = None
         gate_total: ad.Node | None = None
@@ -351,15 +351,16 @@ class DstModel:
             return self.vocab.token(idx)
         return ctx.oov_surfaces[idx - len(self.vocab)]
 
-    def _greedy_decode(self, batch: BatchContext, slot_rows: list[int]):
-        """Greedy decoding of ``slot_rows`` for every example in the batch.
+    def _greedy_decode(self, batch: BatchContext):
+        """Greedy decoding of every ontology slot for every example in the batch.
 
-        Returns per-example ([SlotGateDecision, ...], [token list, ...]).
-        Argmax ties break toward the lowest token id.
+        Returns per-example ([SlotGateDecision, ...], [token list, ...]), one
+        entry per slot in ontology order. Argmax ties break toward the lowest
+        token id.
         """
-        n_b, n_s = len(batch.contexts), len(slot_rows)
+        n_b, n_s = len(batch.contexts), len(self.ontology)
         eos = self.vocab.id(EOS)
-        x, h = self._decoder_init(batch, slot_rows)
+        x, h = self._decoder_init(batch)
         gates: list[list[SlotGateDecision]] = [[] for _ in range(n_b)]
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
         done = np.zeros((n_b, n_s), dtype=bool)
@@ -385,17 +386,6 @@ class DstModel:
             x = self._feed(batch, prev_ids)
         return gates, words
 
-    def decode_slot(self, slot: tuple[str, str],
-                    batch: BatchContext) -> list[tuple[SlotGateDecision, list[str]]]:
-        """Gate decision and greedy value tokens for one (domain, slot), one
-        pair per example of a batch from :meth:`prepare_batch`."""
-        try:
-            row_i = self.ontology.domain_slots.index(tuple(slot))
-        except ValueError:
-            raise KeyError(f"unknown slot {slot!r}") from None
-        gates, words = self._greedy_decode(batch, [row_i])
-        return [(g[0], w[0]) for g, w in zip(gates, words)]
-
     def _assemble_state(self, gates: list[SlotGateDecision],
                         words: list[list[str]]) -> BeliefState:
         state = BeliefState()
@@ -415,7 +405,7 @@ class DstModel:
         """Greedy predictions for a batch of turns (all slots, fixed order)."""
         with ad.no_grad():
             batch = self.prepare_batch(instances)
-            gates, words = self._greedy_decode(batch, list(range(len(self.ontology))))
+            gates, words = self._greedy_decode(batch)
         return [self._assemble_state(g, w) for g, w in zip(gates, words)]
 
     def predict_state(self, dialogue: Dialogue, turn: int) -> BeliefState:

@@ -124,7 +124,7 @@ class Adam:
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for p in self.store.parameters():
-            g = p.node.grad
+            g = p.grad
             if g is None:
                 continue
             m = self._m[p.name]
@@ -133,7 +133,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p.node.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
 class Trainer:

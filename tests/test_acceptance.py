@@ -111,16 +111,16 @@ def test_criterion_1_gradient_correctness():
         cols = rng.integers(0, 7, size=4)
 
         def build():
-            mm = ad.matmul(a.node, b.node)                       # matmul
-            s = ad.add(mm, c.node)                               # add
-            s = ad.sub(s, d.node)                                # sub
-            s = ad.elementwise_mul(s, ad.sigmoid(c.node))        # mul, sigmoid
-            s = ad.elementwise_mul(s, ad.tanh(d.node))           # tanh
+            mm = ad.matmul(a, b)                       # matmul
+            s = ad.add(mm, c)                               # add
+            s = ad.sub(s, d)                                # sub
+            s = ad.elementwise_mul(s, ad.sigmoid(c))        # mul, sigmoid
+            s = ad.elementwise_mul(s, ad.tanh(d))           # tanh
             sm = ad.softmax(s, axis=1)                           # softmax
             ce = ad.cross_entropy_rows(s, targets)               # batched cross entropy
-            ce1 = ad.cross_entropy_rows(logits_row.node, [int(targets[0])])  # one row
-            looked = ad.embedding_lookup(emb.node, idx)          # lookup
-            cat = ad.concat(looked, ad.transpose(b.node), axis=0)
+            ce1 = ad.cross_entropy_rows(logits_row, [int(targets[0])])  # one row
+            looked = ad.embedding_lookup(emb, idx)          # lookup
+            cat = ad.concat(looked, ad.transpose(b), axis=0)
             sc = ad.scatter_cols(ad.softmax(cat, axis=1), cols, 7)
             nll = ad.nll_rows(ad.softmax(sc, axis=1), nll_targets)
             total = ad.add(ad.add(ce, ce1), ad.add(nll, ad.sum_all(sm)))
@@ -137,8 +137,8 @@ def test_criterion_1_gradient_correctness():
     xs.value = rng.normal(size=(6, 3))
 
     def gru_build():
-        f = ad.gru_sequence_batch(cell, xs.node, [6])
-        b = ad.gru_sequence_batch(cell, xs.node, [6], reverse=True)
+        f = ad.gru_sequence_batch(cell, xs, [6])
+        b = ad.gru_sequence_batch(cell, xs, [6], reverse=True)
         return ad.sum_all(ad.elementwise_mul(f, b))
 
     gru_err = ad.grad_check(gru_build, store.parameters(), eps=1e-5)

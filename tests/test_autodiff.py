@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lmdst import autodiff as ad
+from lmdst.training import Adam
 
 
 def make_param(store, name, shape, rng):
@@ -74,7 +75,7 @@ def test_fd_add_sub_mul(seed):
     c = make_param(store, "c", (1, shape[1]), rng)  # broadcast operand
 
     def loss():
-        return ad.sum_all(ad.elementwise_mul(ad.add(a.node, c.node), ad.sub(a.node, b.node)))
+        return ad.sum_all(ad.elementwise_mul(ad.add(a, c), ad.sub(a, b)))
 
     _fd_case(loss, [a, b, c], seed)
 
@@ -88,7 +89,7 @@ def test_fd_matmul(seed):
     b = make_param(store, "b", (k, n), rng)
 
     def loss():
-        return ad.sum_all(ad.matmul(a.node, b.node))
+        return ad.sum_all(ad.matmul(a, b))
 
     err = ad.grad_check(loss, [a, b], eps=1e-5, seed=seed)
     assert err < 1e-6
@@ -102,8 +103,8 @@ def test_fd_activations_softmax(seed):
     a = make_param(store, "a", shape, rng)
 
     def loss():
-        s = ad.softmax(ad.sigmoid(a.node), axis=1)
-        return ad.sum_all(ad.elementwise_mul(s, ad.tanh(a.node)))
+        s = ad.softmax(ad.sigmoid(a), axis=1)
+        return ad.sum_all(ad.elementwise_mul(s, ad.tanh(a)))
 
     _fd_case(loss, [a], seed)
 
@@ -116,7 +117,7 @@ def test_fd_concat_transpose_slice(seed):
     b = make_param(store, "b", (3, 2), rng)
 
     def loss():
-        cat = ad.concat(a.node, b.node, axis=1)
+        cat = ad.concat(a, b, axis=1)
         t = ad.transpose(cat)
         part = ad.slice_rows(t, 1, 4)
         return ad.sum_all(ad.elementwise_mul(part, part))
@@ -132,7 +133,7 @@ def test_fd_embedding_lookup(seed):
     idx = rng.integers(0, 7, size=9)  # repeated rows accumulate
 
     def loss():
-        emb = ad.embedding_lookup(table.node, idx)
+        emb = ad.embedding_lookup(table, idx)
         return ad.sum_all(ad.elementwise_mul(emb, emb))
 
     _fd_case(loss, [table], seed)
@@ -146,7 +147,7 @@ def test_fd_cross_entropy(seed):
     t = int(rng.integers(0, 6))
 
     def loss():
-        return ad.cross_entropy_rows(logits.node, [t])
+        return ad.cross_entropy_rows(logits, [t])
 
     _fd_case(loss, [logits], seed)
 
@@ -160,8 +161,8 @@ def test_fd_cross_entropy_rows_and_nll(seed):
     mask = rng.integers(0, 2, size=5).astype(float)
 
     def loss():
-        ce = ad.cross_entropy_rows(logits.node, targets, mask)
-        probs = ad.softmax(logits.node, axis=1)
+        ce = ad.cross_entropy_rows(logits, targets, mask)
+        probs = ad.softmax(logits, axis=1)
         return ad.add(ce, ad.nll_rows(probs, targets, mask))
 
     _fd_case(loss, [logits], seed)
@@ -176,8 +177,8 @@ def test_fd_scatter_pad_tile(seed):
     ids = rng.integers(0, 5, size=6)
 
     def loss():
-        sc = ad.scatter_cols(ad.softmax(w.node, axis=1), ids, 5)
-        tiled = ad.embedding_lookup(v.node, np.zeros(3, dtype=np.intp))  # row repeated 3x
+        sc = ad.scatter_cols(ad.softmax(w, axis=1), ids, 5)
+        tiled = ad.embedding_lookup(v, np.zeros(3, dtype=np.intp))  # row repeated 3x
         padded = ad.pad_cols(tiled, 1)
         return ad.sum_all(ad.elementwise_mul(sc, padded))
 
@@ -193,7 +194,7 @@ def test_fd_gru_cell_and_sequence(seed):
     xs = make_param(store, "xs", (t_len, d_in), rng)
 
     def loss():
-        h = ad.gru_sequence_batch(cell, xs.node, [t_len], reverse=bool(seed % 2))
+        h = ad.gru_sequence_batch(cell, xs, [t_len], reverse=bool(seed % 2))
         return ad.sum_all(ad.elementwise_mul(h, h))
 
     _fd_case(loss, store.parameters(), seed)
@@ -291,8 +292,8 @@ def test_gru_sequence_gradients_match_composed_path():
     xs.value = rng.normal(size=(5, 2))
 
     store.zero_grad()
-    loss = ad.sum_all(ad.elementwise_mul(ad.gru_sequence_batch(cell, xs.node, [5]),
-                                         ad.gru_sequence_batch(cell, xs.node, [5])))
+    loss = ad.sum_all(ad.elementwise_mul(ad.gru_sequence_batch(cell, xs, [5]),
+                                         ad.gru_sequence_batch(cell, xs, [5])))
     ad.backward(loss)
     fused_grads = {p.name: p.grad.copy() for p in store.parameters()}
 
@@ -300,7 +301,7 @@ def test_gru_sequence_gradients_match_composed_path():
     h = ad.Node(np.zeros((1, 3)))
     rows = []
     for t in range(5):
-        h = cell.step(ad.slice_rows(xs.node, t, t + 1), h)
+        h = cell.step(ad.slice_rows(xs, t, t + 1), h)
         rows.append(h)
     acc = None
     for r in rows:
@@ -324,7 +325,7 @@ def test_gru_sequence_batch_matches_per_example(reverse):
     stacked.value = np.concatenate(xs_parts)
 
     store.zero_grad()
-    out = ad.gru_sequence_batch(cell, stacked.node, lengths, reverse=reverse)
+    out = ad.gru_sequence_batch(cell, stacked, lengths, reverse=reverse)
     ad.backward(ad.sum_all(ad.elementwise_mul(out, out)))
     batched_grads = {p.name: p.grad.copy() for p in store.parameters()}
     batched_out = out.value.copy()
@@ -334,7 +335,7 @@ def test_gru_sequence_batch_matches_per_example(reverse):
     total = None
     singles = []
     for part in xs_parts:
-        h = ad.gru_sequence_batch(cell, ad.slice_rows(stacked.node, offset, offset + len(part)),
+        h = ad.gru_sequence_batch(cell, ad.slice_rows(stacked, offset, offset + len(part)),
                                   [len(part)], reverse=reverse)
         singles.append(h.value.copy())
         sq = ad.sum_all(ad.elementwise_mul(h, h))
@@ -357,7 +358,7 @@ def test_fd_gru_sequence_batch(seed):
     xs = make_param(store, "xs", (sum(lengths), d_in), rng)
 
     def loss():
-        h = ad.gru_sequence_batch(cell, xs.node, lengths, reverse=bool(seed % 2))
+        h = ad.gru_sequence_batch(cell, xs, lengths, reverse=bool(seed % 2))
         return ad.sum_all(ad.elementwise_mul(h, h))
 
     _fd_case(loss, store.parameters(), seed)
@@ -380,25 +381,33 @@ def test_gru_sequence_batch_rejects_bad_lengths():
 def test_backward_of_sum_is_ones():
     store = ad.ParameterStore(0)
     x = make_param(store, "x", (3, 4), np.random.default_rng(0))
-    loss = ad.sum_all(x.node)
+    loss = ad.sum_all(x)
     ad.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
     assert float(loss.grad) == 1.0
 
 
 def test_unused_parameter_gets_zero_gradient():
+    """An unreached leaf keeps ``grad`` None: Adam skips it bit for bit, and
+    grad_check reads its analytic gradient as zeros without writing one."""
     store = ad.ParameterStore(0)
     rng = np.random.default_rng(1)
     x = make_param(store, "x", (2, 2), rng)
     unused = make_param(store, "unused", (3,), rng)
-    ad.backward(ad.sum_all(x.node))
-    np.testing.assert_array_equal(unused.grad, np.zeros(3))
+    before = unused.value.copy()
+    ad.backward(ad.sum_all(x))
+    assert unused.grad is None
+    Adam(store).step()
+    np.testing.assert_array_equal(unused.value.view(np.uint8), before.view(np.uint8))
+    err = ad.grad_check(lambda: ad.sum_all(ad.elementwise_mul(x, x)), [x, unused])
+    assert err < 1e-6
+    assert unused.grad is None
 
 
 def test_backward_twice_errors():
     store = ad.ParameterStore(0)
     x = make_param(store, "x", (2,), np.random.default_rng(2))
-    loss = ad.sum_all(x.node)
+    loss = ad.sum_all(x)
     ad.backward(loss)
     with pytest.raises(ad.GraphError):
         ad.backward(loss)
@@ -415,7 +424,7 @@ def test_backward_reports_nonfinite_op():
     x = store.new("x", (2,), 1.0)
     x.value = np.array([1e308, 1e308])
     with np.errstate(over="ignore"):
-        loss = ad.sum_all(ad.elementwise_mul(x.node, x.node))  # inf
+        loss = ad.sum_all(ad.elementwise_mul(x, x))  # inf
     with pytest.raises(ad.GraphError) as exc:
         ad.backward(loss)
     assert "mul" in str(exc.value)
@@ -424,8 +433,8 @@ def test_backward_reports_nonfinite_op():
 def test_gradients_accumulate_across_graphs():
     store = ad.ParameterStore(0)
     x = make_param(store, "x", (3,), np.random.default_rng(3))
-    ad.backward(ad.sum_all(x.node))
-    ad.backward(ad.sum_all(x.node))
+    ad.backward(ad.sum_all(x))
+    ad.backward(ad.sum_all(x))
     np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
 
 
@@ -433,7 +442,7 @@ def test_no_grad_builds_detached_nodes():
     store = ad.ParameterStore(0)
     x = make_param(store, "x", (2, 2), np.random.default_rng(4))
     with ad.no_grad():
-        out = ad.sum_all(ad.elementwise_mul(x.node, x.node))
+        out = ad.sum_all(ad.elementwise_mul(x, x))
     assert not out.requires_grad and out._backward is None
 
 

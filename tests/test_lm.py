@@ -206,7 +206,7 @@ def test_lm_gradient_matches_finite_differences():
     ids = rng.integers(0, 5, size=6)
 
     def loss():
-        return lm.forward(emb_p.node, ids, [4, 2])[1]
+        return lm.forward(emb_p, ids, [4, 2])[1]
 
     err = ad.grad_check(loss, store.parameters(), eps=1e-5)
     assert err < 1e-4

@@ -151,9 +151,9 @@ def test_mixture_gradients_match_finite_differences():
     targets = rng.integers(0, 5, size=2)  # vocab region: always has generation mass
 
     def loss():
-        out = copy_mixture(ad.softmax(logits.node, axis=1),
-                           ad.softmax(scores.node, axis=1),
-                           ad.sigmoid(gate.node), ids, 5, 2)
+        out = copy_mixture(ad.softmax(logits, axis=1),
+                           ad.softmax(scores, axis=1),
+                           ad.sigmoid(gate), ids, 5, 2)
         return ad.nll_rows(out, targets)
 
     assert ad.grad_check(loss, store.parameters(), eps=1e-5) < 1e-4
@@ -172,33 +172,28 @@ def test_oov_context_ids():
 # decoding
 # ---------------------------------------------------------------------------
 
-def test_decode_slot_unknown_slot_errors():
-    model = tiny_model()
-    batch = model.prepare_batch([(tiny_dialogue(), 0)])
-    with pytest.raises(KeyError):
-        model.decode_slot(("hotel", "wifi"), batch)
-
-
-def test_decode_slot_returns_gate_and_tokens():
+def test_greedy_decode_returns_gate_and_tokens():
     model = tiny_model()
     batch = model.prepare_batch([(tiny_dialogue(), 1)])
-    [(gate, tokens)] = model.decode_slot(("hotel", "area"), batch)
-    assert gate.probs.shape == (3,)
-    assert gate.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert gate.label in GATE_CLASSES
-    assert len(tokens) <= model.max_value_len
-    assert EOS not in tokens
+    [gates], [words] = model._greedy_decode(batch)
+    assert len(gates) == len(words) == len(model.ontology)
+    for gate, tokens in zip(gates, words):
+        assert gate.probs.shape == (3,)
+        assert gate.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert gate.label in GATE_CLASSES
+        assert len(tokens) <= model.max_value_len
+        assert EOS not in tokens
 
 
-def test_decode_slot_batch_matches_single():
+def test_greedy_decode_batch_matches_single():
     model = tiny_model()
     d = tiny_dialogue()
-    both = model.decode_slot(("hotel", "price"), model.prepare_batch([(d, 0), (d, 1)]))
-    for turn, (gate, tokens) in enumerate(both):
-        [(want_gate, want_tokens)] = model.decode_slot(("hotel", "price"),
-                                                        model.prepare_batch([(d, turn)]))
-        np.testing.assert_allclose(gate.probs, want_gate.probs, atol=1e-12)
-        assert tokens == want_tokens
+    gates, words = model._greedy_decode(model.prepare_batch([(d, 0), (d, 1)]))
+    for turn in range(2):
+        [want_gates], [want_words] = model._greedy_decode(model.prepare_batch([(d, turn)]))
+        for gate, want_gate in zip(gates[turn], want_gates, strict=True):
+            np.testing.assert_allclose(gate.probs, want_gate.probs, atol=1e-12)
+        assert words[turn] == want_words
 
 
 def test_batch_freed_without_cycle_collection():
@@ -211,7 +206,7 @@ def test_batch_freed_without_cycle_collection():
     gc.disable()
     try:
         batch = model.prepare_batch([(d, 0), (d, 1)], np.random.default_rng(0))
-        model.decode_slot(("hotel", "area"), batch)
+        model._greedy_decode(batch)
         ref = weakref.ref(batch)
         del batch
         assert ref() is None
@@ -238,7 +233,7 @@ def test_generator_steps_are_simplexes_for_arbitrary_parameters():
         model = tiny_model(seed=seed)
         finals = record_final_distributions(model)
         batch = model.prepare_batch([(tiny_dialogue(), 1)])
-        model.decode_slot(("hotel", "price"), batch)
+        model._greedy_decode(batch)
         assert finals
         for step_final in finals:
             final = step_final.value
@@ -285,8 +280,8 @@ def test_copy_path_emits_oov_surface_token():
     ctx = batch.contexts[0]
     assert ctx.oov_surfaces == ["flurb"]
     finals = record_final_distributions(model)
-    [(_, tokens)] = model.decode_slot(("hotel", "price"), batch)
-    emitted = set(tokens)
+    _, [words] = model._greedy_decode(batch)
+    emitted = set(words[model.ontology.domain_slots.index(("hotel", "price"))])
     assert emitted <= set(ctx.tokens)  # copy-only can emit context tokens only
     assert finals
     for step_final in finals:

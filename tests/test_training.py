@@ -142,7 +142,7 @@ def test_inf_parameter_aborts_naming_the_op():
     assert "non-finite loss" in str(exc.value)
     assert "param:lm.w_f" in str(exc.value)
     assert trainer.micro_step == 0
-    assert all(p.node.grad is None for p in trainer.model.store.parameters())
+    assert all(p.grad is None for p in trainer.model.store.parameters())
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def test_adam_moves_against_gradient():
     p = store.new("w", (3,), 1.0)
     p.value = np.array([1.0, -2.0, 0.5])
     opt = Adam(store, lr=0.1)
-    ad.backward(ad.sum_all(ad.elementwise_mul(p.node, p.node)))  # grad = 2w
+    ad.backward(ad.sum_all(ad.elementwise_mul(p, p)))  # grad = 2w
     before = p.value.copy()
     opt.step()
     assert ((p.value - before) * np.sign(before) < 0).all()
@@ -167,7 +167,7 @@ def test_adam_deterministic():
         opt = Adam(store, lr=0.01)
         for _ in range(5):
             store.zero_grad()
-            ad.backward(ad.sum_all(ad.elementwise_mul(p.node, p.node)))
+            ad.backward(ad.sum_all(ad.elementwise_mul(p, p)))
             opt.step()
         return p.value.copy()
 
