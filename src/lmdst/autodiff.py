@@ -439,6 +439,52 @@ def scatter_cols(weights, col_ids, width: int) -> Node:
     return _op("scatter_cols", value, (weights,), backward)
 
 
+def gather_segment_sum(table, indices, offsets, weights) -> Node:
+    """Weighted sums of gathered table rows, one per segment of ``indices``.
+
+    Output row r is ``weights[r] * table[indices[offsets[r]:offsets[r + 1]]]
+    .sum(axis=0)``; an empty segment gives a zero row. This is ``A @ table``
+    for the sparse matrix A whose row r holds ``weights[r]`` at those columns,
+    without building A: forward and backward are each one gather and one
+    ``np.add.reduceat``.
+    """
+    table = as_node(table)
+    idx = np.asarray(indices, dtype=np.intp)
+    off = np.asarray(offsets, dtype=np.intp)
+    if table.value.ndim != 2:
+        raise ShapeError(f"gather_segment_sum: table must be 2-d, got {table.shape}")
+    if (off.ndim != 1 or off.size < 1 or off[0] != 0 or off[-1] != idx.size
+            or np.any(np.diff(off) < 0)):
+        raise ShapeError(f"gather_segment_sum: offsets do not segment {idx.size} indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeError(f"gather_segment_sum: index out of range for table {table.shape}")
+    n_rows = off.size - 1
+    w = np.asarray(weights, dtype=table.value.dtype)
+    if w.shape != (n_rows,):
+        raise ShapeError(f"gather_segment_sum: {w.shape} weights for {n_rows} segments")
+    starts = off[:-1]
+    filled = off[1:] > starts
+    value = np.zeros((n_rows, table.shape[1]), dtype=table.value.dtype)
+    if idx.size:
+        value[filled] = (np.add.reduceat(table.value[idx], starts[filled], axis=0)
+                         * w[filled, None])
+
+    def backward(g):
+        if table.requires_grad and idx.size:
+            # Group the entries by table row; each group sums its weighted
+            # output-row gradients.
+            order = np.argsort(idx, kind="stable")
+            sorted_idx = idx[order]
+            rows = np.repeat(np.arange(n_rows), np.diff(off))[order]
+            first = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+            sums = np.add.reduceat((g * w[:, None])[rows], first, axis=0)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.value)
+            table.grad[sorted_idx[first]] += sums
+
+    return _op("gather_segment_sum", value, (table,), backward)
+
+
 # ---------------------------------------------------------------------------
 # GRU cell and fused sequence op
 # ---------------------------------------------------------------------------

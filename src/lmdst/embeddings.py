@@ -1,6 +1,13 @@
 """Composed token embeddings: a pretrained-or-random word part concatenated
-with a character-n-gram part (n in {2, 3} with ^/$ boundary markers, mean
-over the token's n-gram vectors). Default split 300 + 100 = 400.
+with a character-n-gram part. Default split 300 + 100 = 400.
+
+The char part of a token sums the vectors of its distinct n-grams (n in
+{2, 3} over ^token$, with boundary markers), each weighted 1 / (number of
+n-grams, repeats included). That is the mean over the token's n-grams when
+none repeats; a repeated n-gram (``aa`` in ``aaa``) counts once, so the
+weights of such a token sum to less than 1. The table is built sparsely, by
+one gather and one segment sum over the n-gram rows (as fastText builds its
+subword vectors), with no |V| x n-grams matrix.
 
 Reserved symbols (<pad>, <unk>, tags, ...) have a zero character part; the
 <pad> row therefore keeps the documented all-zero char half.
@@ -35,7 +42,7 @@ def split_dims(embedding_dim: int) -> tuple[int, int]:
 
 
 class CompositeEmbedding:
-    """Trainable table of concat(word_vector, mean char-n-gram vector)."""
+    """Trainable table of concat(word_vector, weighted char-n-gram sum)."""
 
     def __init__(self, store: ad.ParameterStore, vocab: Vocabulary,
                  embedding_dim: int = 400, hidden_dim: int = 400,
@@ -48,24 +55,32 @@ class CompositeEmbedding:
         grams = sorted({g for t in vocab.content_tokens() for g in char_ngrams(t)})
         self.ngram_ids = {g: i for i, g in enumerate(grams)}
 
-        # Row i averages token i's n-gram vectors; reserved rows stay zero.
+        # Row i: token i's distinct n-gram ids and its weight (see the module
+        # docstring); reserved rows have no n-grams and stay zero.
         n_reserved = len(RESERVED_TOKENS)
-        avg = np.zeros((len(vocab), max(1, len(grams))))
+        ids: list[int] = []
+        counts = np.zeros(len(vocab), dtype=np.intp)
+        self._ngram_weights = np.zeros(len(vocab))
         for i, token in enumerate(vocab.tokens()):
             if i < n_reserved:
                 continue
-            ids = [self.ngram_ids[g] for g in char_ngrams(token)]
-            avg[i, ids] += 1.0 / len(ids)
-        self._char_avg = avg
+            token_grams = char_ngrams(token)
+            distinct = sorted({self.ngram_ids[g] for g in token_grams})
+            ids.extend(distinct)
+            counts[i] = len(distinct)
+            self._ngram_weights[i] = 1.0 / len(token_grams)
+        self._ngram_index = np.array(ids, dtype=np.intp)
+        self._ngram_offsets = np.concatenate([[0], np.cumsum(counts)])
 
         bound = 1.0 / np.sqrt(hidden_dim)
         self.word = store.new("embedding.word", (len(vocab), self.word_dim), bound)
-        self.char = store.new("embedding.char", (avg.shape[1], self.char_dim), bound)
+        self.char = store.new("embedding.char", (max(1, len(grams)), self.char_dim), bound)
 
     def table(self) -> ad.Node:
         """The full |V| x embedding_dim table as a graph node (rebuilt per use)."""
         word = self.word if not self.freeze_word else ad.Node(self.word.value)
-        char_part = ad.matmul(ad.Node(self._char_avg), self.char)
+        char_part = ad.gather_segment_sum(self.char, self._ngram_index,
+                                          self._ngram_offsets, self._ngram_weights)
         return ad.concat(word, char_part, axis=1)
 
     def load_pretrained_vectors(self, path) -> float:

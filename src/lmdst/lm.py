@@ -8,11 +8,14 @@ the sum of both negative log-likelihood chains:
            - sum_{t=2}^{T}   log P(w_{t-1} | backward state t)
 
 (1-indexed; a length-1 sequence has loss exactly 0, and no begin-of-sequence
-token is prepended). :meth:`LanguageModel.forward` runs a micro-batch of
+token is prepended). The LM is an auxiliary training task: prediction reads
+only its states, which the model fuses with the embeddings. The two passes
+are therefore separate. :meth:`LanguageModel.forward` runs a micro-batch of
 sequences stacked back to back through one masked batched recurrence per
-direction and returns the summed directional states, which the model fuses
-with the embeddings, together with the loss summed over the sequences. A
-single sequence is the batch ``lengths=[T]``.
+direction and returns the directional states; :meth:`LanguageModel.loss`
+builds the two |V|-wide heads on those states and sums the loss over the
+sequences, and only the training loss calls it. A single sequence is the
+batch ``lengths=[T]``.
 """
 
 from __future__ import annotations
@@ -35,28 +38,32 @@ class LanguageModel:
         self.w_f = store.new("lm.w_f", (hidden_dim, vocab_size), bound)
         self.w_b = store.new("lm.w_b", (hidden_dim, vocab_size), bound)
 
-    def forward(self, xs: ad.Node, token_ids, lengths) -> tuple[ad.Node, ad.Node]:
-        """(forward + backward states, summed loss) for stacked sequences.
+    def forward(self, xs: ad.Node, lengths) -> tuple[ad.Node, ad.Node]:
+        """(forward states, backward states) for stacked sequences.
 
-        ``xs`` holds the embedded sequences back to back (rows ``offset_i ..
-        offset_i + lengths[i]`` belong to sequence i) and ``token_ids`` their
-        vocabulary ids in the same layout. The loss is a sum over sequences,
-        not a mean; the trainer averages over the batch.
+        ``xs`` holds the embedded sequences back to back: rows ``offset_i ..
+        offset_i + lengths[i]`` belong to sequence i.
+        """
+        return (ad.gru_sequence_batch(self.fwd, xs, lengths),
+                ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True))
+
+    def loss(self, f: ad.Node, b: ad.Node, token_ids, lengths) -> ad.Node:
+        """Next-word and previous-word loss on :meth:`forward`'s states.
+
+        ``token_ids`` holds the vocabulary ids in the stacked layout of the
+        states. The loss is a sum over sequences, not a mean; the trainer
+        averages over the batch.
         """
         ids = np.asarray(token_ids, dtype=np.intp)
-        if ids.shape != (xs.shape[0],):
-            raise ad.ShapeError(f"lm forward: {ids.shape} token ids for {xs.shape[0]} rows")
+        if ids.shape != (f.shape[0],):
+            raise ad.ShapeError(f"lm loss: {ids.shape} token ids for {f.shape[0]} rows")
         offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
-        f = ad.gru_sequence_batch(self.fwd, xs, lengths)
-        b = ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True)
         rows_f = np.concatenate([off + np.arange(n - 1)
                                  for off, n in zip(offsets, lengths)]).astype(np.intp)
-        if rows_f.size:
-            next_ce = ad.cross_entropy_rows(
-                ad.matmul(ad.embedding_lookup(f, rows_f), self.w_f), ids[rows_f + 1])
-            prev_ce = ad.cross_entropy_rows(
-                ad.matmul(ad.embedding_lookup(b, rows_f + 1), self.w_b), ids[rows_f])
-            loss = ad.add(next_ce, prev_ce)
-        else:
-            loss = ad.Node(0.0)
-        return ad.add(f, b), loss
+        if not rows_f.size:
+            return ad.Node(0.0)
+        next_ce = ad.cross_entropy_rows(
+            ad.matmul(ad.embedding_lookup(f, rows_f), self.w_f), ids[rows_f + 1])
+        prev_ce = ad.cross_entropy_rows(
+            ad.matmul(ad.embedding_lookup(b, rows_f + 1), self.w_b), ids[rows_f])
+        return ad.add(next_ce, prev_ce)

@@ -67,7 +67,9 @@ class BatchContext:
     table: ad.Node       # |V| x emb
     table_t: ad.Node     # emb x |V|
     final_all: ad.Node   # B x d_h, one encoder final state per example
-    lm_loss_sum: ad.Node  # scalar, summed over the batch (0 when disabled)
+    ids: np.ndarray      # vocabulary ids of all contexts, stacked
+    lengths: list[int]   # context lengths, in stacking order
+    lm_states: tuple[ad.Node, ad.Node] | None  # LM (forward, backward) states
 
 
 def extend_context_ids(vocab: Vocabulary, tokens: list[str]):
@@ -213,19 +215,15 @@ class DstModel:
             mask = (rng.random(emb.shape) >= self.dropout) / (1.0 - self.dropout)
             emb = ad.elementwise_mul(emb, ad.Node(mask))
 
-        if self.lm_enabled:
-            states, lm_sum = self.lm.forward(emb, ids_all, lengths)
-            fused = ad.add(emb, states)
-        else:
-            lm_sum = ad.Node(0.0)
-            fused = emb
+        lm_states = self.lm.forward(emb, lengths) if self.lm_enabled else None
+        fused = emb if lm_states is None else ad.add(emb, ad.add(*lm_states))
 
         hiddens_all, final_all = self.encoder.forward(fused, lengths)
         if rng is not None and self.dropout > 0:
             mask = (rng.random(hiddens_all.shape) >= self.dropout) / (1.0 - self.dropout)
             hiddens_all = ad.elementwise_mul(hiddens_all, ad.Node(mask))
 
-        batch = BatchContext([], table, table_t, final_all, lm_sum)
+        batch = BatchContext([], table, table_t, final_all, ids_all, lengths, lm_states)
         for i, (off, n) in enumerate(zip(offsets, lengths)):
             hiddens = ad.slice_rows(hiddens_all, int(off), int(off + n))
             batch.contexts.append(TurnContext(
@@ -342,7 +340,9 @@ class DstModel:
             if j + 1 < max_len:
                 x = self._feed(batch, prev_ids)
         dst_sum = ad.scale(ad.add(token_total, gate_total), 1.0 / n_s)
-        return dst_sum, batch.lm_loss_sum
+        if batch.lm_states is None:
+            return dst_sum, ad.Node(0.0)
+        return dst_sum, self.lm.loss(*batch.lm_states, batch.ids, batch.lengths)
 
     # -- inference ---------------------------------------------------------
 

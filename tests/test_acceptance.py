@@ -171,19 +171,20 @@ def test_criterion_2_lm_loss_oracle():
     rng = np.random.default_rng(7)
     emb = rng.normal(size=(5, 5))
     ids = rng.integers(0, 12, size=5)
-    got = float(lm.forward(ad.Node(emb), ids, [5])[1].value)
+    got = float(lm.loss(*lm.forward(ad.Node(emb), [5]), ids, [5]).value)
     _, _, want = numpy_bigru_lm(emb, ids.tolist(), lm)
     err = abs(got - want)
     assert err < 1e-9
 
-    t1 = float(lm.forward(ad.Node(rng.normal(size=(1, 5))), [3], [1])[1].value)
+    t1 = float(lm.loss(*lm.forward(ad.Node(rng.normal(size=(1, 5))), [1]), [3], [1]).value)
     assert t1 == 0.0
 
     store4 = ad.ParameterStore(9)
     lm4 = LanguageModel(store4, 4, 4, 4)
     lm4.w_f.value = np.zeros_like(lm4.w_f.value)
     lm4.w_b.value = np.zeros_like(lm4.w_b.value)
-    uniform = float(lm4.forward(ad.Node(rng.normal(size=(3, 4))), [0, 1, 2], [3])[1].value)
+    uniform = float(lm4.loss(*lm4.forward(ad.Node(rng.normal(size=(3, 4))), [3]),
+                             [0, 1, 2], [3]).value)
     uniform_err = abs(uniform - 4 * math.log(4))
     assert uniform_err < 1e-12
     report(2, f"T=5 |V|=12 oracle err {err:.2e} (<1e-9); T=1 exact 0; "

@@ -185,6 +185,47 @@ def test_fd_scatter_pad_tile(seed):
     _fd_case(loss, [w, v], seed)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_fd_gather_segment_sum(seed):
+    rng = np.random.default_rng(750 + seed)
+    store = ad.ParameterStore(seed)
+    table = make_param(store, "table", (6, 3), rng)
+    counts = [0, 3, 1, 0, 4, 2]  # empty segments give zero rows
+    # table rows shared across segments, one repeated within a segment
+    idx = np.concatenate([rng.choice(6, size=3, replace=False), [2],
+                          [0, 5, 5, 1], rng.choice(6, size=2, replace=False)])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    weights = rng.uniform(0.1, 1.0, size=6)
+
+    def loss():
+        out = ad.gather_segment_sum(table, idx, offsets, weights)
+        return ad.sum_all(ad.elementwise_mul(out, out))
+
+    _fd_case(loss, [table], seed)
+
+
+def test_gather_segment_sum_matches_dense_product():
+    rng = np.random.default_rng(760)
+    table = rng.normal(size=(5, 3))
+    idx, offsets, weights = [4, 0, 0, 2, 1], [0, 0, 3, 5], [2.0, 0.5, -1.0]
+    dense = np.zeros((3, 5))
+    np.add.at(dense, (np.repeat(np.arange(3), np.diff(offsets)), idx), 1.0)
+    dense *= np.array(weights)[:, None]
+    out = ad.gather_segment_sum(table, idx, offsets, weights).value
+    np.testing.assert_allclose(out, dense @ table, rtol=0, atol=1e-12)
+    assert (out[0] == 0).all()
+
+
+def test_gather_segment_sum_rejects_bad_segments():
+    table = np.zeros((4, 2))
+    for idx, offsets, weights in (([0, 1], [0, 1], [1.0]),          # last offset short
+                                  ([0, 1], [0, 2, 1, 2], [1.0] * 3),  # decreasing
+                                  ([0, 4], [0, 2], [1.0]),          # index out of range
+                                  ([0, 1], [0, 2], [1.0, 1.0])):    # weight per segment
+        with pytest.raises(ad.ShapeError):
+            ad.gather_segment_sum(table, idx, offsets, weights)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_fd_gru_cell_and_sequence(seed):
     rng = np.random.default_rng(800 + seed)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lmdst import autodiff as ad
-from lmdst.context import RESERVED_TOKENS, Vocabulary
+from lmdst.context import RESERVED_TOKENS, Vocabulary, build_vocabulary
+from lmdst.corpus import SynthConfig, generate_synthetic
 from lmdst.embeddings import CompositeEmbedding, VectorFileError, char_ngrams, split_dims
 
 
@@ -10,6 +11,19 @@ def make_embedding(tokens=("hotel", "east", "cheap"), dim=400):
     store = ad.ParameterStore(3)
     vocab = Vocabulary(list(tokens))
     return CompositeEmbedding(store, vocab, embedding_dim=dim, hidden_dim=dim), store, vocab
+
+
+def dense_char_avg(emb):
+    """Reference |V| x n-grams matrix A with char part = A @ char, built the
+    way the dense table was. The fancy-index ``+=`` adds a repeated n-gram of
+    a token once, at weight 1 / (number of n-grams, repeats included)."""
+    avg = np.zeros((len(emb.vocab), emb.char.shape[0]))
+    for i, token in enumerate(emb.vocab.tokens()):
+        if i < len(RESERVED_TOKENS):
+            continue
+        ids = [emb.ngram_ids[g] for g in char_ngrams(token)]
+        avg[i, ids] += 1.0 / len(ids)
+    return avg
 
 
 def test_char_ngrams_of_hotel():
@@ -52,6 +66,38 @@ def test_char_part_is_hand_computed_ngram_mean():
     expected = rows.mean(axis=0)
     got = ad.embedding_lookup(emb.table(), [vocab.id("hotel")]).value[0, emb.word_dim:]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("corpus", ["hand", "synth"])
+def test_sparse_table_matches_dense_reference(corpus):
+    if corpus == "hand":
+        # "aaa" repeats the n-gram "aa"; "hotel"/"hostel"/"hot" share n-grams
+        tokens = ["aaa", "hotel", "hostel", "hot", "a"]
+    else:
+        tokens = build_vocabulary(generate_synthetic(SynthConfig())[0]).content_tokens()
+    emb, store, vocab = make_embedding(tokens=tokens, dim=8)
+    avg = dense_char_avg(emb)
+    if corpus == "hand":
+        assert avg[vocab.id("aaa")].sum() == pytest.approx(6 / 7)  # 7 n-grams, "aa" once
+        assert (avg[:len(RESERVED_TOKENS)] == 0).all()
+    upstream = np.random.default_rng(12).normal(size=(len(vocab), emb.embedding_dim))
+
+    table = emb.table()
+    np.testing.assert_allclose(table.value[:, emb.word_dim:], avg @ emb.char.value,
+                               rtol=0, atol=1e-12)
+    store.zero_grad()
+    ad.backward(ad.sum_all(ad.elementwise_mul(table, ad.Node(upstream))))
+    np.testing.assert_allclose(emb.char.grad, avg.T @ upstream[:, emb.word_dim:],
+                               rtol=0, atol=1e-12)
+
+
+def test_table_follows_default_dtype():
+    try:
+        ad.set_default_dtype("float32")
+        emb, _, _ = make_embedding(dim=8)
+        assert emb.table().value.dtype == np.dtype("float32")
+    finally:
+        ad.set_default_dtype("float64")
 
 
 def test_unk_fallback():

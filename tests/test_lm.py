@@ -52,8 +52,9 @@ def numpy_bigru_lm(emb, ids, lm):
 
 
 def run_lm(lm, emb, ids):
-    """One sequence through the batched forward: the batch ``lengths=[T]``."""
-    return lm.forward(ad.Node(emb), ids, [len(ids)])
+    """(summed states, loss) of one sequence: the batch ``lengths=[T]``."""
+    f, b = lm.forward(ad.Node(emb), [len(ids)])
+    return ad.add(f, b), lm.loss(f, b, ids, [len(ids)])
 
 
 def test_distributions_sum_to_one():
@@ -91,18 +92,22 @@ def test_forward_matches_scalar_recomputation():
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(3, 3))
     ids = [1, 3, 0]
-    states, got = run_lm(lm, emb, ids)
+    got_f, got_b = lm.forward(ad.Node(emb), [3])
+    got = lm.loss(got_f, got_b, ids, [3])
     f, b, loss = numpy_bigru_lm(emb, ids, lm)
-    np.testing.assert_allclose(states.value, f + b, atol=1e-12)
+    np.testing.assert_allclose(got_f.value, f, atol=1e-12)
+    np.testing.assert_allclose(got_b.value, b, atol=1e-12)
     assert abs(float(got.value) - loss) < 1e-12
 
     # the same sequence stacked between two others: its rows and its share
     # of the summed loss are unchanged
     others = [(rng.normal(size=(2, 3)), [2, 2]), (rng.normal(size=(4, 3)), [0, 1, 3, 1])]
-    stacked, stacked_loss = lm.forward(
-        ad.Node(np.concatenate([others[0][0], emb, others[1][0]])),
-        others[0][1] + ids + others[1][1], [2, 3, 4])
-    np.testing.assert_allclose(stacked.value[2:5], f + b, atol=1e-12)
+    stacked_f, stacked_b = lm.forward(
+        ad.Node(np.concatenate([others[0][0], emb, others[1][0]])), [2, 3, 4])
+    stacked_loss = lm.loss(stacked_f, stacked_b, others[0][1] + ids + others[1][1],
+                           [2, 3, 4])
+    np.testing.assert_allclose(stacked_f.value[2:5], f, atol=1e-12)
+    np.testing.assert_allclose(stacked_b.value[2:5], b, atol=1e-12)
     want = loss + sum(numpy_bigru_lm(e, i, lm)[2] for e, i in others)
     assert abs(float(stacked_loss.value) - want) < 1e-12
 
@@ -189,11 +194,11 @@ def test_fuse_shape_and_dim_check():
     emb = ad.Node(np.random.default_rng(6).normal(size=(5, 4)))
     ids = np.arange(5)
     lm, _ = make_lm(input_dim=4, hidden_dim=4, vocab=5, seed=6)
-    states, _ = lm.forward(emb, ids, [5])
+    states, _ = run_lm(lm, emb.value, ids)
     assert ad.add(emb, states).shape == (5, 4)
 
     bad_lm, _ = make_lm(input_dim=4, hidden_dim=3, vocab=5, seed=6)
-    bad_states, _ = bad_lm.forward(emb, ids, [5])
+    bad_states, _ = run_lm(bad_lm, emb.value, ids)
     with pytest.raises(ad.ShapeError):
         ad.add(emb, bad_states)
 
@@ -206,7 +211,7 @@ def test_lm_gradient_matches_finite_differences():
     ids = rng.integers(0, 5, size=6)
 
     def loss():
-        return lm.forward(emb_p, ids, [4, 2])[1]
+        return lm.loss(*lm.forward(emb_p, [4, 2]), ids, [4, 2])
 
     err = ad.grad_check(loss, store.parameters(), eps=1e-5)
     assert err < 1e-4
@@ -215,6 +220,7 @@ def test_lm_gradient_matches_finite_differences():
 def test_empty_sequence_rejected():
     lm, _ = make_lm()
     with pytest.raises(ad.ShapeError):
-        lm.forward(ad.Node(np.zeros((0, 4))), [], [0])
+        lm.forward(ad.Node(np.zeros((0, 4))), [0])
+    f, b = lm.forward(ad.Node(np.zeros((3, 4))), [3])
     with pytest.raises(ad.ShapeError):
-        lm.forward(ad.Node(np.zeros((3, 4))), [1, 2], [3])
+        lm.loss(f, b, [1, 2], [3])

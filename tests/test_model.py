@@ -11,6 +11,8 @@ from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
 from lmdst.model import (GATE_CLASSES, DstModel, Encoder, copy_mixture,
                          extend_context_ids)
 
+from test_embeddings import dense_char_avg
+
 
 def tiny_ontology():
     return Ontology([("hotel", "area"), ("hotel", "price")],
@@ -334,7 +336,8 @@ def numpy_turn_loss(model, dialogue, turn):
     seq = build_context(dialogue, turn, model.tagging)
     ids, ext_ids, oov = extend_context_ids(vocab, seq.tokens)
     table = np.concatenate(
-        [model.embedding.word.value, model.embedding._char_avg @ model.embedding.char.value],
+        [model.embedding.word.value,
+         dense_char_avg(model.embedding) @ model.embedding.char.value],
         axis=1)
     emb = table[ids]
 
@@ -430,6 +433,31 @@ def test_batched_prediction_matches_single():
     batched = model.predict_states([(d, 0), (d, 1)])
     assert batched[0] == model.predict_state(d, 0)
     assert batched[1] == model.predict_state(d, 1)
+
+
+def test_prediction_skips_lm_heads(monkeypatch):
+    """Prediction reads only the LM states: with the LM loss made to raise,
+    predictions come back equal to decoding a batch whose LM loss was built
+    and thrown away. Training still reaches the loss."""
+    model = tiny_model()
+    model.w_gate.value = np.zeros_like(model.w_gate.value)
+    model.b_gate.value = np.array([50.0, -50.0, -50.0])  # force ptr: values decode
+    d = tiny_dialogue()
+    instances = [(d, 0), (d, 1)]
+    with ad.no_grad():
+        batch = model.prepare_batch(instances)
+        model.lm.loss(*batch.lm_states, batch.ids, batch.lengths)
+        gates, words = model._greedy_decode(batch)
+    want = [model._assemble_state(g, w) for g, w in zip(gates, words)]
+    assert all(len(state) for state in want)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("LM loss built")
+
+    monkeypatch.setattr(model.lm, "loss", refuse)
+    assert model.predict_states(instances) == want
+    with pytest.raises(RuntimeError, match="LM loss built"):
+        model.batch_loss(instances)
 
 
 def test_dst_loss_empty_batch_errors():
