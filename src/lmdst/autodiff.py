@@ -398,14 +398,32 @@ def scatter_cols(weights, col_ids, width: int) -> Node:
     return _op("scatter_cols", value, (weights,), backward)
 
 
-def gather_segment_sum(table, indices, offsets, weights) -> Node:
+def segment_grouping(indices, offsets) -> tuple[Tensor, Tensor, Tensor]:
+    """The backward grouping of :func:`gather_segment_sum` for fixed indices.
+
+    Returns ``(rows, first, table_rows)``: the entries stably sorted by table
+    row give, per entry, its output row (``rows``); the sorted entries split
+    into groups of one table row each, starting at ``first``, and group j
+    adds into ``table_rows[j]``. Build it once where the indices never change.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    off = np.asarray(offsets, dtype=np.intp)
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    rows = np.repeat(np.arange(off.size - 1), np.diff(off))[order]
+    first = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+    return rows, first, sorted_idx[first]
+
+
+def gather_segment_sum(table, indices, offsets, weights, grouping=None) -> Node:
     """Weighted sums of gathered table rows, one per segment of ``indices``.
 
     Output row r is ``weights[r] * table[indices[offsets[r]:offsets[r + 1]]]
     .sum(axis=0)``; an empty segment gives a zero row. This is ``A @ table``
     for the sparse matrix A whose row r holds ``weights[r]`` at those columns,
     without building A: forward and backward are each one gather and one
-    ``np.add.reduceat``.
+    ``np.add.reduceat``. ``grouping`` is :func:`segment_grouping` of the same
+    indices and offsets, computed here when not given.
     """
     table = as_node(table)
     idx = np.asarray(indices, dtype=np.intp)
@@ -430,16 +448,12 @@ def gather_segment_sum(table, indices, offsets, weights) -> Node:
 
     def backward(g):
         if table.requires_grad and idx.size:
-            # Group the entries by table row; each group sums its weighted
-            # output-row gradients.
-            order = np.argsort(idx, kind="stable")
-            sorted_idx = idx[order]
-            rows = np.repeat(np.arange(n_rows), np.diff(off))[order]
-            first = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+            # each group of entries sums the weighted gradients of its output rows
+            rows, first, table_rows = segment_grouping(idx, off) if grouping is None else grouping
             sums = np.add.reduceat((g * w[:, None])[rows], first, axis=0)
             if table.grad is None:
                 table.grad = np.zeros_like(table.value)
-            table.grad[sorted_idx[first]] += sums
+            table.grad[table_rows] += sums
 
     return _op("gather_segment_sum", value, (table,), backward)
 
@@ -485,17 +499,24 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     the same arrangement with hidden states aligned to input positions. Each
     sequence starts from row i of ``h0`` (a node, one row per sequence, which
     receives the gradient of the start states) or, without ``h0``, from
-    zeros; shorter sequences are masked out of the padded loop. The LM and
-    the encoder run whole sequences from zeros; the decoder runs one step as
-    length-1 sequences from its previous states. States equal those of
-    running a sequence alone up to float rounding only: BLAS may sum stacked
-    rows in another order for another batch shape, so an exact tie
-    downstream can resolve differently.
+    zeros. The LM and the encoder run whole sequences from zeros; the decoder
+    runs one step as length-1 sequences from its previous states. States
+    equal those of running a sequence alone up to float rounding only: BLAS
+    may sum stacked rows in another order for another batch shape, so an
+    exact tie downstream can resolve differently.
 
-    One fused op: forward runs a padded time-major loop, backward is
-    hand-rolled BPTT over the stashed gate activations. Batching exists
-    purely so the recurrent weight matrices stream from memory once per
-    step instead of once per step per sequence.
+    One fused op over packed rows (the variable-length layout of cuDNN and
+    of PyTorch's ``PackedSequence``). The sequences are stably sorted by
+    length, longest first, and laid out time-major: step t holds the k_t
+    sequences longer than t, which are a prefix of the sorted order. Step t
+    runs only those k_t rows, in both directions: the forward pass drops
+    finished sequences off the end of the prefix, the reverse pass starts
+    each sequence from its ``h0`` row when it joins. Backward is hand-rolled
+    BPTT over the stashed gate activations on the same prefixes. The input
+    projections and the weight gradients are GEMMs over the stacked rows,
+    gathered into and out of the packed order. Batching exists purely so the
+    recurrent weight matrices stream from memory once per step instead of
+    once per step per sequence.
     """
     xs = as_node(xs)
     lengths = [int(n) for n in lengths]
@@ -508,72 +529,80 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     if h0.shape != (n_batch, d):
         raise ShapeError(f"gru_sequence_batch: h0 {h0.shape} for {n_batch} sequences "
                          f"of hidden_dim {d}")
-    # (time, sequence) position of each packed row in the padded layout
-    starts = np.cumsum(lengths) - lengths
-    t_idx = np.arange(xs.shape[0]) - np.repeat(starts, lengths)
-    b_idx = np.repeat(np.arange(n_batch), lengths)
+    # Packed layout: sequences sorted by length (descending, stable); step t
+    # holds rows lo[t] .. lo[t] + ks[t], the ks[t] sorted sequences longer than t.
+    lens = np.asarray(lengths)
+    perm = np.argsort(-lens, kind="stable")
+    rank = np.empty(n_batch, dtype=np.intp)
+    rank[perm] = np.arange(n_batch)
+    ks = n_batch - np.cumsum(np.bincount(lens, minlength=t_max + 1))[:t_max]
+    lo = np.cumsum(ks) - ks
+    # packed row of each stacked row, and the stacked row of each packed row
+    starts = np.cumsum(lens) - lens
+    t_idx = np.arange(xs.shape[0]) - np.repeat(starts, lens)
+    packed = lo[t_idx] + np.repeat(rank, lens)
+    stacked = np.empty_like(packed)
+    stacked[packed] = np.arange(packed.size)
     w_zr, u_zr, b_zr = cell.w_zr, cell.u_zr, cell.b_zr
     w_h, u_h, b_h = cell.w_h, cell.u_h, cell.b_h
 
     x = xs.value
-    # input projections on the unpadded rows, then staged into padded layout
-    xzr_flat = x @ w_zr.value + b_zr.value
-    xh_flat = x @ w_h.value + b_h.value
-    xzr = np.zeros((t_max, n_batch, 2 * d), dtype=x.dtype)
-    xh = np.zeros((t_max, n_batch, d), dtype=x.dtype)
-    xzr[t_idx, b_idx] = xzr_flat
-    xh[t_idx, b_idx] = xh_flat
-    mask = (np.arange(t_max)[:, None] < np.asarray(lengths)[None, :]).astype(x.dtype)[..., None]
+    # Input projections on the stacked rows, gathered into packed order; the
+    # loop overwrites them with the gates and the candidates.
+    zrs = (x @ w_zr.value + b_zr.value)[stacked]
+    cands = (x @ w_h.value + b_h.value)[stacked]
+    h0s = h0.value[perm]
 
-    order = range(t_max - 1, -1, -1) if reverse else range(t_max)
-    aligned = np.empty((t_max, n_batch, d), dtype=x.dtype)
-    h_before = np.empty((t_max, n_batch, d), dtype=x.dtype)
-    zs = np.empty((t_max, n_batch, d), dtype=x.dtype)
-    rs = np.empty((t_max, n_batch, d), dtype=x.dtype)
-    cands = np.empty((t_max, n_batch, d), dtype=x.dtype)
+    steps = [(int(lo[t]), int(ks[t])) for t in range(t_max)]
+    if reverse:
+        steps.reverse()
+    aligned = np.empty_like(cands)
+    h_before = np.empty_like(cands)
 
-    h = h0.value
+    h = h0s[:0] if reverse else h0s
     uzr_v, uh_v = u_zr.value, u_h.value
-    for t in order:
-        m = mask[t]
-        a = xzr[t] + h @ uzr_v
-        zr = _sigmoid(a)
+    for a, k in steps:
+        # forward drops finished rows; reverse appends the starting ones
+        h = np.concatenate([h, h0s[len(h):k]]) if k > len(h) else h[:k]
+        h_before[a:a + k] = h
+        zr = zrs[a:a + k]
+        zr[:] = _sigmoid(zr + h @ uzr_v)
         z, r = zr[:, :d], zr[:, d:]
-        c = np.tanh(xh[t] + (r * h) @ uh_v)
-        h_before[t] = h
-        h = h + (m * z) * (c - h)  # masked rows carry their state unchanged
-        aligned[t] = h
-        zs[t] = z
-        rs[t] = r
-        cands[t] = c
+        c = cands[a:a + k]
+        c[:] = np.tanh(c + (r * h) @ uh_v)
+        h = aligned[a:a + k] = h + z * (c - h)
 
-    out = aligned[t_idx, b_idx]
+    out = aligned[packed]
 
     def backward(g):
-        gst = np.zeros((t_max, n_batch, d), dtype=x.dtype)
-        gst[t_idx, b_idx] = g
-        dxzr = np.empty((t_max, n_batch, 2 * d), dtype=x.dtype)
-        dxh = np.empty((t_max, n_batch, d), dtype=x.dtype)
-        gh = np.zeros((n_batch, d), dtype=x.dtype)
+        gp = g[stacked]
+        dxzr = np.empty((packed.size, 2 * d), dtype=x.dtype)
+        dxh = np.empty((packed.size, d), dtype=x.dtype)
+        gh0 = np.empty((n_batch, d), dtype=x.dtype)
+        gh = gp[:0]
         uzr_t, uh_t = uzr_v.T, uh_v.T
-        for t in reversed(order):
-            m = mask[t]
-            gt = gst[t] + gh
-            gta = gt * m
-            z, r, c, hp = zs[t], rs[t], cands[t], h_before[t]
-            dz = gta * (c - hp)
-            dcpre = gta * z * (1.0 - c * c)
-            dxh[t] = dcpre
+        for a, k in reversed(steps):
+            if len(gh) > k:  # rows whose first step was the previous one are done
+                gh0[k:len(gh)] = gh[k:]
+                gh = gh[:k]
+            gt = gp[a:a + k]
+            gt[:len(gh)] += gh
+            zr, c, hp = zrs[a:a + k], cands[a:a + k], h_before[a:a + k]
+            z, r = zr[:, :d], zr[:, d:]
+            dz = gt * (c - hp)
+            dcpre = gt * z * (1.0 - c * c)
+            dxh[a:a + k] = dcpre
             drh = dcpre @ uh_t
             dr = drh * hp
-            dxzr[t, :, :d] = dz * z * (1.0 - z)
-            dxzr[t, :, d:] = dr * r * (1.0 - r)
-            gh = gta * (1.0 - z) + (gt - gta) + drh * r + dxzr[t] @ uzr_t
-        # big gemms on the unpadded rows (masked padding rows are all zero)
-        dxzr_flat = dxzr[t_idx, b_idx]
-        dxh_flat = dxh[t_idx, b_idx]
-        hp_flat = h_before[t_idx, b_idx]
-        rhp_flat = rs[t_idx, b_idx] * hp_flat
+            dxzr[a:a + k, :d] = dz * z * (1.0 - z)
+            dxzr[a:a + k, d:] = dr * r * (1.0 - r)
+            gh = gt * (1.0 - z) + drh * r + dxzr[a:a + k] @ uzr_t
+        gh0[:len(gh)] = gh  # the BPTT carry past each sequence's first step
+        # big gemms on the rows unpacked to stacked order
+        dxzr_flat = dxzr[packed]
+        dxh_flat = dxh[packed]
+        hp_flat = h_before[packed]
+        rhp_flat = zrs[packed, d:] * hp_flat
         if xs.requires_grad:
             xs.accumulate(dxzr_flat @ w_zr.value.T + dxh_flat @ w_h.value.T)
         if w_zr.requires_grad:
@@ -589,7 +618,7 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         if b_h.requires_grad:
             b_h.accumulate(dxh_flat.sum(axis=0))
         if h0.requires_grad:
-            h0.accumulate(gh)  # the BPTT carry past each sequence's first step
+            h0.accumulate(gh0[rank])
 
     return _op("gru_sequence_batch", out, (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h, h0), backward)
 

@@ -71,6 +71,7 @@ class CompositeEmbedding:
             self._ngram_weights[i] = 1.0 / len(token_grams)
         self._ngram_index = np.array(ids, dtype=np.intp)
         self._ngram_offsets = np.concatenate([[0], np.cumsum(counts)])
+        self._ngram_grouping = ad.segment_grouping(self._ngram_index, self._ngram_offsets)
 
         bound = 1.0 / np.sqrt(hidden_dim)
         self.word = store.new("embedding.word", (len(vocab), self.word_dim), bound)
@@ -79,8 +80,8 @@ class CompositeEmbedding:
     def table(self) -> ad.Node:
         """The full |V| x embedding_dim table as a graph node (rebuilt per use)."""
         word = self.word if not self.freeze_word else ad.Node(self.word.value)
-        char_part = ad.gather_segment_sum(self.char, self._ngram_index,
-                                          self._ngram_offsets, self._ngram_weights)
+        char_part = ad.gather_segment_sum(self.char, self._ngram_index, self._ngram_offsets,
+                                          self._ngram_weights, self._ngram_grouping)
         return ad.concat(word, char_part, axis=1)
 
     def load_pretrained_vectors(self, path) -> float:

@@ -11,7 +11,7 @@ the sum of both negative log-likelihood chains:
 token is prepended). The LM is an auxiliary training task: prediction reads
 only its states, which the model fuses with the embeddings. The two passes
 are therefore separate. :meth:`LanguageModel.forward` runs a micro-batch of
-sequences stacked back to back through one masked batched recurrence per
+sequences stacked back to back through one batched recurrence per
 direction and returns the directional states; :meth:`LanguageModel.loss`
 builds the two |V|-wide heads on those states and sums the loss over the
 sequences, and only the training loss calls it. A single sequence is the

@@ -9,8 +9,8 @@ extended ids (one per distinct surface form), so copying can emit surface
 forms the vocabulary has never seen.
 
 Turn instances of a micro-batch run through stacked graphs (one embedding
-table build, masked batched recurrences, one decoder GRU step for all
-slots of all examples) purely for throughput; attention, copy mixtures and
+table build, batched recurrences over the stacked contexts, one decoder GRU
+step for all slots of all examples) purely for throughput; attention, copy mixtures and
 losses stay per example. Results equal those of a batch of one up to float
 rounding only: BLAS may sum stacked rows in another order for another batch
 shape (a turn's gate probabilities move by 5.6e-17 between a 1- and a 2-turn

@@ -221,7 +221,8 @@ def turn_instances(dialogues: list[Dialogue]) -> list[tuple[Dialogue, int]]:
 
 def _length_sorted_batches(instances, lengths, batch_size, rng) -> list[list]:
     """Shuffle, then group near-equal context lengths into each micro-batch
-    (cuts padding waste in the stacked recurrences), then shuffle batch order.
+    (the stacked recurrences run as many steps as the longest context, so
+    this cuts the steps that only a few rows take), then shuffle batch order.
     Deterministic for a given rng state."""
     perm = rng.permutation(len(instances))
     by_len = sorted(perm, key=lambda i: lengths[i])
@@ -233,16 +234,26 @@ def _length_sorted_batches(instances, lengths, batch_size, rng) -> list[list]:
 
 def predict_instances(model: DstModel, dialogues: list[Dialogue],
                       chunk: int = 16) -> list[TurnPrediction]:
+    """Greedy predictions for every turn, in dialogue and turn order.
+
+    Turns are grouped into chunks of near-equal context length (each chunk
+    costs its longest context in recurrence steps); within a chunk they keep
+    their corpus order, so a corpus of one chunk runs as a single batch in
+    that order.
+    """
     from .context import build_context  # local import to keep module load light
     instances = turn_instances(dialogues)
-    preds = []
-    for lo in range(0, len(instances), chunk):
-        part = instances[lo:lo + chunk]
-        states = model.predict_states(part)
-        for (d, i), state in zip(part, states):
-            length = build_context(d, i, tagging=False).length
-            preds.append(TurnPrediction(d.id, i, length, state, d.turns[i].gold_state))
-    return preds
+    contexts = [build_context(d, i, tagging=True) for d, i in instances]
+    untagged = [c.untagged_length for c in contexts]
+    lengths = [c.length for c in contexts] if model.tagging else untagged
+    by_len = sorted(range(len(instances)), key=lambda j: lengths[j])
+    states: list = [None] * len(instances)
+    for lo in range(0, len(by_len), chunk):
+        part = sorted(by_len[lo:lo + chunk])
+        for j, state in zip(part, model.predict_states([instances[j] for j in part])):
+            states[j] = state
+    return [TurnPrediction(d.id, i, n, state, d.turns[i].gold_state)
+            for (d, i), n, state in zip(instances, untagged, states)]
 
 
 def ablation_name(config: TrainConfig) -> str:

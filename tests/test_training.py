@@ -4,10 +4,10 @@ import pytest
 from lmdst import autodiff as ad
 from lmdst.corpus import SynthConfig, generate_synthetic
 from lmdst.model import DstModel
-from lmdst.context import build_vocabulary
+from lmdst.context import build_context, build_vocabulary
 from lmdst.training import (Adam, TrainConfig, Trainer, ablation_name, fit,
-                            load_config_file, save_config_file, split_corpus,
-                            sweep, total_loss, turn_instances)
+                            load_config_file, predict_instances, save_config_file,
+                            split_corpus, sweep, total_loss, turn_instances)
 
 
 def small_corpus(n=24, seed=3):
@@ -217,6 +217,33 @@ def test_fit_checkpoint_reload_reproduces_val_accuracy(tmp_path):
     _, val = split_corpus(dialogues, small_config().val_fraction)
     loaded = M.load(path)
     assert joint_accuracy(predict_instances(loaded, val)) == report.best_val_joint
+
+
+def test_predict_instances_chunks_by_length_in_turn_order():
+    trainer, dialogues, _ = small_trainer()
+    dialogues = dialogues[:12]
+    model = trainer.model
+    model.b_gate.value = np.array([5.0, 0.0, 0.0])  # every slot ptr: words are read
+    chunks = []
+    predict_states = model.predict_states
+
+    def recording(instances):
+        chunks.append([build_context(d, i, model.tagging).length for d, i in instances])
+        return predict_states(instances)
+
+    model.predict_states = recording
+    preds = predict_instances(model, dialogues, chunk=4)
+    del model.predict_states
+
+    instances = turn_instances(dialogues)
+    assert [(p.dialogue_id, p.turn_index) for p in preds] == [(d.id, i) for d, i in instances]
+    assert len(chunks) == -(-len(instances) // 4) > 2
+    for shorter, longer in zip(chunks, chunks[1:]):
+        assert max(shorter) <= min(longer)
+    assert any(p.predicted.entries() for p in preds)
+    for p, (d, i) in zip(preds, instances):
+        assert p.predicted == model.predict_state(d, i)
+        assert p.context_length == build_context(d, i, tagging=False).length
 
 
 def test_fit_epochs_contiguous_from_one():
