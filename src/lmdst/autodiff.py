@@ -185,6 +185,49 @@ def matmul(a, b) -> Node:
     return _op("matmul", value, (a, b), backward)
 
 
+def _matmul_groups(x: Tensor, y: Tensor) -> Tensor:
+    """``x[i] @ y[i]`` for two 3-d stacks, one 2-d product per group. BLAS
+    takes a transposed 2-d view as it is; ``np.matmul`` on a stack whose
+    matrices are transposed views can fall back to a much slower non-BLAS
+    loop (attention over 16 contexts of 405 positions: 24 ms against 2.6 ms
+    on a 2-vCPU Xeon)."""
+    out = np.empty((x.shape[0], x.shape[1], y.shape[2]), dtype=np.result_type(x, y))
+    for xi, yi, oi in zip(x, y, out):
+        np.matmul(xi, yi, out=oi)
+    return out
+
+
+def bmm(a, b, transpose_b: bool = False) -> Node:
+    """Batched matmul: ``a[i] @ b[i]`` (or ``a[i] @ b[i].T``) for each i.
+
+    ``b`` is a (G, k, n) stack (G, n, k with ``transpose_b``). ``a`` is a
+    (G, m, k) stack or its (G * m, k) rows, group-major; the result has the
+    rank of ``a``.
+    """
+    a, b = as_node(a), as_node(b)
+    groups = b.shape[0] if b.value.ndim == 3 else 0
+    k = b.shape[2 if transpose_b else 1] if groups else -1
+    if (not groups or a.value.ndim not in (2, 3) or a.shape[-1] != k
+            or (a.value.ndim == 3 and a.shape[0] != groups)
+            or (a.value.ndim == 2 and a.shape[0] % groups)):
+        raise ShapeError(f"bmm: shapes {a.shape} and {b.shape} do not conform"
+                         f"{' (b transposed)' if transpose_b else ''}")
+    a3 = a.value.reshape(groups, -1, k)
+    b3 = b.value.swapaxes(1, 2) if transpose_b else b.value
+    out = _matmul_groups(a3, b3)
+    value = out.reshape(-1, out.shape[2]) if a.value.ndim == 2 else out
+
+    def backward(g):
+        g3 = g.reshape(out.shape)
+        if a.requires_grad:
+            a.accumulate(_matmul_groups(g3, b3.swapaxes(1, 2)).reshape(a.shape))
+        if b.requires_grad:
+            gb = _matmul_groups(a3.swapaxes(1, 2), g3)
+            b.accumulate(gb.swapaxes(1, 2) if transpose_b else gb)
+
+    return _op("bmm", value, (a, b), backward)
+
+
 def transpose(a) -> Node:
     a = as_node(a)
     if a.value.ndim != 2:
@@ -250,6 +293,28 @@ def softmax(a, axis: int = -1) -> Node:
     return _op("softmax", value, (a,), backward)
 
 
+def masked_softmax(a, mask) -> Node:
+    """Softmax over the last axis restricted to the entries where ``mask``
+    (boolean, the shape of ``a``) is true; the others get exactly 0. Every
+    row must keep at least one entry."""
+    a = as_node(a)
+    keep = np.asarray(mask, dtype=bool)
+    if a.value.ndim == 0 or keep.shape != a.shape:
+        raise ShapeError(f"masked_softmax: mask {keep.shape} for shape {a.shape}")
+    if not keep.any(axis=-1).all():
+        raise ShapeError(f"masked_softmax: a row of shape {a.shape} has no unmasked entry")
+    x = np.where(keep, a.value, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    value = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        if a.requires_grad:
+            dot = (g * value).sum(axis=-1, keepdims=True)
+            a.accumulate((g - dot) * value)
+
+    return _op("masked_softmax", value, (a,), backward)
+
+
 def embedding_lookup(table, indices) -> Node:
     """Gather rows of ``table`` (a |V| x d node) by integer index."""
     table = as_node(table)
@@ -302,32 +367,94 @@ def cross_entropy_rows(logits, targets, mask=None) -> Node:
     return _op("cross_entropy_rows", value, (logits,), backward)
 
 
-def nll_rows(probs, targets, mask=None) -> Node:
-    """Sum of -log(probs[i, targets[i]]) over rows, for probability rows."""
-    probs = as_node(probs)
-    if probs.value.ndim != 2:
-        raise ShapeError(f"nll_rows: expected 2-d probabilities, got {probs.shape}")
-    t = np.asarray(targets, dtype=np.intp)
-    if t.shape != (probs.shape[0],):
-        raise ShapeError(f"nll_rows: {t.shape} targets for probabilities {probs.shape}")
-    m = mask if mask is None else np.asarray(mask, dtype=probs.value.dtype)
-    rows = np.arange(probs.shape[0])
-    picked = probs.value[rows, t]
-    losses = -np.log(picked)
-    if m is not None:
-        losses = losses * m
+def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids, copy_mask,
+                  mask=None) -> Node:
+    """Sum over rows of -log p(target) under a pointer-generator mixture,
+    computed in log space from the logits.
+
+    Row i mixes ``softmax(vocab_logits[i])`` over the vocabulary ids with
+    weight p_gen = sigmoid(gen_logits[i, 0]) and, with weight 1 - p_gen, the
+    copy distribution ``softmax(copy_logits[i])`` over the positions t where
+    ``copy_mask[i, t]`` holds, position t voting for the (extended) id
+    ``copy_ids[i, t]``. With g the p_gen logit, v and e the two logit rows:
+
+        log p(y) = logaddexp(log sigmoid(g) + log_softmax(v)[y],
+                             log sigmoid(-g) + LSE_{t: id_t = y}(e_t) - LSE_t(e_t))
+
+    Only the target is scored: no mixture row is built. A target beyond the
+    vocabulary (an extended id) has no generation term, and a target no
+    position votes for has no copy term: that term is -inf, with a gradient
+    weight of exactly 0. Neither term underflows the way a probability does.
+    ``mask`` (optional, 0/1 per row) drops rows from the sum.
+    """
+    vocab_logits, copy_logits = as_node(vocab_logits), as_node(copy_logits)
+    gen_logits = as_node(gen_logits)
+    v, e = vocab_logits.value, copy_logits.value
+    y = np.asarray(targets, dtype=np.intp)
+    ids = np.asarray(copy_ids, dtype=np.intp)
+    keep = np.asarray(copy_mask, dtype=bool)
+    n = v.shape[0] if v.ndim == 2 else -1
+    if (n < 0 or e.ndim != 2 or e.shape[0] != n or gen_logits.shape != (n, 1)
+            or y.shape != (n,) or ids.shape != e.shape or keep.shape != e.shape):
+        raise ShapeError(f"copy_nll_rows: vocab logits {v.shape}, copy logits {e.shape}, "
+                         f"gen logits {gen_logits.shape}, {y.shape} targets, "
+                         f"{ids.shape} copy ids, {keep.shape} copy mask")
+    if not keep.any(axis=1).all():
+        raise ShapeError("copy_nll_rows: a row has no copy position")
+    m = mask if mask is None else np.asarray(mask, dtype=v.dtype)
+    rows = np.arange(n)
+    g = gen_logits.value[:, 0]
+
+    # log 0 = -inf is a term's legitimate value; a NaN input propagates to the
+    # loss, where backward's finiteness check names this op
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # generation: log sigmoid(g) + log_softmax(v)[y]
+        v_max = v.max(axis=1, keepdims=True)
+        v_exp = np.exp(v - v_max)
+        v_sum = v_exp.sum(axis=1)
+        in_vocab = y < v.shape[1]
+        v_y = v[rows, np.where(in_vocab, y, 0)] - v_max[:, 0]
+        gen = np.where(in_vocab, v_y - np.log(v_sum) - np.logaddexp(0.0, -g), -np.inf)
+        # copy: log sigmoid(-g) + LSE over the target's positions - LSE over all
+        e_all = np.where(keep, e, -np.inf)
+        e_max = e_all.max(axis=1, keepdims=True)
+        e_exp = np.exp(e_all - e_max)
+        e_sum = e_exp.sum(axis=1)
+        hit = keep & (ids == y[:, None])
+        has = hit.any(axis=1)
+        e_hit = np.where(hit, e, -np.inf)
+        h_max = np.where(has, e_hit.max(axis=1), 0.0)
+        h_exp = np.exp(e_hit - h_max[:, None])
+        h_sum = h_exp.sum(axis=1)
+        copy = (h_max + np.log(h_sum)) - (e_max[:, 0] + np.log(e_sum)) - np.logaddexp(0.0, g)
+        log_p = np.logaddexp(gen, copy)
+        losses = -log_p
+        if m is not None:  # inf * 0 on an unscorable row the mask drops
+            losses = np.where(m != 0, losses * m, 0.0)
     value = losses.sum()
 
-    def backward(g):
-        if probs.requires_grad:
-            if probs.grad is None:
-                probs.grad = np.zeros_like(probs.value)
-            contrib = -g / picked
-            if m is not None:
-                contrib = contrib * m
-            np.add.at(probs.grad, (rows, t), contrib)
+    def backward(grad):
+        # each term's share of p(y); rows the mask drops may hold -inf - -inf
+        with np.errstate(invalid="ignore"):
+            w_gen = np.exp(gen - log_p)
+            w_copy = np.exp(copy - log_p)
+        c = grad
+        if m is not None:
+            w_gen = np.where(m != 0, w_gen, 0.0)
+            w_copy = np.where(m != 0, w_copy, 0.0)
+            c = grad * m
+        if vocab_logits.requires_grad:
+            gv = v_exp / v_sum[:, None]
+            gv[rows[in_vocab], y[in_vocab]] -= 1.0
+            vocab_logits.accumulate((c * w_gen)[:, None] * gv)
+        if copy_logits.requires_grad:
+            attn = e_exp / e_sum[:, None]
+            hit_attn = h_exp / np.where(has, h_sum, 1.0)[:, None]
+            copy_logits.accumulate((c * w_copy)[:, None] * (attn - hit_attn))
+        if gen_logits.requires_grad:
+            gen_logits.accumulate((c * (_sigmoid(g) - w_gen))[:, None])
 
-    return _op("nll_rows", value, (probs,), backward)
+    return _op("copy_nll_rows", value, (vocab_logits, copy_logits, gen_logits), backward)
 
 
 def sum_all(a) -> Node:
@@ -340,60 +467,47 @@ def sum_all(a) -> Node:
     return _op("sum", a.value.sum(), (a,), backward)
 
 
-def slice_rows(a, start: int, stop: int) -> Node:
-    a = as_node(a)
-    if a.value.ndim != 2 or not (0 <= start < stop <= a.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] on shape {a.shape}")
-    value = a.value[start:stop].copy()
+def pad_sequences(xs, lengths) -> Node:
+    """Sequences stacked back to back (the layout of
+    :func:`gru_sequence_batch`) as a zero-padded (B, t_max, d) stack."""
+    xs = as_node(xs)
+    lens = np.asarray(lengths, dtype=np.intp)
+    if (xs.value.ndim != 2 or lens.ndim != 1 or not lens.size or lens.min() < 1
+            or lens.sum() != xs.shape[0]):
+        raise ShapeError(f"pad_sequences: lengths {lens.tolist()} for rows {xs.shape}")
+    keep = np.arange(lens.max()) < lens[:, None]
+    value = np.zeros((lens.size, lens.max(), xs.shape[1]), dtype=xs.value.dtype)
+    value[keep] = xs.value
 
     def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            a.grad[start:stop] += g
+        if xs.requires_grad:
+            xs.accumulate(g[keep])
 
-    return _op("slice_rows", value, (a,), backward)
-
-
-def pad_cols(a, n: int) -> Node:
-    """Append n zero columns."""
-    a = as_node(a)
-    if a.value.ndim != 2 or n < 0:
-        raise ShapeError(f"pad_cols: {n} columns onto shape {a.shape}")
-    if n == 0:
-        value = a.value.copy()
-    else:
-        value = np.concatenate([a.value, np.zeros((a.shape[0], n), dtype=a.value.dtype)], axis=1)
-    width = a.shape[1]
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g[:, :width])
-
-    return _op("pad_cols", value, (a,), backward)
+    return _op("pad_sequences", value, (xs,), backward)
 
 
 def scatter_cols(weights, col_ids, width: int) -> Node:
-    """Scatter-add attention weights (S x T) onto columns of an S x width matrix.
+    """Scatter-add weights (S x T) onto columns of an S x width matrix.
 
-    Duplicate column ids accumulate, which is what maps a distribution over
-    context positions onto a distribution over token ids.
+    ``col_ids`` holds the column of each of the T positions, shared by all
+    rows (shape (T,)) or per row (shape (S, T)). Duplicate column ids
+    accumulate, which is what maps a distribution over context positions
+    onto a distribution over token ids.
     """
     weights = as_node(weights)
     ids = np.asarray(col_ids, dtype=np.intp)
-    if weights.value.ndim != 2 or ids.shape != (weights.shape[1],):
+    if weights.value.ndim != 2 or ids.shape not in ((weights.shape[1],), weights.shape):
         raise ShapeError(f"scatter_cols: weights {weights.shape} with {ids.shape} ids")
     if ids.size and (ids.min() < 0 or ids.max() >= width):
         raise ShapeError(f"scatter_cols: column id out of range for width {width}")
     s = weights.shape[0]
+    flat = (np.arange(s)[:, None] * width + ids).ravel()  # row-major entry of each weight
     value = np.zeros((s, width), dtype=weights.value.dtype)
-    rows = np.repeat(np.arange(s), ids.size)
-    cols = np.tile(ids, s)
-    np.add.at(value, (rows, cols), weights.value.ravel())
+    np.add.at(value.reshape(-1), flat, weights.value.ravel())
 
     def backward(g):
         if weights.requires_grad:
-            weights.accumulate(g[:, ids])
+            weights.accumulate(g.reshape(-1)[flat].reshape(weights.shape))
 
     return _op("scatter_cols", value, (weights,), backward)
 

@@ -8,20 +8,25 @@ that are out of vocabulary but present in the context get temporary
 extended ids (one per distinct surface form), so copying can emit surface
 forms the vocabulary has never seen.
 
-Turn instances of a micro-batch run through stacked graphs (one embedding
-table build, batched recurrences over the stacked contexts, one decoder GRU
-step for all slots of all examples) purely for throughput; attention, copy mixtures and
-losses stay per example. Results equal those of a batch of one up to float
+Turn instances of a micro-batch run through stacked graphs purely for
+throughput: one embedding table build, batched recurrences over the stacked
+contexts, and a decoder whose every step runs once over all (example, slot)
+rows. Attention reads the encoder states zero-padded to (B, t_max, d) under
+a length mask. Training scores only the target of each row, in log space
+(:func:`lmdst.autodiff.copy_nll_rows`); greedy prediction builds the full
+mixture for its argmax. Results equal those of a batch of one up to float
 rounding only: BLAS may sum stacked rows in another order for another batch
 shape (a turn's gate probabilities move by 5.6e-17 between a 1- and a 2-turn
-batch), so an exact tie in a greedy argmax can resolve differently. Slots
-never interact either: to the same rounding, each row of the decode batch
-depends only on its own example and slot.
+batch), and padding changes the summation blocks of a softmax, so an exact
+tie in a greedy argmax can resolve differently. Slots never interact either:
+to the same rounding, each row of the decode batch depends only on its own
+example and slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +56,7 @@ class TurnContext:
     """Everything decoding needs for one (dialogue, turn) instance."""
 
     tokens: list[str]
-    ext_ids: np.ndarray      # extended ids (OOV -> |V| + surface index)
     oov_surfaces: list[str]  # distinct OOV surfaces, first-appearance order
-    hiddens: ad.Node         # T x d_h encoder states (forward + backward)
-    hiddens_t: ad.Node       # cached transpose of ``hiddens``
 
     @property
     def n_oov(self) -> int:
@@ -67,9 +69,24 @@ class BatchContext:
     table: ad.Node       # |V| x emb
     table_t: ad.Node     # emb x |V|
     final_all: ad.Node   # B x d_h, one encoder final state per example
+    hiddens: ad.Node     # B x t_max x d_h encoder states, zero-padded
     ids: np.ndarray      # vocabulary ids of all contexts, stacked
     lengths: list[int]   # context lengths, in stacking order
     lm_states: tuple[ad.Node, ad.Node] | None  # LM (forward, backward) states
+    # one row per (example, slot) decoder row, example-major, t_max wide:
+    row_mask: np.ndarray     # True at the row's context positions
+    row_ext_ids: np.ndarray  # extended id per position (0 in the padding)
+
+
+class DecodeStep(NamedTuple):
+    """One decoder step's outputs for all (example, slot) rows."""
+
+    h: ad.Node             # new decoder states
+    gate_logits: ad.Node | None  # first step only
+    vocab_logits: ad.Node  # rows x |V|
+    attn_logits: ad.Node   # rows x t_max, 0 outside ``row_mask``
+    attn: ad.Node          # masked softmax of ``attn_logits``
+    gen_logits: ad.Node    # rows x 1, p_gen = sigmoid
 
 
 def extend_context_ids(vocab: Vocabulary, tokens: list[str]):
@@ -95,12 +112,14 @@ def copy_mixture(vocab_probs: ad.Node, context_probs: ad.Node, p_gen: ad.Node,
                  context_ext_ids, vocab_size: int, n_oov: int) -> ad.Node:
     """p_gen * vocab distribution + (1 - p_gen) * scattered copy distribution.
 
-    The result has ``vocab_size + n_oov`` columns and sums to 1 per row for
-    any inputs that are themselves simplexes and any p_gen in [0, 1].
+    ``context_ext_ids`` holds one extended id per context position, shared
+    by all rows or one row of ids per row. The result has
+    ``vocab_size + n_oov`` columns and sums to 1 per row for any inputs
+    that are themselves simplexes and any p_gen in [0, 1].
     """
     gen = ad.elementwise_mul(vocab_probs, p_gen)
     if n_oov:
-        gen = ad.pad_cols(gen, n_oov)
+        gen = ad.concat(gen, ad.Node(np.zeros((gen.shape[0], n_oov))), axis=1)
     copy = ad.scatter_cols(context_probs, context_ext_ids, vocab_size + n_oov)
     keep = ad.add(ad.scale(p_gen, -1.0), ad.Node(1.0))
     return ad.add(gen, ad.elementwise_mul(copy, keep))
@@ -199,7 +218,6 @@ class DstModel:
             ext_per.append(ext_ids)
             oov_per.append(oov)
         lengths = [len(t) for t in tokens_per]
-        offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
         ids_all = np.concatenate(ids_per)
 
         input_ids = ids_all
@@ -223,12 +241,16 @@ class DstModel:
             mask = (rng.random(hiddens_all.shape) >= self.dropout) / (1.0 - self.dropout)
             hiddens_all = ad.elementwise_mul(hiddens_all, ad.Node(mask))
 
-        batch = BatchContext([], table, table_t, final_all, ids_all, lengths, lm_states)
-        for i, (off, n) in enumerate(zip(offsets, lengths)):
-            hiddens = ad.slice_rows(hiddens_all, int(off), int(off + n))
-            batch.contexts.append(TurnContext(
-                tokens_per[i], ext_per[i], oov_per[i], hiddens, ad.transpose(hiddens)))
-        return batch
+        n_s = len(self.ontology)
+        in_context = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        ext_ids = np.zeros(in_context.shape, dtype=np.intp)
+        ext_ids[in_context] = np.concatenate(ext_per)
+        return BatchContext(
+            contexts=[TurnContext(t, oov) for t, oov in zip(tokens_per, oov_per)],
+            table=table, table_t=table_t, final_all=final_all,
+            hiddens=ad.pad_sequences(hiddens_all, lengths), ids=ids_all, lengths=lengths,
+            lm_states=lm_states, row_mask=np.repeat(in_context, n_s, axis=0),
+            row_ext_ids=np.repeat(ext_ids, n_s, axis=0))
 
     def _decoder_init(self, batch: BatchContext):
         """Stacked first inputs (slot embeddings) and initial states (tiled
@@ -239,34 +261,31 @@ class DstModel:
         h = ad.embedding_lookup(batch.final_all, np.repeat(np.arange(n_b), n_s))
         return x, h
 
-    def _decode_step(self, batch: BatchContext, x: ad.Node, h: ad.Node, first: bool):
-        """One copy-augmented step for all slot rows (example-major ``x``, ``h``).
-
-        The GRU step and the vocabulary softmax run over all rows; attention,
-        p_gen and the copy mixture per example. Returns the new states and per
-        example the gate logits (``first`` step only) and the S x (|V| + n_oov)
-        final distribution.
-        """
-        n_s = x.shape[0] // len(batch.contexts)
+    def _decode_step(self, batch: BatchContext, x: ad.Node, h: ad.Node,
+                     first: bool) -> DecodeStep:
+        """One copy-augmented step for all (example, slot) rows at once
+        (example-major ``x``, ``h``): the GRU step, the vocabulary logits,
+        attention over each row's own context, p_gen and, on the ``first``
+        step, the gate logits."""
         h = self.decoder_cell.step(x, h)
-        vocab_probs_all = ad.softmax(ad.matmul(h, batch.table_t), axis=1)
-        gate_logits, finals = [], []
-        for i, ctx in enumerate(batch.contexts):
-            h_i = ad.slice_rows(h, i * n_s, (i + 1) * n_s)
-            x_i = ad.slice_rows(x, i * n_s, (i + 1) * n_s)
-            vocab_probs = ad.slice_rows(vocab_probs_all, i * n_s, (i + 1) * n_s)
-            attn = ad.softmax(ad.matmul(h_i, ctx.hiddens_t), axis=1)
-            context_vec = ad.matmul(attn, ctx.hiddens)
-            p_gen = ad.sigmoid(ad.add(
-                ad.matmul(ad.concat(ad.concat(h_i, context_vec, axis=1), x_i, axis=1),
-                          self.w_pgen),
-                self.b_pgen))
-            finals.append(copy_mixture(vocab_probs, attn, p_gen, ctx.ext_ids,
-                                       len(self.vocab), ctx.n_oov))
-            if first:
-                gate_logits.append(ad.add(ad.matmul(context_vec, self.w_gate),
-                                          self.b_gate))
-        return h, gate_logits, finals
+        attn_logits = ad.bmm(h, batch.hiddens, transpose_b=True)
+        attn = ad.masked_softmax(attn_logits, batch.row_mask)
+        context_vec = ad.bmm(attn, batch.hiddens)
+        gen_logits = ad.add(
+            ad.matmul(ad.concat(ad.concat(h, context_vec, axis=1), x, axis=1), self.w_pgen),
+            self.b_pgen)
+        gate_logits = (ad.add(ad.matmul(context_vec, self.w_gate), self.b_gate)
+                       if first else None)
+        return DecodeStep(h, gate_logits, ad.matmul(h, batch.table_t), attn_logits, attn,
+                          gen_logits)
+
+    def _final_distribution(self, batch: BatchContext, step: DecodeStep) -> ad.Node:
+        """The rows x (|V| + the batch's largest n_oov) output mixture of a
+        step; a row's extended columns beyond its own example's are 0."""
+        n_oov = max(ctx.n_oov for ctx in batch.contexts)
+        return copy_mixture(ad.softmax(step.vocab_logits, axis=1), step.attn,
+                            ad.sigmoid(step.gen_logits), batch.row_ext_ids,
+                            len(self.vocab), n_oov)
 
     def _feed(self, batch: BatchContext, ids: np.ndarray) -> ad.Node:
         """Next decoder inputs; an extended (copied OOV) id feeds UNK back."""
@@ -283,7 +302,8 @@ class DstModel:
 
     def _target_ids(self, ctx: TurnContext, gold: BeliefState):
         """Teacher-forcing targets per ontology slot: value tokens + EOS for
-        ptr slots, ["dontcare", EOS] for dontcare, [EOS] for absent."""
+        ptr slots, ["dontcare", EOS] for dontcare, [EOS] for absent. Returns
+        (one id list per slot, one gate label per slot)."""
         ext_of = {s: len(self.vocab) + i for i, s in enumerate(ctx.oov_surfaces)}
         unk, eos = self.vocab.id(UNK), self.vocab.id(EOS)
         seqs, gates = [], []
@@ -299,14 +319,7 @@ class DstModel:
             ids = [self.vocab.id(t) if t in self.vocab else ext_of.get(t, unk)
                    for t in words]
             seqs.append((ids + [eos])[:self.max_value_len])
-        max_len = max(len(s) for s in seqs)
-        n = len(seqs)
-        targets = np.zeros((n, max_len), dtype=np.intp)
-        mask = np.zeros((n, max_len))
-        for i, s in enumerate(seqs):
-            targets[i, :len(s)] = s
-            mask[i, :len(s)] = 1.0
-        return targets, mask, np.array(gates, dtype=np.intp)
+        return seqs, gates
 
     def batch_loss(self, instances: list[tuple[Dialogue, int]],
                    rng: np.random.Generator | None = None) -> tuple[ad.Node, ad.Node]:
@@ -315,31 +328,37 @@ class DstModel:
         Per turn, the state-tracking term is the summed token cross entropy
         plus the gate cross entropy, averaged over the turn's slot instances;
         the LM term is the per-sequence sum. Callers divide by the batch size.
+        Each decoder step scores the targets of all (example, slot) rows in
+        one :func:`lmdst.autodiff.copy_nll_rows`; rows whose value has ended
+        are masked out and fed EOS.
         """
         batch = self.prepare_batch(instances, rng)
-        n_b, n_s = len(instances), len(self.ontology)
-        per_example = [self._target_ids(ctx, dialogue.turns[turn].gold_state)
-                       for ctx, (dialogue, turn) in zip(batch.contexts, instances)]
-        max_len = max(targets.shape[1] for targets, _, _ in per_example)
+        seqs, gates = [], []
+        for ctx, (dialogue, turn) in zip(batch.contexts, instances):
+            slot_seqs, slot_gates = self._target_ids(ctx, dialogue.turns[turn].gold_state)
+            seqs += slot_seqs
+            gates += slot_gates
+        max_len = max(len(s) for s in seqs)
+        targets = np.full((len(seqs), max_len), self.vocab.id(EOS), dtype=np.intp)
+        mask = np.zeros((len(seqs), max_len))
+        for r, s in enumerate(seqs):
+            targets[r, :len(s)] = s
+            mask[r, :len(s)] = 1.0
 
         x, h = self._decoder_init(batch)
-        eos = self.vocab.id(EOS)
         token_total: ad.Node | None = None
-        gate_total: ad.Node | None = None
         for j in range(max_len):
-            h, gate_logits, finals = self._decode_step(batch, x, h, j == 0)
-            prev_ids = np.full(n_b * n_s, eos, dtype=np.intp)
-            for i, (targets, mask, gates) in enumerate(per_example):
-                if j == 0:
-                    ce = ad.cross_entropy_rows(gate_logits[i], gates)
-                    gate_total = ce if gate_total is None else ad.add(gate_total, ce)
-                if j < targets.shape[1]:
-                    nll = ad.nll_rows(finals[i], targets[:, j], mask[:, j])
-                    token_total = nll if token_total is None else ad.add(token_total, nll)
-                    prev_ids[i * n_s:(i + 1) * n_s] = targets[:, j]
+            step = self._decode_step(batch, x, h, j == 0)
+            h = step.h
+            if j == 0:
+                gate_total = ad.cross_entropy_rows(step.gate_logits, gates)
+            nll = ad.copy_nll_rows(step.vocab_logits, step.attn_logits, step.gen_logits,
+                                   targets[:, j], batch.row_ext_ids, batch.row_mask,
+                                   mask[:, j])
+            token_total = nll if token_total is None else ad.add(token_total, nll)
             if j + 1 < max_len:
-                x = self._feed(batch, prev_ids)
-        dst_sum = ad.scale(ad.add(token_total, gate_total), 1.0 / n_s)
+                x = self._feed(batch, targets[:, j])
+        dst_sum = ad.scale(ad.add(token_total, gate_total), 1.0 / len(self.ontology))
         if batch.lm_states is None:
             return dst_sum, ad.Node(0.0)
         return dst_sum, self.lm.loss(*batch.lm_states, batch.ids, batch.lengths)
@@ -365,17 +384,18 @@ class DstModel:
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
         done = np.zeros((n_b, n_s), dtype=bool)
         for j in range(self.max_value_len):
-            h, gate_logits, finals = self._decode_step(batch, x, h, j == 0)
+            step = self._decode_step(batch, x, h, j == 0)
+            h = step.h
+            if j == 0:
+                probs = ad.softmax(step.gate_logits, axis=1).value.reshape(n_b, n_s, -1)
+                gates = [[SlotGateDecision(p.copy()) for p in rows] for rows in probs]
+            choice = np.argmax(self._final_distribution(batch, step).value, axis=1)
             prev_ids = np.full(n_b * n_s, eos, dtype=np.intp)
             for i, ctx in enumerate(batch.contexts):
-                if j == 0:
-                    probs = ad.softmax(gate_logits[i], axis=1).value
-                    gates[i] = [SlotGateDecision(p.copy()) for p in probs]
-                choice = np.argmax(finals[i].value, axis=1)
                 for s in range(n_s):
                     if done[i, s]:
                         continue
-                    c = int(choice[s])
+                    c = int(choice[i * n_s + s])
                     if c == eos:
                         done[i, s] = True
                     else:

@@ -103,12 +103,21 @@ def test_criterion_1_gradient_correctness():
         d = store.new("d", (3, 5), 1.0)
         emb = store.new("emb", (6, 4), 1.0)
         logits_row = store.new("logits_row", (1, 5), 1.0)
+        gen = store.new("gen", (10, 1), 1.0)
         for p in store.parameters():
             p.value = rng.normal(size=p.value.shape)
         idx = rng.integers(0, 6, size=5)
         targets = rng.integers(0, 5, size=3)
-        nll_targets = rng.integers(0, 7, size=10)
         cols = rng.integers(0, 7, size=4)
+        # 2 groups of 5 rows attend over their own sequence of the 9-row
+        # stack, padded to 5 (lengths 5 and 4); the copy loss takes |V| = 4
+        # vocabulary logits and extended ids 4..6
+        lengths = [5, 4]
+        keep = np.repeat(np.arange(5) < np.array(lengths)[:, None], 5, axis=0)
+        copy_ids = np.where(keep, rng.integers(0, 7, size=(10, 5)), 0)
+        copy_ids[:, 0] = 6  # an extended id in every context ...
+        nll_targets = rng.integers(0, 4, size=10)
+        nll_targets[::3] = 6  # ... that some rows can only copy
 
         def build():
             mm = ad.matmul(a, b)                       # matmul
@@ -120,9 +129,15 @@ def test_criterion_1_gradient_correctness():
             looked = ad.embedding_lookup(emb, idx)          # lookup
             cat = ad.concat(looked, ad.transpose(b), axis=0)
             sc = ad.scatter_cols(ad.softmax(cat, axis=1), cols, 7)
-            nll = ad.nll_rows(ad.softmax(sc, axis=1), nll_targets)
+            stack = ad.pad_sequences(ad.embedding_lookup(cat, np.arange(9)),
+                                     lengths)                    # (2, 5, 4) padded
+            scores = ad.bmm(cat, stack, transpose_b=True)        # (10, 5)
+            attn = ad.masked_softmax(scores, keep)
+            context = ad.bmm(attn, stack)                        # (10, 4)
+            nll = ad.copy_nll_rows(cat, scores, gen, nll_targets, copy_ids, keep)
             total = ad.add(ad.add(ce, ce1), ad.add(nll, ad.sum_all(sm)))
-            padded = ad.pad_cols(sc, 2)
+            total = ad.add(total, ad.sum_all(ad.elementwise_mul(context, context)))
+            padded = ad.concat(sc, ad.Node(np.zeros((sc.shape[0], 2))), axis=1)
             return ad.add(total, ad.sum_all(ad.elementwise_mul(padded, padded)))
 
         worst_primitive = max(worst_primitive,

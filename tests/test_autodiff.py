@@ -121,7 +121,7 @@ def test_fd_concat_transpose_slice(seed):
     def loss():
         cat = ad.concat(a, b, axis=1)
         t = ad.transpose(cat)
-        part = ad.slice_rows(t, 1, 4)
+        part = ad.embedding_lookup(t, [1, 2, 3])  # the row slice 1:4
         return ad.sum_all(ad.elementwise_mul(part, part))
 
     _fd_case(loss, [a, b], seed)
@@ -161,11 +161,16 @@ def test_fd_cross_entropy_rows_and_nll(seed):
     logits = make_param(store, "logits", (5, 7), rng)
     targets = rng.integers(0, 7, size=5)
     mask = rng.integers(0, 2, size=5).astype(float)
+    copy_logits = make_param(store, "copy_logits", (5, 3), rng)
+    gen_logits = make_param(store, "gen_logits", (5, 1), rng)
+    copy_ids = np.tile(targets[:, None], 3)
+    copy_ids[:, 1] = rng.integers(0, 7, size=5)
 
     def loss():
         ce = ad.cross_entropy_rows(logits, targets, mask)
-        probs = ad.softmax(logits, axis=1)
-        return ad.add(ce, ad.nll_rows(probs, targets, mask))
+        nll = ad.copy_nll_rows(logits, copy_logits, gen_logits, targets, copy_ids,
+                               np.ones((5, 3), dtype=bool), mask)
+        return ad.add(ce, nll)
 
     _fd_case(loss, [logits], seed)
 
@@ -178,13 +183,113 @@ def test_fd_scatter_pad_tile(seed):
     v = make_param(store, "v", (1, 4), rng)
     ids = rng.integers(0, 5, size=6)
 
+    row_ids = rng.integers(0, 5, size=(3, 6))  # column ids per row
+
     def loss():
         sc = ad.scatter_cols(ad.softmax(w, axis=1), ids, 5)
+        sc_rows = ad.scatter_cols(ad.sigmoid(w), row_ids, 5)
         tiled = ad.embedding_lookup(v, np.zeros(3, dtype=np.intp))  # row repeated 3x
-        padded = ad.pad_cols(tiled, 1)
-        return ad.sum_all(ad.elementwise_mul(sc, padded))
+        padded = ad.concat(tiled, ad.Node(np.zeros((3, 1))), axis=1)
+        return ad.sum_all(ad.elementwise_mul(ad.add(sc, sc_rows), padded))
 
     _fd_case(loss, [w, v], seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fd_bmm(seed):
+    rng = np.random.default_rng(720 + seed)
+    store = ad.ParameterStore(seed)
+    rows = make_param(store, "rows", (6, 4), rng)    # 3 groups of 2 rows
+    stack = make_param(store, "stack", (3, 2, 4), rng)
+    b = make_param(store, "b", (3, 5, 4), rng)
+    c = make_param(store, "c", (3, 4, 2), rng)
+
+    def loss():
+        scores = ad.bmm(rows, b, transpose_b=True)  # (6, 5)
+        out = ad.bmm(stack, c)                      # (3, 2, 2)
+        return ad.add(ad.sum_all(ad.elementwise_mul(scores, scores)),
+                      ad.sum_all(ad.elementwise_mul(out, ad.sigmoid(out))))
+
+    _fd_case(loss, store.parameters(), seed)
+
+
+def test_bmm_matches_per_group_matmul():
+    rng = np.random.default_rng(725)
+    a, b = rng.normal(size=(6, 4)), rng.normal(size=(3, 5, 4))
+    out = ad.bmm(a, b, transpose_b=True).value
+    assert out.shape == (6, 5)
+    for i in range(3):
+        np.testing.assert_allclose(out[2 * i:2 * i + 2], a[2 * i:2 * i + 2] @ b[i].T,
+                                   rtol=0, atol=1e-14)
+    with pytest.raises(ad.ShapeError):
+        ad.bmm(a, b)  # k = 5 does not match a's 4 columns
+    with pytest.raises(ad.ShapeError):
+        ad.bmm(rng.normal(size=(7, 4)), b, transpose_b=True)  # 7 rows in 3 groups
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fd_masked_softmax(seed):
+    rng = np.random.default_rng(730 + seed)
+    store = ad.ParameterStore(seed)
+    a = make_param(store, "a", (4, 5), rng)
+    keep = np.arange(5) < np.array([5, 2, 1, 4])[:, None]  # padded rows, one of length 1
+    w = ad.Node(rng.normal(size=(4, 5)))
+
+    def loss():
+        p = ad.masked_softmax(a, keep)
+        return ad.sum_all(ad.elementwise_mul(ad.elementwise_mul(p, w), ad.sigmoid(a)))
+
+    _fd_case(loss, [a], seed)
+
+
+def test_masked_softmax_zeroes_the_padding():
+    rng = np.random.default_rng(735)
+    x = rng.normal(scale=5.0, size=(3, 6))
+    keep = np.arange(6) < np.array([6, 3, 1])[:, None]
+    p = ad.masked_softmax(ad.Node(x), keep).value
+    assert (p[~keep] == 0.0).all()
+    for row, n in zip(range(3), (6, 3, 1)):
+        np.testing.assert_allclose(p[row, :n], ad.softmax(ad.Node(x[row, :n])).value,
+                                   rtol=0, atol=1e-15)
+    with pytest.raises(ad.ShapeError):
+        ad.masked_softmax(ad.Node(x), np.zeros((3, 6), dtype=bool))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fd_copy_nll_rows(seed):
+    """Padded rows, an extended (copy-only) target, a vocabulary target no
+    position holds, and rows dropped by the mask."""
+    rng = np.random.default_rng(740 + seed)
+    store = ad.ParameterStore(seed)
+    vocab = make_param(store, "vocab", (5, 6), rng)
+    copy = make_param(store, "copy", (5, 4), rng)
+    gen = make_param(store, "gen", (5, 1), rng)
+    keep = np.arange(4) < np.array([4, 2, 3, 1, 4])[:, None]
+    ids = np.array([[6, 1, 6, 2], [6, 3, 0, 0], [1, 7, 6, 0], [6, 0, 0, 0], [2, 2, 5, 6]])
+    targets = np.array([6, 3, 4, 6, 2])  # row 2: 4 is held by no position
+    mask = np.array([1.0, 1.0, 1.0, 1.0, float(seed % 2)])
+
+    def loss():
+        return ad.copy_nll_rows(vocab, copy, gen, targets, ids, keep, mask)
+
+    _fd_case(loss, store.parameters(), seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fd_pad_sequences(seed):
+    rng = np.random.default_rng(745 + seed)
+    store = ad.ParameterStore(seed)
+    xs = make_param(store, "xs", (7, 3), rng)
+    w = ad.Node(rng.normal(size=(3, 4, 3)))
+
+    def loss():
+        padded = ad.pad_sequences(xs, [4, 1, 2])
+        return ad.sum_all(ad.elementwise_mul(ad.elementwise_mul(padded, padded), w))
+
+    _fd_case(loss, [xs], seed)
+    padded = ad.pad_sequences(xs, [4, 1, 2]).value
+    np.testing.assert_array_equal(padded[1, 0], xs.value[4])
+    assert (padded[1, 1:] == 0).all() and (padded[2, 2:] == 0).all()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -364,7 +469,7 @@ def test_gru_sequence_gradients_match_composed_path():
     h = ad.Node(np.zeros((1, 3)))
     rows = []
     for t in range(5):
-        h = cell.step(ad.slice_rows(xs, t, t + 1), h)
+        h = cell.step(ad.embedding_lookup(xs, [t]), h)
         rows.append(h)
     acc = None
     for r in rows:
@@ -401,8 +506,9 @@ def test_gru_sequence_batch_matches_per_example(reverse):
     total = None
     singles = []
     for i, part in enumerate(xs_parts):
-        h = ad.gru_sequence_batch(cell, ad.slice_rows(stacked, offset, offset + len(part)),
-                                  [len(part)], reverse=reverse, h0=ad.slice_rows(h0, i, i + 1))
+        rows = np.arange(offset, offset + len(part))
+        h = ad.gru_sequence_batch(cell, ad.embedding_lookup(stacked, rows), [len(part)],
+                                  reverse=reverse, h0=ad.embedding_lookup(h0, [i]))
         singles.append(h.value.copy())
         sq = ad.sum_all(ad.elementwise_mul(h, h))
         total = sq if total is None else ad.add(total, sq)

@@ -149,14 +149,14 @@ def test_mixture_gradients_match_finite_differences():
     logits.value = rng.normal(size=(2, 5))
     scores.value = rng.normal(size=(2, 4))
     gate.value = rng.normal(size=(2, 1))
-    ids = rng.integers(0, 7, size=4)
-    targets = rng.integers(0, 5, size=2)  # vocab region: always has generation mass
+    ids = rng.integers(0, 7, size=(2, 4))  # one row of column ids per row
+    weights = ad.Node(rng.normal(size=(2, 7)))
 
     def loss():
         out = copy_mixture(ad.softmax(logits, axis=1),
                            ad.softmax(scores, axis=1),
                            ad.sigmoid(gate), ids, 5, 2)
-        return ad.nll_rows(out, targets)
+        return ad.sum_all(ad.elementwise_mul(out, weights))
 
     assert ad.grad_check(loss, store.parameters(), eps=1e-5) < 1e-4
 
@@ -217,16 +217,17 @@ def test_batch_freed_without_cycle_collection():
 
 
 def record_final_distributions(model):
-    """Collect every final distribution the model's decoder step returns."""
+    """Collect every final distribution greedy decoding builds, one
+    (rows x (|V| + n_oov)) matrix per decoder step."""
     finals = []
-    step = model._decode_step
+    final_distribution = model._final_distribution
 
     def recording(*args):
-        h, gate_logits, step_finals = step(*args)
-        finals.extend(step_finals)
-        return h, gate_logits, step_finals
+        final = final_distribution(*args)
+        finals.append(final)
+        return final
 
-    model._decode_step = recording
+    model._final_distribution = recording
     return finals
 
 
@@ -297,15 +298,84 @@ def test_copy_path_emits_oov_surface_token():
 # ---------------------------------------------------------------------------
 
 def test_gate_term_zero_when_prediction_matches_onehot():
-    probs = ad.Node(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    loss = ad.nll_rows(probs, [0, 1])
+    # the other classes sit 1000 below: their probabilities are exactly 0
+    logits = ad.Node(np.array([[0.0, -1e3, -1e3], [-1e3, 0.0, -1e3]]))
+    loss = ad.cross_entropy_rows(logits, [0, 1])
     assert float(loss.value) == 0.0
 
 
 def test_uniform_token_term_is_log_vocab():
-    probs = ad.Node(np.full((1, 4), 0.25))
-    loss = ad.nll_rows(probs, [2])
+    # p_gen saturated at 1 and a target no context position holds
+    loss = ad.copy_nll_rows(np.zeros((1, 4)), np.zeros((1, 3)), [[1e4]], [2],
+                            [[0, 1, 3]], np.ones((1, 3), dtype=bool))
     assert float(loss.value) == pytest.approx(math.log(4), abs=1e-12)
+
+
+def copy_nll_case(rng, n=5, t=6, v=7, n_oov=2):
+    """Logits for ``n`` rows over |V| = ``v`` plus ``n_oov`` extended ids,
+    with rows 1 and 3 padded to 4 and 2 context positions, and targets that
+    cover a vocabulary id held only by generation, an in-context id and an
+    extended (copy-only) id."""
+    vocab_logits = rng.normal(size=(n, v))
+    copy_logits = rng.normal(size=(n, t))
+    gen_logits = rng.normal(size=(n, 1))
+    lengths = np.array([t, 4, t, 2, t])[:n]
+    keep = np.arange(t) < lengths[:, None]
+    ids = rng.integers(0, v + n_oov, size=(n, t))
+    ids[:, 0] = v           # every row holds extended id |V| in context
+    ids[:, 1] = 0
+    ids[~keep] = 0          # padding: column 0, outside the mask
+    targets = np.array([v, 0, 1, v, 0])[:n]
+    targets[2] = next(i for i in range(v) if i not in ids[2][keep[2]])
+    return vocab_logits, copy_logits, gen_logits, targets, ids, keep
+
+
+def test_copy_nll_rows_is_minus_log_of_the_mixture():
+    rng = np.random.default_rng(12)
+    v, n_oov = 7, 2
+    for _ in range(20):
+        vl, cl, gl, targets, ids, keep = copy_nll_case(rng, v=v, n_oov=n_oov)
+        row_mask = rng.integers(0, 2, size=len(targets)).astype(float)
+        mixture = copy_mixture(ad.softmax(ad.Node(vl), axis=1),
+                               ad.masked_softmax(ad.Node(cl), keep),
+                               ad.sigmoid(ad.Node(gl)), ids, v, n_oov).value
+        want = -(np.log(mixture[np.arange(len(targets)), targets]) * row_mask).sum()
+        got = float(ad.copy_nll_rows(vl, cl, gl, targets, ids, keep, row_mask).value)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_copy_nll_rows_survives_underflow():
+    """Two rows whose target probability is exactly 0 in float64, so a loss
+    that takes log of the mixture is inf (and backward raises GraphError):
+    (a) the target's vocabulary logit is 800 below the others (its softmax
+    entry underflows) with p_gen saturated at 1, so copying adds nothing;
+    (b) p_gen saturated at 0 and no context position holds the target, so
+    the copy mass is exactly 0. In log space both are finite, with finite
+    gradients and an exactly-zero gradient on the copy logits of (b)."""
+    store = ad.ParameterStore(0)
+    vocab = store.new("vocab", (2, 5), 1.0)
+    copy = store.new("copy", (2, 3), 1.0)
+    gen = store.new("gen", (2, 1), 1.0)
+    vocab.value = np.zeros((2, 5))
+    vocab.value[0, 2] = -800.0
+    copy.value = np.array([[0.5, -0.5, 1.0], [0.2, 0.1, -0.3]])
+    gen.value = np.array([[1e4], [-1e4]])
+    targets, ids = [2, 4], np.array([[0, 1, 3], [0, 1, 3]])
+    keep = np.ones((2, 3), dtype=bool)
+
+    mixture = copy_mixture(ad.softmax(vocab, axis=1), ad.softmax(copy, axis=1),
+                           ad.sigmoid(gen), ids, 5, 0).value
+    assert mixture[0, 2] == 0.0 and mixture[1, 4] == 0.0
+
+    loss = ad.copy_nll_rows(vocab, copy, gen, targets, ids, keep)
+    assert np.isfinite(loss.value)
+    assert float(loss.value) == pytest.approx(800.0 + math.log(4) + 1e4 + math.log(5),
+                                              rel=1e-12)
+    ad.backward(loss)
+    for p in (vocab, copy, gen):
+        assert np.isfinite(p.grad).all()
+    assert (copy.grad == 0.0).all()  # (a) copies with weight 0, (b) has no copy term
+    assert vocab.grad[0, 2] == pytest.approx(-1.0)
 
 
 def numpy_turn_loss(model, dialogue, turn):
@@ -425,6 +495,21 @@ def test_batch_loss_is_sum_of_turn_losses():
     dst_1, lm_1 = model.batch_loss([(d, 1)])
     assert abs(float(dst_b.value) - (float(dst_0.value) + float(dst_1.value))) < 1e-10
     assert abs(float(lm_b.value) - (float(lm_0.value) + float(lm_1.value))) < 1e-10
+
+
+def graph_size(*roots):
+    return len({id(node) for root in roots for node in ad._topo(root)})
+
+
+def test_batch_loss_graph_size_is_independent_of_batch():
+    """Each decoder step runs once over all (example, slot) rows, so four
+    turns whose longest targets are as long as one turn's build exactly as
+    many graph nodes as that turn alone: no per-example loop."""
+    model = tiny_model()
+    d = tiny_dialogue()
+    one = graph_size(*model.batch_loss([(d, 1)]))
+    four = graph_size(*model.batch_loss([(d, 0), (d, 1), (d, 1), (d, 0)]))
+    assert one == four
 
 
 def test_batched_prediction_matches_single():
