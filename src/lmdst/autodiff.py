@@ -88,8 +88,11 @@ class Node:
 
     def accumulate(self, g: Tensor) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # an owned copy, never ``g`` itself: later gradients add in place
+            self.grad = np.empty_like(self.value)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     @property
     def name(self) -> str:
@@ -185,44 +188,56 @@ def matmul(a, b) -> Node:
     return _op("matmul", value, (a, b), backward)
 
 
-def _matmul_groups(x: Tensor, y: Tensor) -> Tensor:
-    """``x[i] @ y[i]`` for two 3-d stacks, one 2-d product per group. BLAS
-    takes a transposed 2-d view as it is; ``np.matmul`` on a stack whose
-    matrices are transposed views can fall back to a much slower non-BLAS
-    loop (attention over 16 contexts of 405 positions: 24 ms against 2.6 ms
-    on a 2-vCPU Xeon)."""
-    out = np.empty((x.shape[0], x.shape[1], y.shape[2]), dtype=np.result_type(x, y))
-    for xi, yi, oi in zip(x, y, out):
-        np.matmul(xi, yi, out=oi)
-    return out
-
-
-def bmm(a, b, transpose_b: bool = False) -> Node:
-    """Batched matmul: ``a[i] @ b[i]`` (or ``a[i] @ b[i].T``) for each i.
+def bmm(a, b, transpose_b: bool = False, group_rows=None) -> Node:
+    """Batched matmul: ``a[i] @ b[i]`` (or ``a[i] @ b[i].T``) for each group i.
 
     ``b`` is a (G, k, n) stack (G, n, k with ``transpose_b``). ``a`` is a
     (G, m, k) stack or its (G * m, k) rows, group-major; the result has the
-    rank of ``a``.
+    rank of ``a``. With ``group_rows`` (G counts, 0 allowed), ``a`` is 2-d
+    and group i owns the next ``group_rows[i]`` of its rows.
+
+    Each group is one 2-d product on row blocks. BLAS takes a transposed 2-d
+    view as it is; ``np.matmul`` on a stack whose matrices are transposed
+    views can fall back to a much slower non-BLAS loop (attention over 16
+    contexts of 405 positions: 24 ms against 2.6 ms on a 2-vCPU Xeon).
     """
     a, b = as_node(a), as_node(b)
     groups = b.shape[0] if b.value.ndim == 3 else 0
     k = b.shape[2 if transpose_b else 1] if groups else -1
-    if (not groups or a.value.ndim not in (2, 3) or a.shape[-1] != k
-            or (a.value.ndim == 3 and a.shape[0] != groups)
-            or (a.value.ndim == 2 and a.shape[0] % groups)):
+    rank = a.value.ndim
+    if group_rows is not None:
+        counts = np.asarray(group_rows, dtype=np.intp)
+    elif groups and rank in (2, 3):
+        counts = np.full(groups, a.shape[1] if rank == 3 else a.shape[0] // groups)
+    else:
+        counts = np.zeros(0, dtype=np.intp)
+    if (not groups or rank not in (2, 3) or a.shape[-1] != k
+            or (rank == 3 and (a.shape[0] != groups or group_rows is not None))
+            or counts.shape != (groups,) or counts.min() < 0
+            or (rank == 2 and counts.sum() != a.shape[0])):
         raise ShapeError(f"bmm: shapes {a.shape} and {b.shape} do not conform"
-                         f"{' (b transposed)' if transpose_b else ''}")
-    a3 = a.value.reshape(groups, -1, k)
+                         f"{' (b transposed)' if transpose_b else ''}"
+                         f"{'' if group_rows is None else f' in groups of {counts.tolist()} rows'}")
+    a2 = a.value.reshape(-1, k)
     b3 = b.value.swapaxes(1, 2) if transpose_b else b.value
-    out = _matmul_groups(a3, b3)
-    value = out.reshape(-1, out.shape[2]) if a.value.ndim == 2 else out
+    ends = np.cumsum(counts)
+    blocks = [(i, int(end - n), int(end)) for i, (n, end) in enumerate(zip(counts, ends)) if n]
+    out = np.empty((a2.shape[0], b3.shape[2]), dtype=np.result_type(a2, b3))
+    for i, lo, hi in blocks:
+        np.matmul(a2[lo:hi], b3[i], out=out[lo:hi])
+    value = out.reshape(*a.shape[:-1], out.shape[1])
 
     def backward(g):
-        g3 = g.reshape(out.shape)
+        g2 = g.reshape(out.shape)
         if a.requires_grad:
-            a.accumulate(_matmul_groups(g3, b3.swapaxes(1, 2)).reshape(a.shape))
+            ga = np.empty(a2.shape, dtype=out.dtype)
+            for i, lo, hi in blocks:
+                np.matmul(g2[lo:hi], b3[i].T, out=ga[lo:hi])
+            a.accumulate(ga.reshape(a.shape))
         if b.requires_grad:
-            gb = _matmul_groups(a3.swapaxes(1, 2), g3)
+            gb = np.zeros((groups, k, out.shape[1]), dtype=out.dtype)
+            for i, lo, hi in blocks:
+                np.matmul(a2[lo:hi].T, g2[lo:hi], out=gb[i])
             b.accumulate(gb.swapaxes(1, 2) if transpose_b else gb)
 
     return _op("bmm", value, (a, b), backward)
@@ -328,7 +343,7 @@ def embedding_lookup(table, indices) -> Node:
     def backward(g):
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.value)
+                table.grad = np.zeros(table.shape, dtype=table.value.dtype)
             np.add.at(table.grad, idx, g)
 
     return _op("embedding_lookup", value, (table,), backward)
@@ -566,7 +581,7 @@ def gather_segment_sum(table, indices, offsets, weights, grouping=None) -> Node:
             rows, first, table_rows = segment_grouping(idx, off) if grouping is None else grouping
             sums = np.add.reduceat((g * w[:, None])[rows], first, axis=0)
             if table.grad is None:
-                table.grad = np.zeros_like(table.value)
+                table.grad = np.zeros(table.shape, dtype=table.value.dtype)
             table.grad[table_rows] += sums
 
     return _op("gather_segment_sum", value, (table,), backward)

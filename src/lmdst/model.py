@@ -10,15 +10,19 @@ forms the vocabulary has never seen.
 
 Turn instances of a micro-batch run through stacked graphs purely for
 throughput: one embedding table build, batched recurrences over the stacked
-contexts, and a decoder whose every step runs once over all (example, slot)
+contexts, and a decoder whose every step runs once over its (example, slot)
 rows. Attention reads the encoder states zero-padded to (B, t_max, d) under
-a length mask. Training scores only the target of each row, in log space
-(:func:`lmdst.autodiff.copy_nll_rows`); greedy prediction builds the full
-mixture for its argmax. Results equal those of a batch of one up to float
-rounding only: BLAS may sum stacked rows in another order for another batch
-shape (a turn's gate probabilities move by 5.6e-17 between a 1- and a 2-turn
-batch), and padding changes the summation blocks of a softmax, so an exact
-tie in a greedy argmax can resolve differently. Slots never interact either:
+a length mask, grouped by example. Training steps every row and scores only
+its target, in log space (:func:`lmdst.autodiff.copy_nll_rows`). Greedy
+prediction decodes only what it reads: the first step computes every row's
+gate, and from then on only the ptr rows that have not emitted EOS step.
+Each step's argmax compares a row's best generation column with its few
+context columns (:func:`copy_argmax`) instead of building the full mixture.
+Results equal those of a batch of one up to float rounding only: BLAS may
+sum stacked rows in another order for another batch shape (a turn's gate
+probabilities move by 5.6e-17 between a 1- and a 2-turn batch), and padding
+changes the summation blocks of a softmax, so an exact tie in a greedy
+argmax can resolve differently. Slots never interact either:
 to the same rounding, each row of the decode batch depends only on its own
 example and slot.
 """
@@ -79,14 +83,20 @@ class BatchContext:
 
 
 class DecodeStep(NamedTuple):
-    """One decoder step's outputs for all (example, slot) rows."""
+    """One decoder step of the (example, slot) rows it ran; every node has
+    one row per entry of ``rows``."""
 
+    rows: np.ndarray       # decoder rows (example * |slots| + slot), ascending
+    x: ad.Node             # the step's inputs
     h: ad.Node             # new decoder states
-    gate_logits: ad.Node | None  # first step only
-    vocab_logits: ad.Node  # rows x |V|
-    attn_logits: ad.Node   # rows x t_max, 0 outside ``row_mask``
+    attn_logits: ad.Node   # rows x t_max, 0 outside the row's context
     attn: ad.Node          # masked softmax of ``attn_logits``
-    gen_logits: ad.Node    # rows x 1, p_gen = sigmoid
+    context_vec: ad.Node   # attention-weighted encoder states
+
+    def take(self, keep: np.ndarray) -> "DecodeStep":
+        """The step restricted to its rows at positions ``keep``."""
+        return DecodeStep(self.rows[keep],
+                          *(ad.embedding_lookup(node, keep) for node in self[1:]))
 
 
 def extend_context_ids(vocab: Vocabulary, tokens: list[str]):
@@ -123,6 +133,61 @@ def copy_mixture(vocab_probs: ad.Node, context_probs: ad.Node, p_gen: ad.Node,
     copy = ad.scatter_cols(context_probs, context_ext_ids, vocab_size + n_oov)
     keep = ad.add(ad.scale(p_gen, -1.0), ad.Node(1.0))
     return ad.add(gen, ad.elementwise_mul(copy, keep))
+
+
+def copy_grouping(context_ext_ids, context_mask) -> np.ndarray:
+    """For each row and context position, the first position of the row
+    that holds the same extended id; a position outside ``context_mask``
+    points at itself. Fixed for a batch, so greedy decoding builds it once."""
+    ids = np.asarray(context_ext_ids, dtype=np.intp)
+    n, t = ids.shape
+    width = ids.max(initial=0) + 1 + t
+    # one key per (row, id); a padding position gets a key of its own
+    keys = np.arange(n)[:, None] * width + np.where(context_mask, ids, width - t + np.arange(t))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse].reshape(n, t) % t
+
+
+def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.ndarray,
+                context_ext_ids, context_mask, grouping=None) -> np.ndarray:
+    """``np.argmax(copy_mixture(softmax(vocab_logits), context_probs, p_gen,
+    context_ext_ids, |V|, n_oov).value, axis=1)`` for per-row ids, exactly,
+    ties to the lowest id, without building the rows x (|V| + n_oov) mixture.
+
+    The mixture is ``p_gen * softmax`` plus copy mass, which only a row's
+    context columns hold. So the row's best column is its best generation
+    column or one of its few context columns, compared at their exact
+    mixture values (an extended id no position holds is 0, never the
+    maximum of a row that sums to 1). Those values come from the float
+    operations ``copy_mixture`` does: the copy mass of a column sums its
+    positions in position order. ``context_probs`` is 0 outside
+    ``context_mask``; ``grouping`` is :func:`copy_grouping` of the ids and
+    mask, computed here when not given.
+    """
+    v = vocab_logits
+    ids = np.asarray(context_ext_ids, dtype=np.intp)
+    keep_pos = np.asarray(context_mask, dtype=bool)
+    slots = copy_grouping(ids, keep_pos) if grouping is None else grouping
+    n, t = ids.shape
+    rows = np.arange(n)
+    # p_gen * softmax(v), in one buffer, as softmax and copy_mixture compute it
+    gen = v - v.max(axis=1, keepdims=True)
+    np.exp(gen, out=gen)
+    gen /= gen.sum(axis=1, keepdims=True)
+    gen *= p_gen
+    best_gen = gen.argmax(axis=1)
+    # each column's copy mass, accumulated at its first position
+    copy = np.zeros((n, t), dtype=gen.dtype)
+    np.add.at(copy.reshape(-1), (rows[:, None] * t + slots).ravel(), context_probs.ravel())
+    in_vocab = ids < v.shape[1]
+    gen_at = np.take_along_axis(gen, np.where(in_vocab, ids, 0), axis=1)
+    mixed = (np.where(in_vocab, gen_at, 0.0)
+             + np.take_along_axis(copy, slots, axis=1) * (1.0 - p_gen))
+    mixed[~keep_pos] = -np.inf
+    values = np.concatenate([gen[rows, best_gen][:, None], mixed], axis=1)
+    cols = np.concatenate([best_gen[:, None], ids], axis=1)
+    top = values == values.max(axis=1, keepdims=True)
+    return np.where(top, cols, np.iinfo(np.intp).max).min(axis=1)
 
 
 class Encoder:
@@ -262,30 +327,30 @@ class DstModel:
         return x, h
 
     def _decode_step(self, batch: BatchContext, x: ad.Node, h: ad.Node,
-                     first: bool) -> DecodeStep:
-        """One copy-augmented step for all (example, slot) rows at once
-        (example-major ``x``, ``h``): the GRU step, the vocabulary logits,
-        attention over each row's own context, p_gen and, on the ``first``
-        step, the gate logits."""
+                     rows: np.ndarray) -> DecodeStep:
+        """One copy-augmented step for the decoder rows ``rows`` (ascending
+        row ids example * |slots| + slot; ``x`` and ``h`` hold one row each):
+        the GRU step and attention over each row's own context, grouped by
+        example. The gate and the output heads read the step
+        (:meth:`_gate_logits`, :meth:`_output_logits`)."""
         h = self.decoder_cell.step(x, h)
-        attn_logits = ad.bmm(h, batch.hiddens, transpose_b=True)
-        attn = ad.masked_softmax(attn_logits, batch.row_mask)
-        context_vec = ad.bmm(attn, batch.hiddens)
-        gen_logits = ad.add(
-            ad.matmul(ad.concat(ad.concat(h, context_vec, axis=1), x, axis=1), self.w_pgen),
-            self.b_pgen)
-        gate_logits = (ad.add(ad.matmul(context_vec, self.w_gate), self.b_gate)
-                       if first else None)
-        return DecodeStep(h, gate_logits, ad.matmul(h, batch.table_t), attn_logits, attn,
-                          gen_logits)
+        per_example = np.bincount(rows // len(self.ontology), minlength=len(batch.contexts))
+        attn_logits = ad.bmm(h, batch.hiddens, transpose_b=True, group_rows=per_example)
+        attn = ad.masked_softmax(attn_logits, batch.row_mask[rows])
+        context_vec = ad.bmm(attn, batch.hiddens, group_rows=per_example)
+        return DecodeStep(rows, x, h, attn_logits, attn, context_vec)
 
-    def _final_distribution(self, batch: BatchContext, step: DecodeStep) -> ad.Node:
-        """The rows x (|V| + the batch's largest n_oov) output mixture of a
-        step; a row's extended columns beyond its own example's are 0."""
-        n_oov = max(ctx.n_oov for ctx in batch.contexts)
-        return copy_mixture(ad.softmax(step.vocab_logits, axis=1), step.attn,
-                            ad.sigmoid(step.gen_logits), batch.row_ext_ids,
-                            len(self.vocab), n_oov)
+    def _gate_logits(self, step: DecodeStep) -> ad.Node:
+        """The rows x 3 gate logits; read on the first step only."""
+        return ad.add(ad.matmul(step.context_vec, self.w_gate), self.b_gate)
+
+    def _output_logits(self, batch: BatchContext, step: DecodeStep) -> tuple[ad.Node, ad.Node]:
+        """(rows x |V| vocabulary logits, rows x 1 p_gen logits; p_gen = sigmoid)."""
+        gen_logits = ad.add(
+            ad.matmul(ad.concat(ad.concat(step.h, step.context_vec, axis=1), step.x, axis=1),
+                      self.w_pgen),
+            self.b_pgen)
+        return ad.matmul(step.h, batch.table_t), gen_logits
 
     def _feed(self, batch: BatchContext, ids: np.ndarray) -> ad.Node:
         """Next decoder inputs; an extended (copied OOV) id feeds UNK back."""
@@ -346,13 +411,15 @@ class DstModel:
             mask[r, :len(s)] = 1.0
 
         x, h = self._decoder_init(batch)
+        rows = np.arange(len(seqs))
         token_total: ad.Node | None = None
         for j in range(max_len):
-            step = self._decode_step(batch, x, h, j == 0)
+            step = self._decode_step(batch, x, h, rows)
             h = step.h
             if j == 0:
-                gate_total = ad.cross_entropy_rows(step.gate_logits, gates)
-            nll = ad.copy_nll_rows(step.vocab_logits, step.attn_logits, step.gen_logits,
+                gate_total = ad.cross_entropy_rows(self._gate_logits(step), gates)
+            vocab_logits, gen_logits = self._output_logits(batch, step)
+            nll = ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits,
                                    targets[:, j], batch.row_ext_ids, batch.row_mask,
                                    mask[:, j])
             token_total = nll if token_total is None else ad.add(token_total, nll)
@@ -374,36 +441,40 @@ class DstModel:
         """Greedy decoding of every ontology slot for every example in the batch.
 
         Returns per-example ([SlotGateDecision, ...], [token list, ...]), one
-        entry per slot in ontology order. Argmax ties break toward the lowest
-        token id.
+        entry per slot in ontology order. The first step runs the GRU step,
+        attention and the gate for every (example, slot) row. Only the rows
+        whose gate is ptr go on to the output heads, and a row leaves when it
+        emits EOS, so each step runs only the ptr rows still decoding. A none
+        or dontcare slot returns no words. Argmax ties break toward the
+        lowest token id.
         """
         n_b, n_s = len(batch.contexts), len(self.ontology)
         eos = self.vocab.id(EOS)
         x, h = self._decoder_init(batch)
-        gates: list[list[SlotGateDecision]] = [[] for _ in range(n_b)]
+        step = self._decode_step(batch, x, h, np.arange(n_b * n_s))
+        probs = ad.softmax(self._gate_logits(step), axis=1).value
+        gates = [[SlotGateDecision(p.copy()) for p in turn]
+                 for turn in probs.reshape(n_b, n_s, -1)]
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
-        done = np.zeros((n_b, n_s), dtype=bool)
+        # the same tie-break as SlotGateDecision.label
+        step = step.take(np.flatnonzero(probs.argmax(axis=1) == GATE_PTR))
+        # every slot row of an example shares its context ids: group per example
+        grouping = copy_grouping(batch.row_ext_ids[::n_s], batch.row_mask[::n_s])
         for j in range(self.max_value_len):
-            step = self._decode_step(batch, x, h, j == 0)
-            h = step.h
-            if j == 0:
-                probs = ad.softmax(step.gate_logits, axis=1).value.reshape(n_b, n_s, -1)
-                gates = [[SlotGateDecision(p.copy()) for p in rows] for rows in probs]
-            choice = np.argmax(self._final_distribution(batch, step).value, axis=1)
-            prev_ids = np.full(n_b * n_s, eos, dtype=np.intp)
-            for i, ctx in enumerate(batch.contexts):
-                for s in range(n_s):
-                    if done[i, s]:
-                        continue
-                    c = int(choice[i * n_s + s])
-                    if c == eos:
-                        done[i, s] = True
-                    else:
-                        words[i][s].append(self._token_for(ctx, c))
-                        prev_ids[i * n_s + s] = c
-            if done.all():
+            if not step.rows.size:
                 break
-            x = self._feed(batch, prev_ids)
+            vocab_logits, gen_logits = self._output_logits(batch, step)
+            choice = copy_argmax(vocab_logits.value, step.attn.value,
+                                 ad.sigmoid(gen_logits).value, batch.row_ext_ids[step.rows],
+                                 batch.row_mask[step.rows], grouping[step.rows // n_s])
+            going = np.flatnonzero(choice != eos)
+            for r, c in zip(step.rows[going].tolist(), choice[going].tolist()):
+                i, s = divmod(r, n_s)
+                words[i][s].append(self._token_for(batch.contexts[i], c))
+            if not going.size or j + 1 == self.max_value_len:
+                break
+            step = self._decode_step(batch, self._feed(batch, choice[going]),
+                                     ad.embedding_lookup(step.h, going), step.rows[going])
         return gates, words
 
     def _assemble_state(self, gates: list[SlotGateDecision],

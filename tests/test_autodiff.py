@@ -203,12 +203,15 @@ def test_fd_bmm(seed):
     stack = make_param(store, "stack", (3, 2, 4), rng)
     b = make_param(store, "b", (3, 5, 4), rng)
     c = make_param(store, "c", (3, 4, 2), rng)
+    uneven = make_param(store, "uneven", (4, 4), rng)  # groups of 3, 0 and 1 rows
 
     def loss():
         scores = ad.bmm(rows, b, transpose_b=True)  # (6, 5)
         out = ad.bmm(stack, c)                      # (3, 2, 2)
-        return ad.add(ad.sum_all(ad.elementwise_mul(scores, scores)),
-                      ad.sum_all(ad.elementwise_mul(out, ad.sigmoid(out))))
+        picked = ad.bmm(uneven, b, transpose_b=True, group_rows=[3, 0, 1])  # (4, 5)
+        return ad.add(ad.add(ad.sum_all(ad.elementwise_mul(scores, scores)),
+                             ad.sum_all(ad.elementwise_mul(out, ad.sigmoid(out)))),
+                      ad.sum_all(ad.elementwise_mul(picked, ad.sigmoid(picked))))
 
     _fd_case(loss, store.parameters(), seed)
 
@@ -225,6 +228,18 @@ def test_bmm_matches_per_group_matmul():
         ad.bmm(a, b)  # k = 5 does not match a's 4 columns
     with pytest.raises(ad.ShapeError):
         ad.bmm(rng.normal(size=(7, 4)), b, transpose_b=True)  # 7 rows in 3 groups
+    # uneven groups: the same product on each group's own rows, bit for bit
+    # equal to the even grouping where the counts agree
+    counts = [1, 0, 3]
+    out = ad.bmm(a[:4], b, transpose_b=True, group_rows=counts).value
+    assert out.shape == (4, 5)
+    np.testing.assert_array_equal(out[:1], a[:1] @ b[0].T)
+    np.testing.assert_array_equal(out[1:], a[1:4] @ b[2].T)
+    np.testing.assert_array_equal(ad.bmm(a, b, transpose_b=True, group_rows=[2, 2, 2]).value,
+                                  ad.bmm(a, b, transpose_b=True).value)
+    for bad in ([1, 1, 1], [2, 3, -1], [4]):
+        with pytest.raises(ad.ShapeError):
+            ad.bmm(a[:4], b, transpose_b=True, group_rows=bad)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,17 +1,22 @@
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lmdst import autodiff as ad
-from lmdst.context import EOS, UNK, Vocabulary, build_context
+from lmdst.context import EOS, UNK, Vocabulary, build_context, build_vocabulary
 from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
-from lmdst.model import (GATE_CLASSES, DstModel, Encoder, copy_mixture,
+from lmdst.model import (GATE_CLASSES, GATE_DONTCARE, GATE_NONE, GATE_PTR, DstModel,
+                         Encoder, SlotGateDecision, copy_argmax, copy_mixture,
                          extend_context_ids)
+from lmdst.training import predict_instances, turn_instances
 
 from test_embeddings import dense_char_avg
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def tiny_ontology():
@@ -40,6 +45,13 @@ def tiny_model(**kw):
     defaults = dict(hidden_dim=8, embedding_dim=8, dropout=0.0, word_dropout=0.0, seed=5)
     defaults.update(kw)
     return DstModel(tiny_vocab(), tiny_ontology(), **defaults)
+
+
+def force_gate(model, gate):
+    """Every slot of every turn takes gate ``gate``."""
+    model.w_gate.value = np.zeros_like(model.w_gate.value)
+    model.b_gate.value = np.where(np.arange(3) == gate, 50.0, -50.0)
+
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +173,52 @@ def test_mixture_gradients_match_finite_differences():
     assert ad.grad_check(loss, store.parameters(), eps=1e-5) < 1e-4
 
 
+def test_greedy_argmax_matches_dense_mixture():
+    """copy_argmax equals the argmax of the dense copy_mixture exactly, ties
+    to the lowest id: padded rows with repeated and extended ids, planted
+    exact ties and p_gen of exactly 0 and 1."""
+    rng = np.random.default_rng(21)
+    v, n_oov, t = 9, 3, 7
+    lengths = np.array([7, 4, 1, 7, 5, 7, 3, 6])
+    n = len(lengths)
+    keep = np.arange(t) < lengths[:, None]
+    for trial in range(200):
+        vocab_logits = rng.normal(scale=2.0, size=(n, v))
+        copy_logits = rng.normal(scale=2.0, size=(n, t))
+        gen_logits = rng.normal(scale=2.0, size=(n, 1))
+        ids = rng.integers(0, v + n_oov, size=(n, t))
+        ids[:, 1] = ids[:, 0]  # a column held by two positions
+        # planted ties, each row a different kind
+        gen_logits[0:3] = 1e4    # p_gen exactly 1: context values equal generation ones
+        gen_logits[3:5] = -1e4   # p_gen exactly 0: the copy mass alone
+        vocab_logits[0, [2, 5]] = 8.0  # a context column against a generation column
+        ids[0, :2], ids[0, 2:] = 5, v
+        vocab_logits[1, [6, 3]] = 8.0  # the same with the lower id off the context
+        ids[1, :4] = 6
+        vocab_logits[2, [4, 7]] = 8.0  # two generation columns, no context column tied
+        ids[2, 0] = v + 1
+        copy_logits[3, [0, 2]] = 9.0   # two context columns with equal copy mass
+        ids[3] = [v + 2, v + 1, 2, 3, 4, 5, 6]
+        vocab_logits[5, [1, 8]] = 9.0  # two generation columns at a fractional p_gen
+        gen_logits[5] = 3.0
+        ids[5] = 0
+        if trial % 2:  # half the trials share one row of ids, as one example does
+            ids[6] = ids[7]
+        ids[~keep] = 0  # padding: column 0, outside the mask
+        p_gen = ad.sigmoid(ad.Node(gen_logits))
+        attn = ad.masked_softmax(ad.Node(copy_logits), keep)
+        mixture = copy_mixture(ad.softmax(ad.Node(vocab_logits), axis=1), attn, p_gen,
+                               ids, v, n_oov).value
+        want = np.argmax(mixture, axis=1)
+        got = copy_argmax(vocab_logits, attn.value, p_gen.value, ids, keep)
+        np.testing.assert_array_equal(got, want)
+        top = mixture == mixture.max(axis=1, keepdims=True)
+        assert p_gen.value[0, 0] == 1.0 and p_gen.value[3, 0] == 0.0
+        assert top[0, [2, 5]].all() and top[1, [3, 6]].all() and top[2, [4, 7]].all()
+        assert top[3, [2, v + 2]].all() and top[5, [1, 8]].all()
+        assert list(want[:4]) == [2, 3, 4, 2] and want[5] == 1
+
+
 def test_oov_context_ids():
     vocab = tiny_vocab()
     ids, ext, surfaces = extend_context_ids(vocab, ["i", "want", "flurb", "area", "flurb"])
@@ -187,15 +245,159 @@ def test_greedy_decode_returns_gate_and_tokens():
         assert EOS not in tokens
 
 
+# Per slot of a five-slot model: its gate, and the step at which a ptr row
+# emits EOS, i.e. how many words it decodes (99: never, the length cap ends it).
+MIXED_PLAN = [(GATE_PTR, 1), (GATE_NONE, 0), (GATE_PTR, 3), (GATE_DONTCARE, 0), (GATE_PTR, 99)]
+
+
+def mixed_model():
+    ontology = Ontology([("hotel", "area"), ("hotel", "price"), ("hotel", "stars"),
+                         ("hotel", "name"), ("hotel", "type")])
+    return DstModel(tiny_vocab(), ontology, hidden_dim=8, embedding_dim=8, dropout=0.0,
+                    word_dropout=0.0, max_value_len=5, seed=5)
+
+
+def rig_decoder(model, plan):
+    """Bias the model's gate logits so that slot s takes gate ``plan[s][0]``,
+    and its output logits so that a ptr row of slot s emits EOS exactly at
+    step ``plan[s][1]`` (the EOS logit raised by 1000 and p_gen saturated at
+    1 there, the EOS logit lowered by 1000 elsewhere). Both follow the slot
+    alone, so a turn decodes alike in any batch."""
+    n_s = len(model.ontology)
+    gates = np.array([g for g, _ in plan])
+    stops = np.array([k for _, k in plan])
+    eos = model.vocab.id(EOS)
+    gate_logits, output_logits = model._gate_logits, model._output_logits
+    j = 0  # the decoder step: output-head calls since the decode's gate
+
+    def rigged_gate(step):
+        nonlocal j
+        j = 0
+        bias = np.where(np.arange(3) == gates[step.rows % n_s][:, None], 100.0, -100.0)
+        return ad.add(gate_logits(step), ad.Node(bias))
+
+    def rigged_output(batch, step):
+        nonlocal j
+        vocab_logits, gen_logits = output_logits(batch, step)
+        stop = stops[step.rows % n_s] == j
+        j += 1
+        bias = np.zeros(vocab_logits.shape)
+        bias[:, eos] = np.where(stop, 1e3, -1e3)
+        return (ad.add(vocab_logits, ad.Node(bias)),
+                ad.add(gen_logits, ad.Node(np.where(stop, 1e4, 0.0)[:, None])))
+
+    model._gate_logits, model._output_logits = rigged_gate, rigged_output
+
+
 def test_greedy_decode_batch_matches_single():
-    model = tiny_model()
     d = tiny_dialogue()
+    mixed = mixed_model()
+    rig_decoder(mixed, MIXED_PLAN)
+    for model in (tiny_model(), mixed):
+        gates, words = model._greedy_decode(model.prepare_batch([(d, 0), (d, 1)]))
+        for turn in range(2):
+            [want_gates], [want_words] = model._greedy_decode(model.prepare_batch([(d, turn)]))
+            for gate, want_gate in zip(gates[turn], want_gates, strict=True):
+                np.testing.assert_allclose(gate.probs, want_gate.probs, atol=1e-12)
+            assert words[turn] == want_words
+    # the rigged case mixes all three gates, and its ptr rows end at three steps
+    for turn_gates, turn_words in zip(gates, words):
+        assert [GATE_CLASSES.index(g.label) for g in turn_gates] == [g for g, _ in MIXED_PLAN]
+        assert [len(w) for w in turn_words] == [1, 0, 3, 0, 5]
+
+
+def count_decoder_rows(monkeypatch, model):
+    """Rows per call through GruCell.step and through the model's output
+    heads (the vocabulary logits and p_gen)."""
+    gru_rows, head_rows = [], []
+    gru_step, output_logits = ad.GruCell.step, model._output_logits
+
+    def counting_step(cell, x, h):
+        gru_rows.append(x.shape[0])
+        return gru_step(cell, x, h)
+
+    def counting_heads(batch, step):
+        head_rows.append(step.rows.size)
+        return output_logits(batch, step)
+
+    monkeypatch.setattr(ad.GruCell, "step", counting_step)
+    model._output_logits = counting_heads
+    return gru_rows, head_rows
+
+
+def test_greedy_decode_steps_only_live_rows(monkeypatch):
+    """After the first step, which computes every row's gate, the decoder
+    steps only the ptr rows that have not emitted EOS, and no other row
+    reaches the vocabulary head."""
+    d = tiny_dialogue()
+    for gate in (GATE_NONE, GATE_DONTCARE):
+        model = tiny_model()
+        force_gate(model, gate)
+        gru_rows, head_rows = count_decoder_rows(monkeypatch, model)
+        gates, words = model._greedy_decode(model.prepare_batch([(d, 0), (d, 1)]))
+        assert gru_rows == [4] and sum(head_rows) == 0
+        assert all(g.label == GATE_CLASSES[gate] for turn in gates for g in turn)
+        assert words == [[[], []], [[], []]]
+
+    model = mixed_model()
+    rig_decoder(model, MIXED_PLAN)
+    gru_rows, head_rows = count_decoder_rows(monkeypatch, model)
     gates, words = model._greedy_decode(model.prepare_batch([(d, 0), (d, 1)]))
-    for turn in range(2):
-        [want_gates], [want_words] = model._greedy_decode(model.prepare_batch([(d, turn)]))
-        for gate, want_gate in zip(gates[turn], want_gates, strict=True):
-            np.testing.assert_allclose(gate.probs, want_gate.probs, atol=1e-12)
-        assert words[turn] == want_words
+    ptr_lengths = [len(w) for turn_gates, turn_words in zip(gates, words)
+                   for g, w in zip(turn_gates, turn_words) if g.label == "ptr"]
+    assert sorted(ptr_lengths) == [1, 1, 3, 3, 5, 5]
+    # a ptr row is live from step 0 through the step that emits its EOS (or the cap)
+    live = [sum(n >= j for n in ptr_lengths) for j in range(model.max_value_len)]
+    assert head_rows == live == [6, 6, 4, 4, 2]
+    assert gru_rows == [10] + live[1:]
+
+
+def full_width_decode(model, batch):
+    """Reference greedy decode: every (example, slot) row steps until all
+    rows have emitted EOS (or the length cap), and each step takes the
+    argmax of the dense copy_mixture over all rows."""
+    n_b, n_s = len(batch.contexts), len(model.ontology)
+    eos = model.vocab.id(EOS)
+    n_oov = max(ctx.n_oov for ctx in batch.contexts)
+    rows = np.arange(n_b * n_s)
+    x, h = model._decoder_init(batch)
+    words = [[[] for _ in range(n_s)] for _ in range(n_b)]
+    done = np.zeros(rows.size, dtype=bool)
+    for j in range(model.max_value_len):
+        step = model._decode_step(batch, x, h, rows)
+        if j == 0:
+            probs = ad.softmax(model._gate_logits(step), axis=1).value
+        vocab_logits, gen_logits = model._output_logits(batch, step)
+        mixture = copy_mixture(ad.softmax(vocab_logits, axis=1), step.attn,
+                               ad.sigmoid(gen_logits), batch.row_ext_ids, len(model.vocab),
+                               n_oov)
+        choice = np.argmax(mixture.value, axis=1)
+        for r in rows[~done & (choice != eos)]:
+            i, s = divmod(int(r), n_s)
+            words[i][s].append(model._token_for(batch.contexts[i], int(choice[r])))
+        done |= choice == eos
+        if done.all():
+            break
+        x, h = model._feed(batch, np.where(done, eos, choice)), step.h
+    gates = [[SlotGateDecision(p) for p in turn] for turn in probs.reshape(n_b, n_s, -1)]
+    return gates, words
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_prediction_matches_full_width_decode_on_infer_woz(monkeypatch, seed):
+    """On one group of the benchmark's MultiWOZ-shaped corpus (|V| ~ 6k,
+    400-dim, untrained), predict_instances equals the full-width reference
+    decode."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import wozgen
+
+    dialogues, ontology, groups = wozgen.generate(seed)
+    model = DstModel(build_vocabulary(dialogues), ontology, seed=seed)
+    group = groups[0]
+    predicted = [p.predicted for p in predict_instances(model, group)]
+    with ad.no_grad():  # predict_instances runs a 16-turn group as one batch
+        gates, words = full_width_decode(model, model.prepare_batch(turn_instances(group)))
+    assert predicted == [model._assemble_state(g, w) for g, w in zip(gates, words)]
 
 
 def test_batch_freed_without_cycle_collection():
@@ -216,25 +418,30 @@ def test_batch_freed_without_cycle_collection():
         gc.enable()
 
 
-def record_final_distributions(model):
-    """Collect every final distribution greedy decoding builds, one
-    (rows x (|V| + n_oov)) matrix per decoder step."""
-    finals = []
-    final_distribution = model._final_distribution
+def record_mixtures(model):
+    """Collect the copy_mixture of every decoder step greedy decoding runs,
+    built from the step's outputs: one (live rows x (|V| + n_oov)) matrix
+    per step."""
+    mixtures = []
+    output_logits = model._output_logits
 
-    def recording(*args):
-        final = final_distribution(*args)
-        finals.append(final)
-        return final
+    def recording(batch, step):
+        vocab_logits, gen_logits = output_logits(batch, step)
+        mixtures.append(copy_mixture(
+            ad.softmax(vocab_logits, axis=1), step.attn, ad.sigmoid(gen_logits),
+            batch.row_ext_ids[step.rows], len(model.vocab),
+            max(ctx.n_oov for ctx in batch.contexts)))
+        return vocab_logits, gen_logits
 
-    model._final_distribution = recording
-    return finals
+    model._output_logits = recording
+    return mixtures
 
 
 def test_generator_steps_are_simplexes_for_arbitrary_parameters():
     for seed in range(3):
         model = tiny_model(seed=seed)
-        finals = record_final_distributions(model)
+        force_gate(model, GATE_PTR)  # only ptr rows reach the output heads
+        finals = record_mixtures(model)
         batch = model.prepare_batch([(tiny_dialogue(), 1)])
         model._greedy_decode(batch)
         assert finals
@@ -282,8 +489,9 @@ def test_copy_path_emits_oov_surface_token():
     batch = model.prepare_batch([(d, 1)])
     ctx = batch.contexts[0]
     assert ctx.oov_surfaces == ["flurb"]
-    finals = record_final_distributions(model)
-    _, [words] = model._greedy_decode(batch)
+    finals = record_mixtures(model)
+    [gates], [words] = model._greedy_decode(batch)
+    assert [gate.label for gate in gates] == ["ptr", "ptr"]
     emitted = set(words[model.ontology.domain_slots.index(("hotel", "price"))])
     assert emitted <= set(ctx.tokens)  # copy-only can emit context tokens only
     assert finals
