@@ -349,41 +349,32 @@ def embedding_lookup(table, indices) -> Node:
     return _op("embedding_lookup", value, (table,), backward)
 
 
-def cross_entropy_rows(logits, targets, mask=None) -> Node:
-    """Sum of per-row cross entropies for a matrix of logits.
-
-    ``targets`` holds one class id per row; ``mask`` (optional, 0/1 per row)
-    drops rows from the sum without changing shapes.
-    """
+def cross_entropy_rows(logits, targets) -> Node:
+    """Sum of per-row cross entropies for a matrix of logits; ``targets``
+    holds one class id per row, and every row counts."""
     logits = as_node(logits)
     if logits.value.ndim != 2:
         raise ShapeError(f"cross_entropy_rows: expected 2-d logits, got {logits.shape}")
     t = np.asarray(targets, dtype=np.intp)
     if t.shape != (logits.shape[0],):
         raise ShapeError(f"cross_entropy_rows: {t.shape} targets for logits {logits.shape}")
-    m = mask if mask is None else np.asarray(mask, dtype=logits.value.dtype)
     x = logits.value
     mx = x.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.exp(x - mx).sum(axis=1))
     rows = np.arange(x.shape[0])
-    losses = lse - x[rows, t]
-    if m is not None:
-        losses = losses * m
-    value = losses.sum()
+    value = (lse - x[rows, t]).sum()
 
     def backward(g):
         if logits.requires_grad:
             p = np.exp(x - lse[:, None])
             p[rows, t] -= 1.0
-            if m is not None:
-                p *= m[:, None]
             logits.accumulate(g * p)
 
     return _op("cross_entropy_rows", value, (logits,), backward)
 
 
-def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids, copy_mask,
-                  mask=None) -> Node:
+def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids,
+                  copy_mask) -> Node:
     """Sum over rows of -log p(target) under a pointer-generator mixture,
     computed in log space from the logits.
 
@@ -400,7 +391,7 @@ def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids, copy
     vocabulary (an extended id) has no generation term, and a target no
     position votes for has no copy term: that term is -inf, with a gradient
     weight of exactly 0. Neither term underflows the way a probability does.
-    ``mask`` (optional, 0/1 per row) drops rows from the sum.
+    Every row counts: a caller scores a subset by passing only its rows.
     """
     vocab_logits, copy_logits = as_node(vocab_logits), as_node(copy_logits)
     gen_logits = as_node(gen_logits)
@@ -416,7 +407,6 @@ def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids, copy
                          f"{ids.shape} copy ids, {keep.shape} copy mask")
     if not keep.any(axis=1).all():
         raise ShapeError("copy_nll_rows: a row has no copy position")
-    m = mask if mask is None else np.asarray(mask, dtype=v.dtype)
     rows = np.arange(n)
     g = gen_logits.value[:, 0]
 
@@ -443,31 +433,22 @@ def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids, copy
         h_sum = h_exp.sum(axis=1)
         copy = (h_max + np.log(h_sum)) - (e_max[:, 0] + np.log(e_sum)) - np.logaddexp(0.0, g)
         log_p = np.logaddexp(gen, copy)
-        losses = -log_p
-        if m is not None:  # inf * 0 on an unscorable row the mask drops
-            losses = np.where(m != 0, losses * m, 0.0)
-    value = losses.sum()
+    value = -log_p.sum()
 
     def backward(grad):
-        # each term's share of p(y); rows the mask drops may hold -inf - -inf
-        with np.errstate(invalid="ignore"):
-            w_gen = np.exp(gen - log_p)
-            w_copy = np.exp(copy - log_p)
-        c = grad
-        if m is not None:
-            w_gen = np.where(m != 0, w_gen, 0.0)
-            w_copy = np.where(m != 0, w_copy, 0.0)
-            c = grad * m
+        # each term's share of p(y)
+        w_gen = np.exp(gen - log_p)
+        w_copy = np.exp(copy - log_p)
         if vocab_logits.requires_grad:
             gv = v_exp / v_sum[:, None]
             gv[rows[in_vocab], y[in_vocab]] -= 1.0
-            vocab_logits.accumulate((c * w_gen)[:, None] * gv)
+            vocab_logits.accumulate((grad * w_gen)[:, None] * gv)
         if copy_logits.requires_grad:
             attn = e_exp / e_sum[:, None]
             hit_attn = h_exp / np.where(has, h_sum, 1.0)[:, None]
-            copy_logits.accumulate((c * w_copy)[:, None] * (attn - hit_attn))
+            copy_logits.accumulate((grad * w_copy)[:, None] * (attn - hit_attn))
         if gen_logits.requires_grad:
-            gen_logits.accumulate((c * (_sigmoid(g) - w_gen))[:, None])
+            gen_logits.accumulate((grad * (_sigmoid(g) - w_gen))[:, None])
 
     return _op("copy_nll_rows", value, (vocab_logits, copy_logits, gen_logits), backward)
 
@@ -628,7 +609,8 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     the same arrangement with hidden states aligned to input positions. Each
     sequence starts from row i of ``h0`` (a node, one row per sequence, which
     receives the gradient of the start states) or, without ``h0``, from
-    zeros. The LM and the encoder run whole sequences from zeros; the decoder
+    zeros. The LM and the encoder run whole sequences from zeros, the
+    teacher-forced decoder from the encoder's final states; greedy decoding
     runs one step as length-1 sequences from its previous states. States
     equal those of running a sequence alone up to float rounding only: BLAS
     may sum stacked rows in another order for another batch shape, so an

@@ -57,9 +57,8 @@ class LanguageModel:
         ids = np.asarray(token_ids, dtype=np.intp)
         if ids.shape != (f.shape[0],):
             raise ad.ShapeError(f"lm loss: {ids.shape} token ids for {f.shape[0]} rows")
-        offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
-        rows_f = np.concatenate([off + np.arange(n - 1)
-                                 for off, n in zip(offsets, lengths)]).astype(np.intp)
+        # every stacked row but each sequence's last
+        rows_f = np.delete(np.arange(ids.size), np.cumsum(lengths) - 1)
         if not rows_f.size:
             return ad.Node(0.0)
         next_ce = ad.cross_entropy_rows(

@@ -10,12 +10,15 @@ forms the vocabulary has never seen.
 
 Turn instances of a micro-batch run through stacked graphs purely for
 throughput: one embedding table build, batched recurrences over the stacked
-contexts, and a decoder whose every step runs once over its (example, slot)
-rows. Attention reads the encoder states zero-padded to (B, t_max, d) under
-a length mask, grouped by example. Training steps every row and scores only
-its target, in log space (:func:`lmdst.autodiff.copy_nll_rows`). Greedy
-prediction decodes only what it reads: the first step computes every row's
-gate, and from then on only the ptr rows that have not emitted EOS step.
+contexts, and a decoder over the (example, slot) rows. Attention reads the
+encoder states zero-padded to (B, t_max, d) under a length mask, grouped by
+example. Training is teacher-forced, so every decoder input is known up
+front: the decoder GRU runs once over all rows as sequences of their own
+target lengths, attention and the output heads run once over every step of
+every row, and one log-space loss scores each target
+(:func:`lmdst.autodiff.copy_nll_rows`). Greedy prediction decodes only what
+it reads, one step at a time: the first step computes every row's gate, and
+from then on only the ptr rows that have not emitted EOS step.
 Each step's argmax compares a row's best generation column with its few
 context columns (:func:`copy_argmax`) instead of building the full mixture.
 Results equal those of a batch of one up to float rounding only: BLAS may
@@ -83,18 +86,20 @@ class BatchContext:
 
 
 class DecodeStep(NamedTuple):
-    """One decoder step of the (example, slot) rows it ran; every node has
-    one row per entry of ``rows``."""
+    """Decoder steps of (example, slot) rows; every node has one row per
+    entry of ``rows``. Greedy decoding holds one step of the rows it ran;
+    the teacher-forced loss holds every step of every row, a row's steps in
+    order and back to back."""
 
-    rows: np.ndarray       # decoder rows (example * |slots| + slot), ascending
-    x: ad.Node             # the step's inputs
-    h: ad.Node             # new decoder states
+    rows: np.ndarray       # decoder row (example * |slots| + slot) of each entry, ascending
+    x: ad.Node             # the decoder inputs
+    h: ad.Node             # the decoder states they step to
     attn_logits: ad.Node   # rows x t_max, 0 outside the row's context
     attn: ad.Node          # masked softmax of ``attn_logits``
     context_vec: ad.Node   # attention-weighted encoder states
 
     def take(self, keep: np.ndarray) -> "DecodeStep":
-        """The step restricted to its rows at positions ``keep``."""
+        """The entries at positions ``keep``."""
         return DecodeStep(self.rows[keep],
                           *(ad.embedding_lookup(node, keep) for node in self[1:]))
 
@@ -204,13 +209,13 @@ class Encoder:
         :func:`lmdst.autodiff.gru_sequence_batch`); the final state of
         sequence i is its last forward state plus its first backward state.
         """
-        offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
+        lens = np.asarray(lengths, dtype=np.intp)
+        offsets = np.cumsum(lens) - lens
         f = ad.gru_sequence_batch(self.fwd, xs, lengths)
         b = ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True)
         hiddens = ad.add(f, b)
-        last_rows = np.array([off + n - 1 for off, n in zip(offsets, lengths)], dtype=np.intp)
-        first_rows = offsets.astype(np.intp)
-        finals = ad.add(ad.embedding_lookup(f, last_rows), ad.embedding_lookup(b, first_rows))
+        finals = ad.add(ad.embedding_lookup(f, offsets + lens - 1),
+                        ad.embedding_lookup(b, offsets))
         return hiddens, finals
 
 
@@ -326,23 +331,22 @@ class DstModel:
         h = ad.embedding_lookup(batch.final_all, np.repeat(np.arange(n_b), n_s))
         return x, h
 
-    def _decode_step(self, batch: BatchContext, x: ad.Node, h: ad.Node,
-                     rows: np.ndarray) -> DecodeStep:
-        """One copy-augmented step for the decoder rows ``rows`` (ascending
-        row ids example * |slots| + slot; ``x`` and ``h`` hold one row each):
-        the GRU step and attention over each row's own context, grouped by
-        example. The gate and the output heads read the step
+    def _attend(self, batch: BatchContext, x: ad.Node, h: ad.Node,
+                rows: np.ndarray) -> DecodeStep:
+        """Attention of the decoder states ``h`` (stepped from the inputs
+        ``x``) over each one's own context, grouped by example: ``rows``
+        holds the decoder row (example * |slots| + slot) of each state,
+        ascending. The gate and the output heads read the result
         (:meth:`_gate_logits`, :meth:`_output_logits`)."""
-        h = self.decoder_cell.step(x, h)
         per_example = np.bincount(rows // len(self.ontology), minlength=len(batch.contexts))
         attn_logits = ad.bmm(h, batch.hiddens, transpose_b=True, group_rows=per_example)
         attn = ad.masked_softmax(attn_logits, batch.row_mask[rows])
         context_vec = ad.bmm(attn, batch.hiddens, group_rows=per_example)
         return DecodeStep(rows, x, h, attn_logits, attn, context_vec)
 
-    def _gate_logits(self, step: DecodeStep) -> ad.Node:
-        """The rows x 3 gate logits; read on the first step only."""
-        return ad.add(ad.matmul(step.context_vec, self.w_gate), self.b_gate)
+    def _gate_logits(self, context_vec: ad.Node) -> ad.Node:
+        """The rows x 3 gate logits from each row's first-step context vector."""
+        return ad.add(ad.matmul(context_vec, self.w_gate), self.b_gate)
 
     def _output_logits(self, batch: BatchContext, step: DecodeStep) -> tuple[ad.Node, ad.Node]:
         """(rows x |V| vocabulary logits, rows x 1 p_gen logits; p_gen = sigmoid)."""
@@ -393,9 +397,11 @@ class DstModel:
         Per turn, the state-tracking term is the summed token cross entropy
         plus the gate cross entropy, averaged over the turn's slot instances;
         the LM term is the per-sequence sum. Callers divide by the batch size.
-        Each decoder step scores the targets of all (example, slot) rows in
-        one :func:`lmdst.autodiff.copy_nll_rows`; rows whose value has ended
-        are masked out and fed EOS.
+        The decoder is teacher-forced: each (example, slot) row is a sequence
+        of its own target length, whose step 0 reads the slot embedding and
+        step j > 0 target j - 1. One recurrence runs every row to its end,
+        one :func:`lmdst.autodiff.copy_nll_rows` scores every target, and one
+        cross entropy scores the gates on each row's first step.
         """
         batch = self.prepare_batch(instances, rng)
         seqs, gates = [], []
@@ -403,28 +409,24 @@ class DstModel:
             slot_seqs, slot_gates = self._target_ids(ctx, dialogue.turns[turn].gold_state)
             seqs += slot_seqs
             gates += slot_gates
-        max_len = max(len(s) for s in seqs)
-        targets = np.full((len(seqs), max_len), self.vocab.id(EOS), dtype=np.intp)
-        mask = np.zeros((len(seqs), max_len))
-        for r, s in enumerate(seqs):
-            targets[r, :len(s)] = s
-            mask[r, :len(s)] = 1.0
-
-        x, h = self._decoder_init(batch)
-        rows = np.arange(len(seqs))
-        token_total: ad.Node | None = None
-        for j in range(max_len):
-            step = self._decode_step(batch, x, h, rows)
-            h = step.h
-            if j == 0:
-                gate_total = ad.cross_entropy_rows(self._gate_logits(step), gates)
-            vocab_logits, gen_logits = self._output_logits(batch, step)
-            nll = ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits,
-                                   targets[:, j], batch.row_ext_ids, batch.row_mask,
-                                   mask[:, j])
-            token_total = nll if token_total is None else ad.add(token_total, nll)
-            if j + 1 < max_len:
-                x = self._feed(batch, targets[:, j])
+        lens = np.array([len(s) for s in seqs], dtype=np.intp)
+        targets = np.concatenate(seqs)
+        starts = np.cumsum(lens) - lens
+        rows = np.repeat(np.arange(lens.size), lens)
+        # Step 0 of row r reads row r of the slot embeddings; step j > 0 reads
+        # target j - 1, fed row pos - r - 1 (a row's last target is never fed).
+        x0, h0 = self._decoder_init(batch)
+        fed = self._feed(batch, np.delete(targets, starts + lens - 1))
+        pos = np.arange(targets.size)
+        x = ad.embedding_lookup(ad.concat(x0, fed),
+                                np.where(pos == starts[rows], rows, lens.size + pos - rows - 1))
+        step = self._attend(batch, x, ad.gru_sequence_batch(self.decoder_cell, x, lens, h0=h0),
+                            rows)
+        gate_total = ad.cross_entropy_rows(
+            self._gate_logits(ad.embedding_lookup(step.context_vec, starts)), gates)
+        vocab_logits, gen_logits = self._output_logits(batch, step)
+        token_total = ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits, targets,
+                                       batch.row_ext_ids[rows], batch.row_mask[rows])
         dst_sum = ad.scale(ad.add(token_total, gate_total), 1.0 / len(self.ontology))
         if batch.lm_states is None:
             return dst_sum, ad.Node(0.0)
@@ -451,8 +453,8 @@ class DstModel:
         n_b, n_s = len(batch.contexts), len(self.ontology)
         eos = self.vocab.id(EOS)
         x, h = self._decoder_init(batch)
-        step = self._decode_step(batch, x, h, np.arange(n_b * n_s))
-        probs = ad.softmax(self._gate_logits(step), axis=1).value
+        step = self._attend(batch, x, self.decoder_cell.step(x, h), np.arange(n_b * n_s))
+        probs = ad.softmax(self._gate_logits(step.context_vec), axis=1).value
         gates = [[SlotGateDecision(p.copy()) for p in turn]
                  for turn in probs.reshape(n_b, n_s, -1)]
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
@@ -473,8 +475,9 @@ class DstModel:
                 words[i][s].append(self._token_for(batch.contexts[i], c))
             if not going.size or j + 1 == self.max_value_len:
                 break
-            step = self._decode_step(batch, self._feed(batch, choice[going]),
-                                     ad.embedding_lookup(step.h, going), step.rows[going])
+            x = self._feed(batch, choice[going])
+            h = self.decoder_cell.step(x, ad.embedding_lookup(step.h, going))
+            step = self._attend(batch, x, h, step.rows[going])
         return gates, words
 
     def _assemble_state(self, gates: list[SlotGateDecision],

@@ -160,16 +160,18 @@ def test_fd_cross_entropy_rows_and_nll(seed):
     store = ad.ParameterStore(seed)
     logits = make_param(store, "logits", (5, 7), rng)
     targets = rng.integers(0, 7, size=5)
-    mask = rng.integers(0, 2, size=5).astype(float)
+    kept = np.flatnonzero(rng.integers(0, 2, size=5))  # the rows scored, maybe none
     copy_logits = make_param(store, "copy_logits", (5, 3), rng)
     gen_logits = make_param(store, "gen_logits", (5, 1), rng)
     copy_ids = np.tile(targets[:, None], 3)
     copy_ids[:, 1] = rng.integers(0, 7, size=5)
 
     def loss():
-        ce = ad.cross_entropy_rows(logits, targets, mask)
-        nll = ad.copy_nll_rows(logits, copy_logits, gen_logits, targets, copy_ids,
-                               np.ones((5, 3), dtype=bool), mask)
+        rows = ad.embedding_lookup(logits, kept)
+        ce = ad.cross_entropy_rows(rows, targets[kept])
+        nll = ad.copy_nll_rows(rows, ad.embedding_lookup(copy_logits, kept),
+                               ad.embedding_lookup(gen_logits, kept), targets[kept],
+                               copy_ids[kept], np.ones((kept.size, 3), dtype=bool))
         return ad.add(ce, nll)
 
     _fd_case(loss, [logits], seed)
@@ -273,7 +275,7 @@ def test_masked_softmax_zeroes_the_padding():
 @pytest.mark.parametrize("seed", range(8))
 def test_fd_copy_nll_rows(seed):
     """Padded rows, an extended (copy-only) target, a vocabulary target no
-    position holds, and rows dropped by the mask."""
+    position holds, and a subset of the rows scored."""
     rng = np.random.default_rng(740 + seed)
     store = ad.ParameterStore(seed)
     vocab = make_param(store, "vocab", (5, 6), rng)
@@ -282,10 +284,11 @@ def test_fd_copy_nll_rows(seed):
     keep = np.arange(4) < np.array([4, 2, 3, 1, 4])[:, None]
     ids = np.array([[6, 1, 6, 2], [6, 3, 0, 0], [1, 7, 6, 0], [6, 0, 0, 0], [2, 2, 5, 6]])
     targets = np.array([6, 3, 4, 6, 2])  # row 2: 4 is held by no position
-    mask = np.array([1.0, 1.0, 1.0, 1.0, float(seed % 2)])
+    kept = np.arange(5 if seed % 2 else 4)  # odd seeds score the last row too
 
     def loss():
-        return ad.copy_nll_rows(vocab, copy, gen, targets, ids, keep, mask)
+        return ad.copy_nll_rows(*(ad.embedding_lookup(p, kept) for p in (vocab, copy, gen)),
+                                targets[kept], ids[kept], keep[kept])
 
     _fd_case(loss, store.parameters(), seed)
 

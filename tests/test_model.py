@@ -270,11 +270,13 @@ def rig_decoder(model, plan):
     gate_logits, output_logits = model._gate_logits, model._output_logits
     j = 0  # the decoder step: output-head calls since the decode's gate
 
-    def rigged_gate(step):
+    def rigged_gate(context_vec):
         nonlocal j
         j = 0
-        bias = np.where(np.arange(3) == gates[step.rows % n_s][:, None], 100.0, -100.0)
-        return ad.add(gate_logits(step), ad.Node(bias))
+        # greedy decoding reads the gate of every row, in row order
+        slots = np.arange(context_vec.shape[0]) % n_s
+        bias = np.where(np.arange(3) == gates[slots][:, None], 100.0, -100.0)
+        return ad.add(gate_logits(context_vec), ad.Node(bias))
 
     def rigged_output(batch, step):
         nonlocal j
@@ -364,9 +366,9 @@ def full_width_decode(model, batch):
     words = [[[] for _ in range(n_s)] for _ in range(n_b)]
     done = np.zeros(rows.size, dtype=bool)
     for j in range(model.max_value_len):
-        step = model._decode_step(batch, x, h, rows)
+        step = model._attend(batch, x, model.decoder_cell.step(x, h), rows)
         if j == 0:
-            probs = ad.softmax(model._gate_logits(step), axis=1).value
+            probs = ad.softmax(model._gate_logits(step.context_vec), axis=1).value
         vocab_logits, gen_logits = model._output_logits(batch, step)
         mixture = copy_mixture(ad.softmax(vocab_logits, axis=1), step.attn,
                                ad.sigmoid(gen_logits), batch.row_ext_ids, len(model.vocab),
@@ -543,12 +545,13 @@ def test_copy_nll_rows_is_minus_log_of_the_mixture():
     v, n_oov = 7, 2
     for _ in range(20):
         vl, cl, gl, targets, ids, keep = copy_nll_case(rng, v=v, n_oov=n_oov)
-        row_mask = rng.integers(0, 2, size=len(targets)).astype(float)
+        kept = np.flatnonzero(rng.integers(0, 2, size=len(targets)))  # the rows scored
         mixture = copy_mixture(ad.softmax(ad.Node(vl), axis=1),
                                ad.masked_softmax(ad.Node(cl), keep),
                                ad.sigmoid(ad.Node(gl)), ids, v, n_oov).value
-        want = -(np.log(mixture[np.arange(len(targets)), targets]) * row_mask).sum()
-        got = float(ad.copy_nll_rows(vl, cl, gl, targets, ids, keep, row_mask).value)
+        want = -np.log(mixture[kept, targets[kept]]).sum()
+        got = float(ad.copy_nll_rows(vl[kept], cl[kept], gl[kept], targets[kept], ids[kept],
+                                     keep[kept]).value)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -710,14 +713,107 @@ def graph_size(*roots):
 
 
 def test_batch_loss_graph_size_is_independent_of_batch():
-    """Each decoder step runs once over all (example, slot) rows, so four
-    turns whose longest targets are as long as one turn's build exactly as
-    many graph nodes as that turn alone: no per-example loop."""
+    """The decoder runs once over all (example, slot) rows and all their
+    steps, so four turns build exactly as many graph nodes as one turn
+    alone: no per-example or per-step loop."""
     model = tiny_model()
     d = tiny_dialogue()
     one = graph_size(*model.batch_loss([(d, 1)]))
     four = graph_size(*model.batch_loss([(d, 0), (d, 1), (d, 1), (d, 0)]))
     assert one == four
+
+
+def test_batch_loss_runs_the_decoder_as_one_sequence(monkeypatch):
+    """Teacher forcing knows every decoder input up front: batch_loss runs
+    the decoder GRU once, each (example, slot) row to its own target length,
+    and takes no single GRU step."""
+    model = tiny_model()
+    d = tiny_dialogue()
+    calls, steps = [], []
+    gru, gru_step = ad.gru_sequence_batch, ad.GruCell.step
+
+    def counting(cell, xs, lengths, *args, **kwargs):
+        calls.append((cell, list(lengths)))
+        return gru(cell, xs, lengths, *args, **kwargs)
+
+    def counting_step(cell, x, h):
+        steps.append(cell)
+        return gru_step(cell, x, h)
+
+    monkeypatch.setattr(ad, "gru_sequence_batch", counting)
+    monkeypatch.setattr(ad.GruCell, "step", counting_step)
+    model.batch_loss([(d, 0), (d, 1)])
+    assert steps == []
+    # turn 0: area "east" + EOS, price absent (EOS); turn 1: both valued
+    assert [lengths for cell, lengths in calls if cell is model.decoder_cell] == [[2, 1, 2, 2]]
+
+
+def oov_dialogue():
+    """Targets of 1 (absent), 2 (dontcare) and 3 (two words) tokens, one of
+    the words copied from a context token the vocabulary lacks."""
+    turns = [
+        DialogueTurn(0, "", "i want flurb cheap price .",
+                     BeliefState({("hotel", "price"): "flurb cheap"})),
+        DialogueTurn(1, "you want flurb cheap price ?", "any area .",
+                     BeliefState({("hotel", "area"): "dontcare",
+                                  ("hotel", "price"): "flurb cheap"})),
+    ]
+    return Dialogue("toy1", {"hotel"}, turns)
+
+
+def stepwise_dst_loss(model, instances, rng):
+    """Reference teacher-forced state-tracking loss, one decoder step at a
+    time: decoder_cell.step and _attend over the rows still running, one
+    copy_nll_rows per step, the gate cross entropy on the first step.
+    Returns the loss and each row's target ids."""
+    batch = model.prepare_batch(instances, rng)
+    seqs, gates = [], []
+    for ctx, (dialogue, turn) in zip(batch.contexts, instances):
+        slot_seqs, slot_gates = model._target_ids(ctx, dialogue.turns[turn].gold_state)
+        seqs += slot_seqs
+        gates += slot_gates
+    x, h = model._decoder_init(batch)
+    rows = np.arange(len(seqs))
+    total = None
+    for j in range(max(len(seq) for seq in seqs)):
+        step = model._attend(batch, x, model.decoder_cell.step(x, h), rows)
+        if j == 0:
+            total = ad.cross_entropy_rows(model._gate_logits(step.context_vec), gates)
+        targets = np.array([seqs[r][j] for r in rows])
+        vocab_logits, gen_logits = model._output_logits(batch, step)
+        total = ad.add(total, ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits,
+                                               targets, batch.row_ext_ids[rows],
+                                               batch.row_mask[rows]))
+        going = np.flatnonzero([len(seqs[r]) > j + 1 for r in rows])
+        rows = rows[going]
+        x, h = model._feed(batch, targets[going]), ad.embedding_lookup(step.h, going)
+    return ad.scale(total, 1.0 / len(model.ontology)), seqs
+
+
+def test_batch_loss_matches_stepwise_reference():
+    """The one-sequence decoder gives the loss and every parameter gradient
+    of stepping the live rows one step at a time, with dropout on (the same
+    seed on both sides), mixed target lengths and an OOV copy target."""
+    model = tiny_model(dropout=0.3, word_dropout=0.2)
+    instances = [(oov_dialogue(), 0), (oov_dialogue(), 1)]
+    params = model.store.parameters()
+
+    def gradients(loss):
+        model.store.zero_grad()
+        ad.backward(loss)
+        return [p.grad for p in params]
+
+    want, seqs = stepwise_dst_loss(model, instances, np.random.default_rng(3))
+    got = model.batch_loss(instances, np.random.default_rng(3))[0]
+    assert sorted({len(seq) for seq in seqs}) == [1, 2, 3]
+    assert any(t >= len(model.vocab) for seq in seqs for t in seq)  # a copied OOV
+    assert got.value != model.batch_loss(instances)[0].value  # dropout is on
+    assert float(got.value) == pytest.approx(float(want.value), rel=1e-12)
+    want_grads, got_grads = gradients(want), gradients(got)
+    for p, g, w in zip(params, got_grads, want_grads, strict=True):
+        assert (g is None) == (w is None), p.name
+        if g is not None:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=p.name)
 
 
 def test_batched_prediction_matches_single():
