@@ -100,11 +100,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(n_dialogues=args.dialogues, n_domains=args.domains,
-                      n_slots_per_domain=args.slots_per_domain,
-                      vocab_size=args.vocab_size, max_turns=args.max_turns,
-                      seed=args.seed if args.seed is not None else 13,
-                      dontcare_rate=args.dontcare_rate)
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)
+             if getattr(args, f.name) is not None}
+    cfg = dataclasses.replace(SynthConfig(), **given)
     dialogues, ontology = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,17 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="generator seed (default 13)")
-    p.add_argument("--dialogues", type=int, default=500, help="number of dialogues")
-    p.add_argument("--domains", type=int, default=5, help="number of domains")
-    p.add_argument("--slots-per-domain", type=int, default=3, dest="slots_per_domain",
-                   help="slots per domain")
-    p.add_argument("--vocab-size", type=int, default=150, dest="vocab_size",
-                   help="value-word pool size")
-    p.add_argument("--max-turns", type=int, default=4, dest="max_turns",
-                   help="maximum turns per dialogue")
-    p.add_argument("--dontcare-rate", type=float, default=0.0, dest="dontcare_rate",
-                   help="fraction of slot mentions that are dontcare")
+    # Each flag's dest is a SynthConfig field; a flag not given keeps its default.
+    for flag, dest, text in (
+            ("--seed", "seed", "generator seed"),
+            ("--dialogues", "n_dialogues", "number of dialogues"),
+            ("--domains", "n_domains", "number of domains"),
+            ("--slots-per-domain", "n_slots_per_domain", "slots per domain"),
+            ("--vocab-size", "vocab_size", "value-word pool size"),
+            ("--max-turns", "max_turns", "maximum turns per dialogue"),
+            ("--dontcare-rate", "dontcare_rate", "fraction of slot mentions that are dontcare")):
+        default = getattr(SynthConfig, dest)
+        p.add_argument(flag, type=type(default), dest=dest, help=f"{text} (default {default})")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model, persist the best checkpoint")

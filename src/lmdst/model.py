@@ -46,7 +46,12 @@ from .lm import LanguageModel
 GATE_CLASSES = ("ptr", "none", "dontcare")
 GATE_PTR, GATE_NONE, GATE_DONTCARE = 0, 1, 2
 
-DEFAULT_MAX_VALUE_LEN = 10
+# Constructor arguments a checkpoint records, beside the vocabulary and the
+# ontology. Dropout, word dropout, the embedding freeze and the seed (whose
+# initial values the stored arrays replace) shape only training, so a loaded
+# model takes their defaults.
+CHECKPOINT_FIELDS = ("hidden_dim", "embedding_dim", "tagging", "lm_enabled",
+                     "max_value_len")
 
 
 @dataclass
@@ -226,7 +231,7 @@ class DstModel:
                  hidden_dim: int = 400, embedding_dim: int = 400,
                  tagging: bool = True, lm_enabled: bool = True,
                  dropout: float = 0.2, word_dropout: float = 0.15,
-                 max_value_len: int = DEFAULT_MAX_VALUE_LEN,
+                 max_value_len: int = 10,
                  freeze_word_embeddings: bool = False, seed: int = 0):
         if hidden_dim != embedding_dim:
             raise ValueError("hidden_dim must equal embedding_dim (states are summed "
@@ -263,6 +268,16 @@ class DstModel:
                 for i in ids:
                     m[s, i] += 1.0 / len(ids)
         self._slot_token_avg = m
+
+    @classmethod
+    def from_config(cls, vocab: Vocabulary, ontology: Ontology, config) -> "DstModel":
+        """The model a :class:`lmdst.training.TrainConfig` describes."""
+        return cls(vocab, ontology,
+                   hidden_dim=config.hidden_dim, embedding_dim=config.embedding_dim,
+                   tagging=config.tagging_enabled, lm_enabled=config.lm_enabled,
+                   dropout=config.dropout, word_dropout=config.word_dropout,
+                   max_value_len=config.max_value_len,
+                   freeze_word_embeddings=config.freeze_embeddings, seed=config.seed)
 
     # -- forward pieces ----------------------------------------------------
 
@@ -512,11 +527,7 @@ class DstModel:
         return {
             "vocab": self.vocab.content_tokens(),
             "ontology": [f"{d}-{s}" for d, s in self.ontology.domain_slots],
-            "hidden_dim": self.hidden_dim,
-            "embedding_dim": self.embedding_dim,
-            "tagging": self.tagging,
-            "lm_enabled": self.lm_enabled,
-            "max_value_len": self.max_value_len,
+            **{name: getattr(self, name) for name in CHECKPOINT_FIELDS},
         }
 
     def save(self, path) -> None:
@@ -525,19 +536,14 @@ class DstModel:
     @classmethod
     def load(cls, path) -> "DstModel":
         arrays, meta = ad.load_checkpoint(path)
-        required = {"vocab", "ontology", "hidden_dim", "embedding_dim",
-                    "tagging", "lm_enabled", "max_value_len"}
-        if not required <= set(meta):
-            raise ad.CheckpointError(f"checkpoint {path} missing metadata "
-                                     f"{sorted(required - set(meta))}")
+        missing = [k for k in ("vocab", "ontology", *CHECKPOINT_FIELDS) if k not in meta]
+        if missing:
+            raise ad.CheckpointError(f"checkpoint {path} missing metadata {missing}")
         vocab = Vocabulary(meta["vocab"])
         pairs = []
         for key in meta["ontology"]:
             domain, _, slot = key.partition("-")
             pairs.append((domain, slot))
-        model = cls(vocab, Ontology(pairs),
-                    hidden_dim=meta["hidden_dim"], embedding_dim=meta["embedding_dim"],
-                    tagging=meta["tagging"], lm_enabled=meta["lm_enabled"],
-                    max_value_len=meta["max_value_len"])
+        model = cls(vocab, Ontology(pairs), **{k: meta[k] for k in CHECKPOINT_FIELDS})
         model.store.load_state_dict(arrays)
         return model

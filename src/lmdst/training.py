@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class TrainConfig:
             raise ValueError("max_epochs and patience must be positive")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
+        if self.max_value_len < 1:
+            raise ValueError("max_value_len must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 def load_config_file(path, base: TrainConfig | None = None) -> TrainConfig:
@@ -196,14 +200,7 @@ class TrainReport:
     ablation: str = "full"
 
     def to_json(self) -> dict:
-        return {
-            "ablation": self.ablation,
-            "best_epoch": self.best_epoch,
-            "best_val_joint": self.best_val_joint,
-            "checkpoint_path": self.checkpoint_path,
-            "epochs": [vars(e) for e in self.epochs],
-            "wall_clock_sec": self.wall_clock_sec,
-        }
+        return asdict(self)
 
 
 def split_corpus(dialogues: list[Dialogue], val_fraction: float) -> tuple[list[Dialogue], list[Dialogue]]:
@@ -241,7 +238,10 @@ def predict_instances(model: DstModel, dialogues: list[Dialogue],
     their corpus order, so a corpus of one chunk runs as a single batch in
     that order.
     """
-    from .context import build_context  # local import to keep module load light
+    # Looked up at call time, not imported at module level, so that a patched
+    # lmdst.context.build_context (the benchmark's tracer counts its calls) is
+    # the one that runs.
+    from .context import build_context
     instances = turn_instances(dialogues)
     contexts = [build_context(d, i, tagging=True) for d, i in instances]
     untagged = [c.untagged_length for c in contexts]
@@ -282,13 +282,7 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     if not train_dlgs or not val_dlgs:
         raise ValueError("empty train or validation split")
     vocab = build_vocabulary(train_dlgs, config.min_count)
-    model = DstModel(
-        vocab, ontology,
-        hidden_dim=config.hidden_dim, embedding_dim=config.embedding_dim,
-        tagging=config.tagging_enabled, lm_enabled=config.lm_enabled,
-        dropout=config.dropout, word_dropout=config.word_dropout,
-        max_value_len=config.max_value_len,
-        freeze_word_embeddings=config.freeze_embeddings, seed=config.seed)
+    model = DstModel.from_config(vocab, ontology, config)
     if vectors_path is not None:
         coverage = model.embedding.load_pretrained_vectors(vectors_path)
         log.info("pretrained vectors cover %.1f%% of the vocabulary", coverage * 100)
@@ -298,7 +292,7 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     order_rng = np.random.default_rng(config.seed + 1)
 
     train_inst = turn_instances(train_dlgs)
-    from .context import build_context
+    from .context import build_context  # call-time lookup, as in predict_instances
     inst_lengths = [build_context(d, i, config.tagging_enabled).length
                     for d, i in train_inst]
     report = TrainReport(ablation=ablation_name(config))

@@ -157,3 +157,32 @@ def test_dump_config_roundtrip_defaults(tmp_path, capsys):
     assert main(["dump-config", "--out", str(out)]) == 0
     from lmdst.training import TrainConfig, load_config_file
     assert load_config_file(out) == TrainConfig()
+
+
+@pytest.mark.parametrize("line", ["max_value_len = 0", "learning_rate = -1"])
+def test_bad_config_value_one_line_error(synth_dir, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"hidden_dim = 16\nembedding_dim = 16\nmax_epochs = 1\n{line}\n")
+    key = line.split()[0]
+    code, _, err = run(capsys, "train", "--data", str(synth_dir / "corpus.json"),
+                       "--ontology", str(synth_dir / "ontology.txt"),
+                       "--checkpoint", str(tmp_path / "m.npz"), "--config", str(cfg),
+                       "--quiet")
+    assert code == 1
+    assert err.startswith("error: ValueError: ") and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "m.npz").exists()
+    code, _, err = run(capsys, "dump-config", "--config", str(cfg),
+                       "--out", str(tmp_path / "out.cfg"))
+    assert code == 1 and key in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out.cfg").exists()
+
+
+def test_synth_without_flags_is_the_default_config_corpus(tmp_path):
+    from lmdst.corpus import SynthConfig, generate_synthetic, save_dialogues
+    assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+    dialogues, ontology = generate_synthetic(SynthConfig())
+    save_dialogues(tmp_path / "corpus.json", dialogues)
+    ontology.save(tmp_path / "ontology.txt")
+    for name in ("corpus.json", "ontology.txt"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()

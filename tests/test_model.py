@@ -9,9 +9,9 @@ import pytest
 from lmdst import autodiff as ad
 from lmdst.context import EOS, UNK, Vocabulary, build_context, build_vocabulary
 from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
-from lmdst.model import (GATE_CLASSES, GATE_DONTCARE, GATE_NONE, GATE_PTR, DstModel,
-                         Encoder, SlotGateDecision, copy_argmax, copy_mixture,
-                         extend_context_ids)
+from lmdst.model import (CHECKPOINT_FIELDS, GATE_CLASSES, GATE_DONTCARE, GATE_NONE,
+                         GATE_PTR, DstModel, Encoder, SlotGateDecision, copy_argmax,
+                         copy_mixture, extend_context_ids)
 from lmdst.training import predict_instances, turn_instances
 
 from test_embeddings import dense_char_avg
@@ -892,3 +892,30 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.predict_state(d, 1) == before
     for name in model.store.names():
         assert (loaded.store[name].value == model.store[name].value).all()
+
+
+def test_model_save_load_roundtrip_non_default_fields(tmp_path):
+    model = tiny_model(tagging=False, lm_enabled=False, max_value_len=3)
+    d = tiny_dialogue()
+    path = tmp_path / "model.npz"
+    model.save(path)
+    loaded = DstModel.load(path)
+    assert sorted(model.meta()) == ["embedding_dim", "hidden_dim", "lm_enabled",
+                                    "max_value_len", "ontology", "tagging", "vocab"]
+    for name in CHECKPOINT_FIELDS:
+        assert getattr(loaded, name) == getattr(model, name), name
+    assert (loaded.tagging, loaded.lm_enabled, loaded.max_value_len) == (False, False, 3)
+    assert loaded.meta() == model.meta()
+    for turn in range(len(d.turns)):
+        assert loaded.predict_state(d, turn) == model.predict_state(d, turn)
+
+
+@pytest.mark.parametrize("field", CHECKPOINT_FIELDS)
+def test_checkpoint_missing_field_is_named(tmp_path, field):
+    model = tiny_model()
+    meta = model.meta()
+    del meta[field]
+    path = tmp_path / "model.npz"
+    ad.save_checkpoint(path, model.store.state_dict(), meta)
+    with pytest.raises(ad.CheckpointError, match=field):
+        DstModel.load(path)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -27,10 +29,51 @@ def small_trainer(config=None):
     dialogues, ontology = small_corpus()
     cfg = config or small_config()
     vocab = build_vocabulary(dialogues, cfg.min_count)
-    model = DstModel(vocab, ontology, hidden_dim=cfg.hidden_dim,
-                     embedding_dim=cfg.embedding_dim, dropout=cfg.dropout,
-                     word_dropout=cfg.word_dropout, seed=cfg.seed)
+    model = DstModel.from_config(vocab, ontology, cfg)
     return Trainer(model, cfg), dialogues, ontology
+
+
+# ---------------------------------------------------------------------------
+# config -> model
+# ---------------------------------------------------------------------------
+
+# TrainConfig field -> DstModel keyword, for every field from_config maps
+# except the seed (13 in TrainConfig, 0 in DstModel, on purpose).
+MODEL_FIELDS = {
+    "hidden_dim": "hidden_dim", "embedding_dim": "embedding_dim",
+    "tagging_enabled": "tagging", "lm_enabled": "lm_enabled",
+    "dropout": "dropout", "word_dropout": "word_dropout",
+    "max_value_len": "max_value_len", "freeze_embeddings": "freeze_word_embeddings",
+}
+
+
+def test_model_fields_share_defaults_with_train_config():
+    # infer-style callers build DstModel from its own defaults, fit from
+    # TrainConfig's; the two must describe the same model.
+    params = inspect.signature(DstModel.__init__).parameters
+    config = TrainConfig()
+    for field_name, keyword in MODEL_FIELDS.items():
+        assert getattr(config, field_name) == params[keyword].default, field_name
+
+
+def test_from_config_equals_explicit_construction():
+    dialogues, ontology = small_corpus()
+    vocab = build_vocabulary(dialogues, 1)
+    cfg = TrainConfig(hidden_dim=12, embedding_dim=12, tagging_enabled=False,
+                      lm_enabled=False, dropout=0.3, word_dropout=0.05,
+                      max_value_len=3, freeze_embeddings=True, seed=4)
+    assert all(getattr(cfg, f) != getattr(TrainConfig(), f) for f in MODEL_FIELDS)
+    got = DstModel.from_config(vocab, ontology, cfg)
+    want = DstModel(vocab, ontology, hidden_dim=12, embedding_dim=12, tagging=False,
+                    lm_enabled=False, dropout=0.3, word_dropout=0.05, max_value_len=3,
+                    freeze_word_embeddings=True, seed=4)
+    for attr in ("hidden_dim", "embedding_dim", "tagging", "lm_enabled", "dropout",
+                 "word_dropout", "max_value_len"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    assert got.embedding.freeze_word is want.embedding.freeze_word is True
+    assert got.store.names() == want.store.names()
+    for name in want.store.names():
+        assert np.array_equal(got.store[name].value, want.store[name].value), name
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +381,8 @@ def test_config_validation():
         TrainConfig(delay_update_steps=0).validate()
     with pytest.raises(ValueError):
         TrainConfig(dropout=1.0).validate()
+    with pytest.raises(ValueError, match="max_value_len"):
+        TrainConfig(max_value_len=0).validate()
+    for lr in (0.0, -1.0):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr).validate()
