@@ -188,13 +188,13 @@ def matmul(a, b) -> Node:
     return _op("matmul", value, (a, b), backward)
 
 
-def bmm(a, b, transpose_b: bool = False, group_rows=None) -> Node:
-    """Batched matmul: ``a[i] @ b[i]`` (or ``a[i] @ b[i].T``) for each group i.
+def bmm(a, b, group_rows, transpose_b: bool = False) -> Node:
+    """Grouped matmul: ``a``'s rows of group i times ``b[i]`` (or ``b[i].T``).
 
-    ``b`` is a (G, k, n) stack (G, n, k with ``transpose_b``). ``a`` is a
-    (G, m, k) stack or its (G * m, k) rows, group-major; the result has the
-    rank of ``a``. With ``group_rows`` (G counts, 0 allowed), ``a`` is 2-d
-    and group i owns the next ``group_rows[i]`` of its rows.
+    ``b`` is a (G, k, n) stack (G, n, k with ``transpose_b``). ``a`` holds
+    the (R, k) rows of every group, group-major: group i owns the next
+    ``group_rows[i]`` of them (G counts summing to R, 0 allowed). The result
+    is (R, n).
 
     Each group is one 2-d product on row blocks. BLAS takes a transposed 2-d
     view as it is; ``np.matmul`` on a stack whose matrices are transposed
@@ -202,42 +202,31 @@ def bmm(a, b, transpose_b: bool = False, group_rows=None) -> Node:
     contexts of 405 positions: 24 ms against 2.6 ms on a 2-vCPU Xeon).
     """
     a, b = as_node(a), as_node(b)
-    groups = b.shape[0] if b.value.ndim == 3 else 0
-    k = b.shape[2 if transpose_b else 1] if groups else -1
-    rank = a.value.ndim
-    if group_rows is not None:
-        counts = np.asarray(group_rows, dtype=np.intp)
-    elif groups and rank in (2, 3):
-        counts = np.full(groups, a.shape[1] if rank == 3 else a.shape[0] // groups)
-    else:
-        counts = np.zeros(0, dtype=np.intp)
-    if (not groups or rank not in (2, 3) or a.shape[-1] != k
-            or (rank == 3 and (a.shape[0] != groups or group_rows is not None))
-            or counts.shape != (groups,) or counts.min() < 0
-            or (rank == 2 and counts.sum() != a.shape[0])):
+    counts = np.asarray(group_rows, dtype=np.intp)
+    if (a.value.ndim != 2 or b.value.ndim != 3
+            or a.shape[1] != b.shape[2 if transpose_b else 1]
+            or counts.shape != (b.shape[0],) or (counts < 0).any()
+            or counts.sum() != a.shape[0]):
         raise ShapeError(f"bmm: shapes {a.shape} and {b.shape} do not conform"
                          f"{' (b transposed)' if transpose_b else ''}"
-                         f"{'' if group_rows is None else f' in groups of {counts.tolist()} rows'}")
-    a2 = a.value.reshape(-1, k)
+                         f" in groups of {counts.tolist()} rows")
     b3 = b.value.swapaxes(1, 2) if transpose_b else b.value
     ends = np.cumsum(counts)
     blocks = [(i, int(end - n), int(end)) for i, (n, end) in enumerate(zip(counts, ends)) if n]
-    out = np.empty((a2.shape[0], b3.shape[2]), dtype=np.result_type(a2, b3))
+    value = np.empty((a.shape[0], b3.shape[2]), dtype=np.result_type(a.value, b3))
     for i, lo, hi in blocks:
-        np.matmul(a2[lo:hi], b3[i], out=out[lo:hi])
-    value = out.reshape(*a.shape[:-1], out.shape[1])
+        np.matmul(a.value[lo:hi], b3[i], out=value[lo:hi])
 
     def backward(g):
-        g2 = g.reshape(out.shape)
         if a.requires_grad:
-            ga = np.empty(a2.shape, dtype=out.dtype)
+            ga = np.empty(a.shape, dtype=value.dtype)
             for i, lo, hi in blocks:
-                np.matmul(g2[lo:hi], b3[i].T, out=ga[lo:hi])
-            a.accumulate(ga.reshape(a.shape))
+                np.matmul(g[lo:hi], b3[i].T, out=ga[lo:hi])
+            a.accumulate(ga)
         if b.requires_grad:
-            gb = np.zeros((groups, k, out.shape[1]), dtype=out.dtype)
+            gb = np.zeros((counts.size, *b3.shape[1:]), dtype=value.dtype)
             for i, lo, hi in blocks:
-                np.matmul(a2[lo:hi].T, g2[lo:hi], out=gb[i])
+                np.matmul(a.value[lo:hi].T, g[lo:hi], out=gb[i])
             b.accumulate(gb.swapaxes(1, 2) if transpose_b else gb)
 
     return _op("bmm", value, (a, b), backward)
@@ -292,12 +281,23 @@ def sigmoid(a) -> Node:
     return _op("sigmoid", value, (a,), backward)
 
 
-def softmax(a, axis: int = -1) -> Node:
+def softmax(a, axis: int = -1, mask=None) -> Node:
+    """Softmax along ``axis``. With ``mask`` (boolean, the shape of ``a``),
+    only the entries where it is true take part and the others get exactly
+    0; every slice along ``axis`` must keep at least one entry."""
     a = as_node(a)
     if a.value.ndim == 0 or a.value.shape[axis] == 0:
         raise ShapeError(f"softmax: empty axis {axis} on shape {a.shape}")
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    x = a.value
+    if mask is not None:
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != a.shape:
+            raise ShapeError(f"softmax: mask {keep.shape} for shape {a.shape}")
+        if not keep.any(axis=axis).all():
+            raise ShapeError(f"softmax: a slice of shape {a.shape} along axis {axis} "
+                             "has no unmasked entry")
+        x = np.where(keep, x, -np.inf)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
     value = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
@@ -306,28 +306,6 @@ def softmax(a, axis: int = -1) -> Node:
             a.accumulate((g - dot) * value)
 
     return _op("softmax", value, (a,), backward)
-
-
-def masked_softmax(a, mask) -> Node:
-    """Softmax over the last axis restricted to the entries where ``mask``
-    (boolean, the shape of ``a``) is true; the others get exactly 0. Every
-    row must keep at least one entry."""
-    a = as_node(a)
-    keep = np.asarray(mask, dtype=bool)
-    if a.value.ndim == 0 or keep.shape != a.shape:
-        raise ShapeError(f"masked_softmax: mask {keep.shape} for shape {a.shape}")
-    if not keep.any(axis=-1).all():
-        raise ShapeError(f"masked_softmax: a row of shape {a.shape} has no unmasked entry")
-    x = np.where(keep, a.value, -np.inf)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    value = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * value).sum(axis=-1, keepdims=True)
-            a.accumulate((g - dot) * value)
-
-    return _op("masked_softmax", value, (a,), backward)
 
 
 def embedding_lookup(table, indices) -> Node:

@@ -35,15 +35,17 @@ log = logging.getLogger("lmdst")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    # Each flag's dest is a TrainConfig field; a flag not given keeps the
+    # config file's value, or the default.
     p.add_argument("--config", type=Path, help="key = value config file (flags win)")
     p.add_argument("--seed", type=int, help="master random seed")
     p.add_argument("--alpha", type=float, help="LM loss weight in the total loss")
-    p.add_argument("--delay-steps", type=int, dest="delay_steps",
+    p.add_argument("--delay-steps", type=int, dest="delay_update_steps",
                    help="micro-batches accumulated per parameter update")
     p.add_argument("--batch-size", type=int, dest="batch_size", help="micro-batch size")
-    p.add_argument("--no-lm", action="store_true", dest="no_lm",
+    p.add_argument("--no-lm", action="store_false", dest="lm_enabled", default=None,
                    help="disable the auxiliary language model (-LM ablation)")
-    p.add_argument("--no-tagging", action="store_true", dest="no_tagging",
+    p.add_argument("--no-tagging", action="store_false", dest="tagging_enabled", default=None,
                    help="disable [sys]/[usr] context tags (-Tagging ablation)")
     p.add_argument("--min-count", type=int, dest="min_count",
                    help="vocabulary frequency threshold")
@@ -54,19 +56,9 @@ def _train_config(args) -> TrainConfig:
     cfg = TrainConfig()
     if args.config is not None:
         cfg = load_config_file(args.config, cfg)
-    overrides = {}
-    for flag, field in (("seed", "seed"), ("alpha", "alpha"),
-                        ("delay_steps", "delay_update_steps"),
-                        ("batch_size", "batch_size"), ("min_count", "min_count"),
-                        ("max_epochs", "max_epochs")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "no_lm", False):
-        overrides["lm_enabled"] = False
-    if getattr(args, "no_tagging", False):
-        overrides["tagging_enabled"] = False
-    cfg = dataclasses.replace(cfg, **overrides)
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+             if getattr(args, f.name, None) is not None}
+    cfg = dataclasses.replace(cfg, **given)
     cfg.validate()
     return cfg
 
@@ -146,14 +138,14 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     preds = read_predictions(args.data)
+    report = length_report(preds)
+    counts = taxonomy_report(preds)
     print("joint accuracy by context length:")
-    print(format_length_table(length_report(preds)))
+    print(format_length_table(report))
     print()
     print("prediction error taxonomy:")
-    print(format_taxonomy_table(taxonomy_report(preds)))
+    print(format_taxonomy_table(counts))
     if args.out:
-        report = length_report(preds)
-        counts = taxonomy_report(preds)
         with open(args.out, "w", encoding="utf-8") as f:
             for label, row in report.items():
                 f.write(json.dumps({"kind": "length_bucket", "bucket": label, **row},

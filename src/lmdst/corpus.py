@@ -297,8 +297,9 @@ class SynthConfig:
     dontcare_rate: float = 0.0  # "dontcare" values are gate-level, not copyable
 
     def validate(self) -> None:
-        if self.n_dialogues < 0:
-            raise ValueError("n_dialogues must be >= 0")
+        for name in ("n_dialogues", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("n_domains", "n_slots_per_domain", "vocab_size", "max_turns"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

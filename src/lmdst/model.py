@@ -85,9 +85,9 @@ class BatchContext:
     ids: np.ndarray      # vocabulary ids of all contexts, stacked
     lengths: list[int]   # context lengths, in stacking order
     lm_states: tuple[ad.Node, ad.Node] | None  # LM (forward, backward) states
-    # one row per (example, slot) decoder row, example-major, t_max wide:
-    row_mask: np.ndarray     # True at the row's context positions
-    row_ext_ids: np.ndarray  # extended id per position (0 in the padding)
+    # one row per example, t_max wide; every slot row of an example reads it:
+    mask: np.ndarray     # True at the example's context positions
+    ext_ids: np.ndarray  # extended id per position (0 in the padding)
 
 
 class DecodeStep(NamedTuple):
@@ -100,7 +100,7 @@ class DecodeStep(NamedTuple):
     x: ad.Node             # the decoder inputs
     h: ad.Node             # the decoder states they step to
     attn_logits: ad.Node   # rows x t_max, 0 outside the row's context
-    attn: ad.Node          # masked softmax of ``attn_logits``
+    attn: ad.Node          # softmax of ``attn_logits`` over the row's context
     context_vec: ad.Node   # attention-weighted encoder states
 
     def take(self, keep: np.ndarray) -> "DecodeStep":
@@ -326,7 +326,6 @@ class DstModel:
             mask = (rng.random(hiddens_all.shape) >= self.dropout) / (1.0 - self.dropout)
             hiddens_all = ad.elementwise_mul(hiddens_all, ad.Node(mask))
 
-        n_s = len(self.ontology)
         in_context = np.arange(max(lengths)) < np.array(lengths)[:, None]
         ext_ids = np.zeros(in_context.shape, dtype=np.intp)
         ext_ids[in_context] = np.concatenate(ext_per)
@@ -334,8 +333,7 @@ class DstModel:
             contexts=[TurnContext(t, oov) for t, oov in zip(tokens_per, oov_per)],
             table=table, table_t=table_t, final_all=final_all,
             hiddens=ad.pad_sequences(hiddens_all, lengths), ids=ids_all, lengths=lengths,
-            lm_states=lm_states, row_mask=np.repeat(in_context, n_s, axis=0),
-            row_ext_ids=np.repeat(ext_ids, n_s, axis=0))
+            lm_states=lm_states, mask=in_context, ext_ids=ext_ids)
 
     def _decoder_init(self, batch: BatchContext):
         """Stacked first inputs (slot embeddings) and initial states (tiled
@@ -349,14 +347,16 @@ class DstModel:
     def _attend(self, batch: BatchContext, x: ad.Node, h: ad.Node,
                 rows: np.ndarray) -> DecodeStep:
         """Attention of the decoder states ``h`` (stepped from the inputs
-        ``x``) over each one's own context, grouped by example: ``rows``
-        holds the decoder row (example * |slots| + slot) of each state,
-        ascending. The gate and the output heads read the result
+        ``x``) over each one's own context: ``rows`` holds the decoder row
+        (example * |slots| + slot) of each state, ascending, so the states
+        of example ``rows // |slots|`` form one group of ``bmm`` rows and
+        read its ``mask``. The gate and the output heads read the result
         (:meth:`_gate_logits`, :meth:`_output_logits`)."""
-        per_example = np.bincount(rows // len(self.ontology), minlength=len(batch.contexts))
-        attn_logits = ad.bmm(h, batch.hiddens, transpose_b=True, group_rows=per_example)
-        attn = ad.masked_softmax(attn_logits, batch.row_mask[rows])
-        context_vec = ad.bmm(attn, batch.hiddens, group_rows=per_example)
+        ex = rows // len(self.ontology)
+        per_example = np.bincount(ex, minlength=len(batch.contexts))
+        attn_logits = ad.bmm(h, batch.hiddens, per_example, transpose_b=True)
+        attn = ad.softmax(attn_logits, mask=batch.mask[ex])
+        context_vec = ad.bmm(attn, batch.hiddens, per_example)
         return DecodeStep(rows, x, h, attn_logits, attn, context_vec)
 
     def _gate_logits(self, context_vec: ad.Node) -> ad.Node:
@@ -440,8 +440,9 @@ class DstModel:
         gate_total = ad.cross_entropy_rows(
             self._gate_logits(ad.embedding_lookup(step.context_vec, starts)), gates)
         vocab_logits, gen_logits = self._output_logits(batch, step)
+        ex = rows // len(self.ontology)
         token_total = ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits, targets,
-                                       batch.row_ext_ids[rows], batch.row_mask[rows])
+                                       batch.ext_ids[ex], batch.mask[ex])
         dst_sum = ad.scale(ad.add(token_total, gate_total), 1.0 / len(self.ontology))
         if batch.lm_states is None:
             return dst_sum, ad.Node(0.0)
@@ -475,15 +476,15 @@ class DstModel:
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
         # the same tie-break as SlotGateDecision.label
         step = step.take(np.flatnonzero(probs.argmax(axis=1) == GATE_PTR))
-        # every slot row of an example shares its context ids: group per example
-        grouping = copy_grouping(batch.row_ext_ids[::n_s], batch.row_mask[::n_s])
+        grouping = copy_grouping(batch.ext_ids, batch.mask)
         for j in range(self.max_value_len):
             if not step.rows.size:
                 break
             vocab_logits, gen_logits = self._output_logits(batch, step)
+            ex = step.rows // n_s
             choice = copy_argmax(vocab_logits.value, step.attn.value,
-                                 ad.sigmoid(gen_logits).value, batch.row_ext_ids[step.rows],
-                                 batch.row_mask[step.rows], grouping[step.rows // n_s])
+                                 ad.sigmoid(gen_logits).value, batch.ext_ids[ex],
+                                 batch.mask[ex], grouping[ex])
             going = np.flatnonzero(choice != eos)
             for r, c in zip(step.rows[going].tolist(), choice[going].tolist()):
                 i, s = divmod(r, n_s)

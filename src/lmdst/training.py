@@ -58,6 +58,11 @@ class TrainConfig:
             raise ValueError("max_value_len must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.hidden_dim != self.embedding_dim:
+            raise ValueError(f"hidden_dim must equal embedding_dim; got {self.hidden_dim} "
+                             f"vs {self.embedding_dim}")
 
 
 def load_config_file(path, base: TrainConfig | None = None) -> TrainConfig:

@@ -131,9 +131,9 @@ def test_criterion_1_gradient_correctness():
             sc = ad.scatter_cols(ad.softmax(cat, axis=1), cols, 7)
             stack = ad.pad_sequences(ad.embedding_lookup(cat, np.arange(9)),
                                      lengths)                    # (2, 5, 4) padded
-            scores = ad.bmm(cat, stack, transpose_b=True)        # (10, 5)
-            attn = ad.masked_softmax(scores, keep)
-            context = ad.bmm(attn, stack)                        # (10, 4)
+            scores = ad.bmm(cat, stack, [5, 5], transpose_b=True)  # (10, 5)
+            attn = ad.softmax(scores, mask=keep)
+            context = ad.bmm(attn, stack, [5, 5])                # (10, 4)
             nll = ad.copy_nll_rows(cat, scores, gen, nll_targets, copy_ids, keep)
             total = ad.add(ad.add(ce, ce1), ad.add(nll, ad.sum_all(sm)))
             total = ad.add(total, ad.sum_all(ad.elementwise_mul(context, context)))

@@ -202,15 +202,15 @@ def test_fd_bmm(seed):
     rng = np.random.default_rng(720 + seed)
     store = ad.ParameterStore(seed)
     rows = make_param(store, "rows", (6, 4), rng)    # 3 groups of 2 rows
-    stack = make_param(store, "stack", (3, 2, 4), rng)
+    stack = make_param(store, "stack", (6, 4), rng)  # 3 groups of 2 rows
     b = make_param(store, "b", (3, 5, 4), rng)
     c = make_param(store, "c", (3, 4, 2), rng)
     uneven = make_param(store, "uneven", (4, 4), rng)  # groups of 3, 0 and 1 rows
 
     def loss():
-        scores = ad.bmm(rows, b, transpose_b=True)  # (6, 5)
-        out = ad.bmm(stack, c)                      # (3, 2, 2)
-        picked = ad.bmm(uneven, b, transpose_b=True, group_rows=[3, 0, 1])  # (4, 5)
+        scores = ad.bmm(rows, b, [2, 2, 2], transpose_b=True)  # (6, 5)
+        out = ad.bmm(stack, c, [2, 2, 2])                      # (6, 2)
+        picked = ad.bmm(uneven, b, [3, 0, 1], transpose_b=True)  # (4, 5)
         return ad.add(ad.add(ad.sum_all(ad.elementwise_mul(scores, scores)),
                              ad.sum_all(ad.elementwise_mul(out, ad.sigmoid(out)))),
                       ad.sum_all(ad.elementwise_mul(picked, ad.sigmoid(picked))))
@@ -221,27 +221,46 @@ def test_fd_bmm(seed):
 def test_bmm_matches_per_group_matmul():
     rng = np.random.default_rng(725)
     a, b = rng.normal(size=(6, 4)), rng.normal(size=(3, 5, 4))
-    out = ad.bmm(a, b, transpose_b=True).value
+    out = ad.bmm(a, b, [2, 2, 2], transpose_b=True).value
     assert out.shape == (6, 5)
     for i in range(3):
         np.testing.assert_allclose(out[2 * i:2 * i + 2], a[2 * i:2 * i + 2] @ b[i].T,
                                    rtol=0, atol=1e-14)
     with pytest.raises(ad.ShapeError):
-        ad.bmm(a, b)  # k = 5 does not match a's 4 columns
+        ad.bmm(a, b, [2, 2, 2])  # k = 5 does not match a's 4 columns
     with pytest.raises(ad.ShapeError):
-        ad.bmm(rng.normal(size=(7, 4)), b, transpose_b=True)  # 7 rows in 3 groups
+        ad.bmm(rng.normal(size=(7, 4)), b, [2, 2, 2], transpose_b=True)  # 7 rows, 6 counted
+    with pytest.raises(ad.ShapeError):
+        ad.bmm(a.reshape(3, 2, 4), b, [2, 2, 2], transpose_b=True)  # a must be 2-d rows
     # uneven groups: the same product on each group's own rows, bit for bit
-    # equal to the even grouping where the counts agree
+    # equal to another grouping where the counts agree
     counts = [1, 0, 3]
-    out = ad.bmm(a[:4], b, transpose_b=True, group_rows=counts).value
+    out = ad.bmm(a[:4], b, counts, transpose_b=True).value
     assert out.shape == (4, 5)
     np.testing.assert_array_equal(out[:1], a[:1] @ b[0].T)
     np.testing.assert_array_equal(out[1:], a[1:4] @ b[2].T)
-    np.testing.assert_array_equal(ad.bmm(a, b, transpose_b=True, group_rows=[2, 2, 2]).value,
-                                  ad.bmm(a, b, transpose_b=True).value)
+    np.testing.assert_array_equal(ad.bmm(a, b, [2, 2, 2], transpose_b=True).value[2:4],
+                                  ad.bmm(a[2:4], b, [0, 2, 0], transpose_b=True).value)
     for bad in ([1, 1, 1], [2, 3, -1], [4]):
         with pytest.raises(ad.ShapeError):
-            ad.bmm(a[:4], b, transpose_b=True, group_rows=bad)
+            ad.bmm(a[:4], b, bad, transpose_b=True)
+
+
+def test_softmax_all_true_mask_is_the_plain_softmax():
+    """``mask`` of all True gives softmax's value and gradient bit for bit,
+    along either axis."""
+    rng = np.random.default_rng(736)
+    x, g = rng.normal(scale=4.0, size=(4, 6)), rng.normal(size=(4, 6))
+    for axis in (0, 1):
+        values, grads = [], []
+        for mask in (None, np.ones((4, 6), dtype=bool)):
+            a = ad.Node(x.copy(), requires_grad=True)
+            p = ad.softmax(a, axis=axis, mask=mask)
+            ad.backward(ad.sum_all(ad.elementwise_mul(p, ad.Node(g))))
+            values.append(p.value)
+            grads.append(a.grad)
+        np.testing.assert_array_equal(values[0], values[1])
+        np.testing.assert_array_equal(grads[0], grads[1])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -253,7 +272,7 @@ def test_fd_masked_softmax(seed):
     w = ad.Node(rng.normal(size=(4, 5)))
 
     def loss():
-        p = ad.masked_softmax(a, keep)
+        p = ad.softmax(a, mask=keep)
         return ad.sum_all(ad.elementwise_mul(ad.elementwise_mul(p, w), ad.sigmoid(a)))
 
     _fd_case(loss, [a], seed)
@@ -263,13 +282,13 @@ def test_masked_softmax_zeroes_the_padding():
     rng = np.random.default_rng(735)
     x = rng.normal(scale=5.0, size=(3, 6))
     keep = np.arange(6) < np.array([6, 3, 1])[:, None]
-    p = ad.masked_softmax(ad.Node(x), keep).value
+    p = ad.softmax(ad.Node(x), mask=keep).value
     assert (p[~keep] == 0.0).all()
     for row, n in zip(range(3), (6, 3, 1)):
         np.testing.assert_allclose(p[row, :n], ad.softmax(ad.Node(x[row, :n])).value,
                                    rtol=0, atol=1e-15)
     with pytest.raises(ad.ShapeError):
-        ad.masked_softmax(ad.Node(x), np.zeros((3, 6), dtype=bool))
+        ad.softmax(ad.Node(x), mask=np.zeros((3, 6), dtype=bool))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -159,7 +159,8 @@ def test_dump_config_roundtrip_defaults(tmp_path, capsys):
     assert load_config_file(out) == TrainConfig()
 
 
-@pytest.mark.parametrize("line", ["max_value_len = 0", "learning_rate = -1"])
+@pytest.mark.parametrize("line", ["max_value_len = 0", "learning_rate = -1", "seed = -1",
+                                  "hidden_dim = 64"])
 def test_bad_config_value_one_line_error(synth_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"hidden_dim = 16\nembedding_dim = 16\nmax_epochs = 1\n{line}\n")
@@ -176,6 +177,37 @@ def test_bad_config_value_one_line_error(synth_dir, tmp_path, capsys, line):
                        "--out", str(tmp_path / "out.cfg"))
     assert code == 1 and key in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out.cfg").exists()
+
+
+def test_synth_negative_seed_one_line_error(tmp_path, capsys):
+    code, _, err = run(capsys, "synth", "--out", str(tmp_path / "s"), "--seed", "-1")
+    assert code == 1
+    assert err.startswith("error: ValueError: ") and "seed" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# What dump-config writes with no flags, field by field.
+DEFAULT_CONFIG = {
+    "alpha": "0.9", "delay_update_steps": "4", "batch_size": "8", "hidden_dim": "400",
+    "embedding_dim": "400", "learning_rate": "0.001", "max_epochs": "30", "patience": "6",
+    "seed": "13", "tagging_enabled": "True", "lm_enabled": "True", "dropout": "0.2",
+    "word_dropout": "0.15", "min_count": "1", "val_fraction": "0.1", "max_value_len": "10",
+    "freeze_embeddings": "False"}
+
+
+def test_dump_config_flags_write_fixed_bytes(tmp_path):
+    """dump-config with no flags, and with every training flag set, writes
+    exactly these bytes."""
+    every_flag = dict(DEFAULT_CONFIG, seed="3", alpha="0.5", delay_update_steps="2",
+                      batch_size="4", lm_enabled="False", tagging_enabled="False",
+                      min_count="2", max_epochs="7")
+    out = tmp_path / "c.cfg"
+    for flags, fields in (([], DEFAULT_CONFIG),
+                          (["--seed", "3", "--alpha", "0.5", "--delay-steps", "2",
+                            "--batch-size", "4", "--no-lm", "--no-tagging",
+                            "--min-count", "2", "--max-epochs", "7"], every_flag)):
+        assert main(["dump-config", "--out", str(out), *flags]) == 0
+        assert out.read_bytes() == "".join(f"{k} = {v}\n" for k, v in fields.items()).encode()
 
 
 def test_synth_without_flags_is_the_default_config_corpus(tmp_path):

@@ -206,7 +206,7 @@ def test_greedy_argmax_matches_dense_mixture():
             ids[6] = ids[7]
         ids[~keep] = 0  # padding: column 0, outside the mask
         p_gen = ad.sigmoid(ad.Node(gen_logits))
-        attn = ad.masked_softmax(ad.Node(copy_logits), keep)
+        attn = ad.softmax(ad.Node(copy_logits), mask=keep)
         mixture = copy_mixture(ad.softmax(ad.Node(vocab_logits), axis=1), attn, p_gen,
                                ids, v, n_oov).value
         want = np.argmax(mixture, axis=1)
@@ -371,8 +371,8 @@ def full_width_decode(model, batch):
             probs = ad.softmax(model._gate_logits(step.context_vec), axis=1).value
         vocab_logits, gen_logits = model._output_logits(batch, step)
         mixture = copy_mixture(ad.softmax(vocab_logits, axis=1), step.attn,
-                               ad.sigmoid(gen_logits), batch.row_ext_ids, len(model.vocab),
-                               n_oov)
+                               ad.sigmoid(gen_logits), batch.ext_ids[rows // n_s],
+                               len(model.vocab), n_oov)
         choice = np.argmax(mixture.value, axis=1)
         for r in rows[~done & (choice != eos)]:
             i, s = divmod(int(r), n_s)
@@ -431,7 +431,7 @@ def record_mixtures(model):
         vocab_logits, gen_logits = output_logits(batch, step)
         mixtures.append(copy_mixture(
             ad.softmax(vocab_logits, axis=1), step.attn, ad.sigmoid(gen_logits),
-            batch.row_ext_ids[step.rows], len(model.vocab),
+            batch.ext_ids[step.rows // len(model.ontology)], len(model.vocab),
             max(ctx.n_oov for ctx in batch.contexts)))
         return vocab_logits, gen_logits
 
@@ -547,7 +547,7 @@ def test_copy_nll_rows_is_minus_log_of_the_mixture():
         vl, cl, gl, targets, ids, keep = copy_nll_case(rng, v=v, n_oov=n_oov)
         kept = np.flatnonzero(rng.integers(0, 2, size=len(targets)))  # the rows scored
         mixture = copy_mixture(ad.softmax(ad.Node(vl), axis=1),
-                               ad.masked_softmax(ad.Node(cl), keep),
+                               ad.softmax(ad.Node(cl), mask=keep),
                                ad.sigmoid(ad.Node(gl)), ids, v, n_oov).value
         want = -np.log(mixture[kept, targets[kept]]).sum()
         got = float(ad.copy_nll_rows(vl[kept], cl[kept], gl[kept], targets[kept], ids[kept],
@@ -781,9 +781,9 @@ def stepwise_dst_loss(model, instances, rng):
             total = ad.cross_entropy_rows(model._gate_logits(step.context_vec), gates)
         targets = np.array([seqs[r][j] for r in rows])
         vocab_logits, gen_logits = model._output_logits(batch, step)
+        ex = rows // len(model.ontology)
         total = ad.add(total, ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits,
-                                               targets, batch.row_ext_ids[rows],
-                                               batch.row_mask[rows]))
+                                               targets, batch.ext_ids[ex], batch.mask[ex]))
         going = np.flatnonzero([len(seqs[r]) > j + 1 for r in rows])
         rows = rows[going]
         x, h = model._feed(batch, targets[going]), ad.embedding_lookup(step.h, going)

@@ -386,3 +386,7 @@ def test_config_validation():
     for lr in (0.0, -1.0):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr).validate()
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1).validate()
+    with pytest.raises(ValueError, match="hidden_dim"):
+        TrainConfig(hidden_dim=64).validate()
