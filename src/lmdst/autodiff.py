@@ -162,17 +162,6 @@ def elementwise_mul(a, b) -> Node:
     return _op("mul", value, (a, b), backward)
 
 
-def scale(a, c: float) -> Node:
-    a = as_node(a)
-    c = float(c)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * c)
-
-    return _op("scale", a.value * c, (a,), backward)
-
-
 def matmul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -585,7 +574,8 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     ``xs`` holds the sequences back to back, example-major: rows
     ``offset_i .. offset_i + lengths[i]`` belong to example i. The output has
     the same arrangement with hidden states aligned to input positions. Each
-    sequence starts from row i of ``h0`` (a node, one row per sequence, which
+    sequence (with ``reverse``, read from its last row back to its first)
+    starts from row i of ``h0`` (a node, one row per sequence, which
     receives the gradient of the start states) or, without ``h0``, from
     zeros. The LM and the encoder run whole sequences from zeros, the
     teacher-forced decoder from the encoder's final states; greedy decoding
@@ -597,15 +587,16 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     One fused op over packed rows (the variable-length layout of cuDNN and
     of PyTorch's ``PackedSequence``). The sequences are stably sorted by
     length, longest first, and laid out time-major: step t holds the k_t
-    sequences longer than t, which are a prefix of the sorted order. Step t
-    runs only those k_t rows, in both directions: the forward pass drops
-    finished sequences off the end of the prefix, the reverse pass starts
-    each sequence from its ``h0`` row when it joins. Backward is hand-rolled
-    BPTT over the stashed gate activations on the same prefixes. The input
-    projections and the weight gradients are GEMMs over the stacked rows,
-    gathered into and out of the packed order. Batching exists purely so the
-    recurrent weight matrices stream from memory once per step instead of
-    once per step per sequence.
+    sequences longer than t, which are a prefix of the sorted order, at
+    their t-th row in reading order. A reverse sequence is read last to
+    first, so ``reverse`` only flips the time index of each row and the one
+    loop runs either direction: every sequence starts from its ``h0`` row at
+    step 0, and finished sequences drop off the end of the prefix. Backward
+    is hand-rolled BPTT over the stashed gate activations on the same
+    prefixes. The input projections and the weight gradients are GEMMs over
+    the stacked rows, gathered into and out of the packed order. Batching
+    exists purely so the recurrent weight matrices stream from memory once
+    per step instead of once per step per sequence.
     """
     xs = as_node(xs)
     lengths = [int(n) for n in lengths]
@@ -629,6 +620,8 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     # packed row of each stacked row, and the stacked row of each packed row
     starts = np.cumsum(lens) - lens
     t_idx = np.arange(xs.shape[0]) - np.repeat(starts, lens)
+    if reverse:  # read each sequence last row first
+        t_idx = np.repeat(lens, lens) - 1 - t_idx
     packed = lo[t_idx] + np.repeat(rank, lens)
     stacked = np.empty_like(packed)
     stacked[packed] = np.arange(packed.size)
@@ -643,16 +636,13 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     h0s = h0.value[perm]
 
     steps = [(int(lo[t]), int(ks[t])) for t in range(t_max)]
-    if reverse:
-        steps.reverse()
     aligned = np.empty_like(cands)
     h_before = np.empty_like(cands)
 
-    h = h0s[:0] if reverse else h0s
+    h = h0s
     uzr_v, uh_v = u_zr.value, u_h.value
     for a, k in steps:
-        # forward drops finished rows; reverse appends the starting ones
-        h = np.concatenate([h, h0s[len(h):k]]) if k > len(h) else h[:k]
+        h = h[:k]  # finished sequences drop off the end of the prefix
         h_before[a:a + k] = h
         zr = zrs[a:a + k]
         zr[:] = _sigmoid(zr + h @ uzr_v)
@@ -667,13 +657,9 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         gp = g[stacked]
         dxzr = np.empty((packed.size, 2 * d), dtype=x.dtype)
         dxh = np.empty((packed.size, d), dtype=x.dtype)
-        gh0 = np.empty((n_batch, d), dtype=x.dtype)
         gh = gp[:0]
         uzr_t, uh_t = uzr_v.T, uh_v.T
         for a, k in reversed(steps):
-            if len(gh) > k:  # rows whose first step was the previous one are done
-                gh0[k:len(gh)] = gh[k:]
-                gh = gh[:k]
             gt = gp[a:a + k]
             gt[:len(gh)] += gh
             zr, c, hp = zrs[a:a + k], cands[a:a + k], h_before[a:a + k]
@@ -686,7 +672,6 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
             dxzr[a:a + k, :d] = dz * z * (1.0 - z)
             dxzr[a:a + k, d:] = dr * r * (1.0 - r)
             gh = gt * (1.0 - z) + drh * r + dxzr[a:a + k] @ uzr_t
-        gh0[:len(gh)] = gh  # the BPTT carry past each sequence's first step
         # big gemms on the rows unpacked to stacked order
         dxzr_flat = dxzr[packed]
         dxh_flat = dxh[packed]
@@ -707,7 +692,7 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         if b_h.requires_grad:
             b_h.accumulate(dxh_flat.sum(axis=0))
         if h0.requires_grad:
-            h0.accumulate(gh0[rank])
+            h0.accumulate(gh[rank])  # the BPTT carry past each sequence's first step
 
     return _op("gru_sequence_batch", out, (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h, h0), backward)
 

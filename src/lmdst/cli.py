@@ -53,9 +53,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    cfg = TrainConfig()
-    if args.config is not None:
-        cfg = load_config_file(args.config, cfg)
+    cfg = TrainConfig() if args.config is None else load_config_file(args.config)
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
              if getattr(args, f.name, None) is not None}
     cfg = dataclasses.replace(cfg, **given)
@@ -74,10 +72,10 @@ def cmd_preprocess(args) -> int:
     dialogues = load_multiwoz(args.data, ontology)
     dialogues = filter_domains(dialogues, set(args.exclude_domains.split(","))
                                if args.exclude_domains else corpus_mod.DEFAULT_EXCLUDED_DOMAINS)
+    vocab = build_vocabulary(dialogues, args.min_count)  # checks min_count before any write
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dialogues(out / "corpus.json", dialogues)
-    vocab = build_vocabulary(dialogues, args.min_count or 1)
     vocab.save(out / "vocab.txt")
     stats = context_length_stats(dialogues)
     print(f"dialogues: {len(dialogues)}")
@@ -190,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True, help="dataset file (per-turn JSON)")
     p.add_argument("--ontology", type=Path, help="ontology file (domain-slot per line)")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--min-count", type=int, dest="min_count",
-                   help="vocabulary frequency threshold")
+    p.add_argument("--min-count", type=int, dest="min_count", default=1,
+                   help="vocabulary frequency threshold (default 1)")
     p.add_argument("--exclude-domains", dest="exclude_domains",
                    help="comma list of domains to drop (default: hospital,police)")
     p.set_defaults(func=cmd_preprocess)

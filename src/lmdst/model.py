@@ -141,7 +141,7 @@ def copy_mixture(vocab_probs: ad.Node, context_probs: ad.Node, p_gen: ad.Node,
     if n_oov:
         gen = ad.concat(gen, ad.Node(np.zeros((gen.shape[0], n_oov))), axis=1)
     copy = ad.scatter_cols(context_probs, context_ext_ids, vocab_size + n_oov)
-    keep = ad.add(ad.scale(p_gen, -1.0), ad.Node(1.0))
+    keep = ad.add(ad.elementwise_mul(p_gen, -1.0), ad.Node(1.0))
     return ad.add(gen, ad.elementwise_mul(copy, keep))
 
 
@@ -443,7 +443,7 @@ class DstModel:
         ex = rows // len(self.ontology)
         token_total = ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits, targets,
                                        batch.ext_ids[ex], batch.mask[ex])
-        dst_sum = ad.scale(ad.add(token_total, gate_total), 1.0 / len(self.ontology))
+        dst_sum = ad.elementwise_mul(ad.add(token_total, gate_total), 1.0 / len(self.ontology))
         if batch.lm_states is None:
             return dst_sum, ad.Node(0.0)
         return dst_sum, self.lm.loss(*batch.lm_states, batch.ids, batch.lengths)

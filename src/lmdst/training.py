@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import context
 from .corpus import Dialogue, Ontology
-from .context import build_vocabulary
 from .evaluation import TurnPrediction, joint_accuracy, slot_accuracy
 from .model import DstModel
 
@@ -60,14 +60,17 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
+        if self.embedding_dim < 2:
+            raise ValueError("embedding_dim must be >= 2")
         if self.hidden_dim != self.embedding_dim:
             raise ValueError(f"hidden_dim must equal embedding_dim; got {self.hidden_dim} "
                              f"vs {self.embedding_dim}")
 
 
-def load_config_file(path, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse a "key = value" config file onto a TrainConfig."""
-    cfg = base or TrainConfig()
+def load_config_file(path) -> TrainConfig:
+    """Parse a "key = value" config file onto the default TrainConfig."""
     types = {f.name: f.type for f in fields(TrainConfig)}
     overrides = {}
     with open(path, encoding="utf-8") as f:
@@ -82,7 +85,7 @@ def load_config_file(path, base: TrainConfig | None = None) -> TrainConfig:
             if key not in types:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
             overrides[key] = _parse_value(types[key], value, key)
-    return replace(cfg, **overrides)
+    return replace(TrainConfig(), **overrides)
 
 
 def _parse_value(type_name: str, raw: str, key: str):
@@ -112,24 +115,26 @@ def total_loss(l_dst: ad.Node, l_lm: ad.Node, alpha: float) -> ad.Node:
     if l_dst.shape != () or l_lm.shape != ():
         raise ad.ShapeError(f"total_loss: losses must be scalars, "
                             f"got {l_dst.shape} and {l_lm.shape}")
-    return ad.add(l_dst, ad.scale(l_lm, alpha))
+    return ad.add(l_dst, ad.elementwise_mul(l_lm, alpha))
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adaptive-moment optimizer (lr 0.001, betas 0.9/0.999, eps 1e-8)."""
+    """Adaptive-moment optimizer: learning rate ``lr`` (0.001 by default) and
+    the fixed moment decays ``ADAM_BETA1`` / ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
-    def __init__(self, store: ad.ParameterStore, lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ad.ParameterStore, lr: float = 0.001):
         self.store = store
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = {p.name: np.zeros_like(p.value) for p in store.parameters()}
         self._v = {p.name: np.zeros_like(p.value) for p in store.parameters()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for p in self.store.parameters():
@@ -142,7 +147,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 class Trainer:
@@ -168,7 +173,7 @@ class Trainer:
         rng = self.rng if train else None
         dst_sum, lm_sum = self.model.batch_loss(batch, rng)
         alpha = self.config.alpha if self.model.lm_enabled else 0.0
-        mean = ad.scale(total_loss(dst_sum, lm_sum, alpha), 1.0 / len(batch))
+        mean = ad.elementwise_mul(total_loss(dst_sum, lm_sum, alpha), 1.0 / len(batch))
         return mean, float(dst_sum.value) / len(batch), float(lm_sum.value) / len(batch)
 
     def train_step(self, batch: list[tuple[Dialogue, int]]) -> tuple[float, float]:
@@ -243,12 +248,8 @@ def predict_instances(model: DstModel, dialogues: list[Dialogue],
     their corpus order, so a corpus of one chunk runs as a single batch in
     that order.
     """
-    # Looked up at call time, not imported at module level, so that a patched
-    # lmdst.context.build_context (the benchmark's tracer counts its calls) is
-    # the one that runs.
-    from .context import build_context
     instances = turn_instances(dialogues)
-    contexts = [build_context(d, i, tagging=True) for d, i in instances]
+    contexts = [context.build_context(d, i, tagging=True) for d, i in instances]
     untagged = [c.untagged_length for c in contexts]
     lengths = [c.length for c in contexts] if model.tagging else untagged
     by_len = sorted(range(len(instances)), key=lambda j: lengths[j])
@@ -286,7 +287,7 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     train_dlgs, val_dlgs = split_corpus(dialogues, config.val_fraction)
     if not train_dlgs or not val_dlgs:
         raise ValueError("empty train or validation split")
-    vocab = build_vocabulary(train_dlgs, config.min_count)
+    vocab = context.build_vocabulary(train_dlgs, config.min_count)
     model = DstModel.from_config(vocab, ontology, config)
     if vectors_path is not None:
         coverage = model.embedding.load_pretrained_vectors(vectors_path)
@@ -297,8 +298,7 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     order_rng = np.random.default_rng(config.seed + 1)
 
     train_inst = turn_instances(train_dlgs)
-    from .context import build_context  # call-time lookup, as in predict_instances
-    inst_lengths = [build_context(d, i, config.tagging_enabled).length
+    inst_lengths = [context.build_context(d, i, config.tagging_enabled).length
                     for d, i in train_inst]
     report = TrainReport(ablation=ablation_name(config))
     best_state: dict | None = None

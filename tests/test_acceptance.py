@@ -163,7 +163,7 @@ def test_criterion_1_gradient_correctness():
 
     def total_build():
         dst, lm = model.batch_loss([(dialogue, 0), (dialogue, 1)])
-        return ad.add(dst, ad.scale(lm, 0.9))
+        return ad.add(dst, ad.elementwise_mul(lm, 0.9))
 
     composite_err = ad.grad_check(total_build, model.store.parameters(), eps=1e-5)
     elapsed = time.monotonic() - start

@@ -557,6 +557,42 @@ def test_gru_sequence_batch_matches_per_example(reverse):
         np.testing.assert_allclose(batched_grads[p.name], p.grad, atol=1e-11)
 
 
+@pytest.mark.parametrize("d_in, d_h, lengths, with_h0", [
+    (8, 8, [49, 23, 12, 47], False),
+    (8, 8, [49, 23, 12, 47], True),
+    (3, 5, [1, 4, 4, 2, 1, 3], True),
+    (400, 400, [21, 5, 13], True),
+])
+def test_gru_reverse_is_forward_over_flipped_rows(d_in, d_h, lengths, with_h0):
+    """A reverse run is the forward loop over each sequence's rows read last
+    to first: its states, input gradient and start-state gradient equal a
+    forward run on the flipped rows bit for bit. Only the weight gradients,
+    GEMMs over the rows in another order, may differ by rounding."""
+    rng = np.random.default_rng(sum(lengths) + d_h)
+    store = ad.ParameterStore(d_h)
+    cell = ad.GruCell(store, "g", d_in, d_h)
+    xs = make_param(store, "xs", (sum(lengths), d_in), rng)
+    h0 = make_param(store, "h0", (len(lengths), d_h), rng) if with_h0 else None
+    weights = rng.normal(size=(sum(lengths), d_h))
+    starts = np.cumsum(lengths) - lengths
+    flip = np.concatenate([s + np.arange(n)[::-1] for s, n in zip(starts, lengths)])
+
+    def run(x, w, reverse):
+        store.zero_grad()
+        out = ad.gru_sequence_batch(cell, x, lengths, reverse=reverse, h0=h0)
+        ad.backward(ad.sum_all(ad.elementwise_mul(out, ad.Node(w))))
+        return out.value, {p.name: p.grad.copy() for p in store.parameters()}
+
+    rev_out, rev_grads = run(xs, weights, True)
+    fwd_out, fwd_grads = run(ad.embedding_lookup(xs, flip), weights[flip], False)
+    np.testing.assert_array_equal(rev_out, fwd_out[flip])
+    np.testing.assert_array_equal(rev_grads["xs"], fwd_grads["xs"])
+    if with_h0:
+        np.testing.assert_array_equal(rev_grads["h0"], fwd_grads["h0"])
+    for p in cell.params():
+        np.testing.assert_allclose(rev_grads[p.name], fwd_grads[p.name], rtol=0, atol=1e-12)
+
+
 def test_gru_sequence_batch_has_no_padded_staging():
     """One long sequence among many one-step ones: a padded (t_max, B, d)
     layout would stage 200 x 201 rows per activation array (a peak of about

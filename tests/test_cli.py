@@ -78,6 +78,16 @@ def test_preprocess_outputs_and_stats(tmp_path, capsys):
     assert "max context length" in stdout
 
 
+def test_preprocess_min_count_zero_one_line_error(tmp_path, capsys):
+    out = tmp_path / "prep"
+    code, _, err = run(capsys, "preprocess", "--data", str(FIXTURE), "--out", str(out),
+                       "--min-count", "0")
+    assert code == 1
+    assert err.startswith("error: ValueError: ") and "min_count" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_predict_eval_pipeline(trained, tmp_path, capsys):
     synth_dir, ckpt = trained
     dump = tmp_path / "dump.jsonl"
@@ -160,7 +170,7 @@ def test_dump_config_roundtrip_defaults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["max_value_len = 0", "learning_rate = -1", "seed = -1",
-                                  "hidden_dim = 64"])
+                                  "hidden_dim = 64", "min_count = 0"])
 def test_bad_config_value_one_line_error(synth_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"hidden_dim = 16\nembedding_dim = 16\nmax_epochs = 1\n{line}\n")

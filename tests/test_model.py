@@ -787,7 +787,7 @@ def stepwise_dst_loss(model, instances, rng):
         going = np.flatnonzero([len(seqs[r]) > j + 1 for r in rows])
         rows = rows[going]
         x, h = model._feed(batch, targets[going]), ad.embedding_lookup(step.h, going)
-    return ad.scale(total, 1.0 / len(model.ontology)), seqs
+    return ad.elementwise_mul(total, 1.0 / len(model.ontology)), seqs
 
 
 def test_batch_loss_matches_stepwise_reference():
@@ -860,7 +860,7 @@ def test_gradients_reach_encoder_from_both_loss_terms():
 
     def total():
         dst, lm = model.batch_loss([(d, 1)])
-        return ad.add(dst, ad.scale(lm, 0.9))
+        return ad.add(dst, ad.elementwise_mul(lm, 0.9))
 
     model.store.zero_grad()
     ad.backward(total())

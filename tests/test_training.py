@@ -390,3 +390,7 @@ def test_config_validation():
         TrainConfig(seed=-1).validate()
     with pytest.raises(ValueError, match="hidden_dim"):
         TrainConfig(hidden_dim=64).validate()
+    with pytest.raises(ValueError, match="min_count"):
+        TrainConfig(min_count=0).validate()
+    with pytest.raises(ValueError, match="embedding_dim"):
+        TrainConfig(hidden_dim=0, embedding_dim=0).validate()
