@@ -179,6 +179,8 @@ def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogu
     dialogues: list[Dialogue] = []
     skipped = 0
     for d_pos, d in enumerate(raw):
+        if not isinstance(d, dict):
+            raise CorpusFormatError(f"dialogue #{d_pos}: not an object")
         did = str(d.get("dialogue_idx", d.get("id", f"#{d_pos}")))
         turns_raw = d.get("dialogue", d.get("turns"))
         if not isinstance(turns_raw, list) or not turns_raw:
@@ -192,26 +194,26 @@ def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogu
                 turn_idx = int(t["turn_idx"])
                 system = str(t.get("system_transcript", ""))
                 user = str(t["transcript"])
-                belief = t["belief_state"]
-            except (KeyError, TypeError, ValueError) as exc:
+                pairs = [(str(name), value) for entry in t["belief_state"]
+                         for name, value in entry.get("slots", [])]
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"dialogue {did}, turn {t_pos}: {exc}") from exc
             if turn_idx <= prev_idx:
                 raise CorpusFormatError(
                     f"dialogue {did}, turn {t_pos}: turn_idx {turn_idx} not increasing")
             prev_idx = turn_idx
             state = BeliefState()
-            for entry in belief:
-                for name, value in entry.get("slots", []):
-                    domain, _, slot = str(name).partition("-")
-                    value = normalize_value(value)
-                    if not value or value == "none":
-                        continue
-                    if valid is not None and (domain, slot) not in valid:
-                        skipped += 1
-                        log.warning("dialogue %s turn %s: unknown slot %s-%s skipped",
-                                    did, turn_idx, domain, slot)
-                        continue
-                    state.set(domain, slot, value)
+            for name, value in pairs:
+                domain, _, slot = name.partition("-")
+                value = normalize_value(value)
+                if not value or value == "none":
+                    continue
+                if valid is not None and (domain, slot) not in valid:
+                    skipped += 1
+                    log.warning("dialogue %s turn %s: unknown slot %s-%s skipped",
+                                did, turn_idx, domain, slot)
+                    continue
+                state.set(domain, slot, value)
             turns.append(DialogueTurn(turn_idx, normalize_value(system),
                                       normalize_value(user), state))
         domains = set(d.get("domains", [])) or {dom for t in turns for dom in t.gold_state.domains()}

@@ -50,7 +50,6 @@ class CompositeEmbedding:
         self.vocab = vocab
         self.embedding_dim = embedding_dim
         self.word_dim, self.char_dim = split_dims(embedding_dim)
-        self.freeze_word = freeze_word
 
         grams = sorted({g for t in vocab.content_tokens() for g in char_ngrams(t)})
         self.ngram_ids = {g: i for i, g in enumerate(grams)}
@@ -75,14 +74,14 @@ class CompositeEmbedding:
 
         bound = 1.0 / np.sqrt(hidden_dim)
         self.word = store.new("embedding.word", (len(vocab), self.word_dim), bound)
+        self.word.requires_grad = not freeze_word
         self.char = store.new("embedding.char", (max(1, len(grams)), self.char_dim), bound)
 
     def table(self) -> ad.Node:
         """The full |V| x embedding_dim table as a graph node (rebuilt per use)."""
-        word = self.word if not self.freeze_word else ad.Node(self.word.value)
         char_part = ad.gather_segment_sum(self.char, self._ngram_index, self._ngram_offsets,
                                           self._ngram_weights, self._ngram_grouping)
-        return ad.concat(word, char_part, axis=1)
+        return ad.concat(self.word, char_part, axis=1)
 
     def load_pretrained_vectors(self, path) -> float:
         """Overwrite word rows from a GloVe-format text file.

@@ -43,8 +43,7 @@ from .corpus import BeliefState, Dialogue, Ontology
 from .embeddings import CompositeEmbedding
 from .lm import LanguageModel
 
-GATE_CLASSES = ("ptr", "none", "dontcare")
-GATE_PTR, GATE_NONE, GATE_DONTCARE = 0, 1, 2
+GATE_PTR, GATE_NONE, GATE_DONTCARE = 0, 1, 2  # the gate logits' column order
 
 # Constructor arguments a checkpoint records, beside the vocabulary and the
 # ontology. Dropout, word dropout, the embedding freeze and the seed (whose
@@ -55,24 +54,11 @@ CHECKPOINT_FIELDS = ("hidden_dim", "embedding_dim", "tagging", "lm_enabled",
 
 
 @dataclass
-class SlotGateDecision:
-    probs: np.ndarray  # over GATE_CLASSES, sums to 1
-
-    @property
-    def label(self) -> str:
-        return GATE_CLASSES[int(np.argmax(self.probs))]
-
-
-@dataclass
 class TurnContext:
     """Everything decoding needs for one (dialogue, turn) instance."""
 
     tokens: list[str]
     oov_surfaces: list[str]  # distinct OOV surfaces, first-appearance order
-
-    @property
-    def n_oov(self) -> int:
-        return len(self.oov_surfaces)
 
 
 @dataclass
@@ -378,30 +364,19 @@ class DstModel:
 
     # -- training ----------------------------------------------------------
 
-    def gate_label(self, gold: BeliefState, domain: str, slot: str) -> int:
-        value = gold.get(domain, slot)
-        if value is None:
-            return GATE_NONE
-        return GATE_DONTCARE if value == "dontcare" else GATE_PTR
-
     def _target_ids(self, ctx: TurnContext, gold: BeliefState):
-        """Teacher-forcing targets per ontology slot: value tokens + EOS for
-        ptr slots, ["dontcare", EOS] for dontcare, [EOS] for absent. Returns
-        (one id list per slot, one gate label per slot)."""
+        """Teacher-forcing targets per ontology slot: the gold value's tokens
+        + EOS, so [EOS] for an absent slot and ["dontcare", EOS] for dontcare.
+        Returns (one id list per slot, one gate id per slot)."""
         ext_of = {s: len(self.vocab) + i for i, s in enumerate(ctx.oov_surfaces)}
         unk, eos = self.vocab.id(UNK), self.vocab.id(EOS)
         seqs, gates = [], []
         for domain, slot in self.ontology.domain_slots:
-            gate = self.gate_label(gold, domain, slot)
-            gates.append(gate)
-            if gate == GATE_NONE:
-                words = []
-            elif gate == GATE_DONTCARE:
-                words = ["dontcare"]
-            else:
-                words = tokenize(gold.get(domain, slot))
+            value = gold.get(domain, slot)
+            gates.append(GATE_NONE if value is None
+                         else GATE_DONTCARE if value == "dontcare" else GATE_PTR)
             ids = [self.vocab.id(t) if t in self.vocab else ext_of.get(t, unk)
-                   for t in words]
+                   for t in tokenize(value or "")]
             seqs.append((ids + [eos])[:self.max_value_len])
         return seqs, gates
 
@@ -458,12 +433,13 @@ class DstModel:
     def _greedy_decode(self, batch: BatchContext):
         """Greedy decoding of every ontology slot for every example in the batch.
 
-        Returns per-example ([SlotGateDecision, ...], [token list, ...]), one
-        entry per slot in ontology order. The first step runs the GRU step,
-        attention and the gate for every (example, slot) row. Only the rows
-        whose gate is ptr go on to the output heads, and a row leaves when it
-        emits EOS, so each step runs only the ptr rows still decoding. A none
-        or dontcare slot returns no words. Argmax ties break toward the
+        Returns (gate probabilities, words): an (examples, slots, 3) array
+        over the ``GATE_*`` columns, and per example one token list per slot
+        in ontology order. The first step runs the GRU step, attention and
+        the gate for every (example, slot) row. Only the rows whose most
+        probable gate is ptr go on to the output heads, and a row leaves when
+        it emits EOS, so each step runs only the ptr rows still decoding. A
+        none or dontcare slot returns no words. Argmax ties break toward the
         lowest token id.
         """
         n_b, n_s = len(batch.contexts), len(self.ontology)
@@ -471,10 +447,7 @@ class DstModel:
         x, h = self._decoder_init(batch)
         step = self._attend(batch, x, self.decoder_cell.step(x, h), np.arange(n_b * n_s))
         probs = ad.softmax(self._gate_logits(step.context_vec), axis=1).value
-        gates = [[SlotGateDecision(p.copy()) for p in turn]
-                 for turn in probs.reshape(n_b, n_s, -1)]
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
-        # the same tie-break as SlotGateDecision.label
         step = step.take(np.flatnonzero(probs.argmax(axis=1) == GATE_PTR))
         grouping = copy_grouping(batch.ext_ids, batch.mask)
         for j in range(self.max_value_len):
@@ -494,20 +467,16 @@ class DstModel:
             x = self._feed(batch, choice[going])
             h = self.decoder_cell.step(x, ad.embedding_lookup(step.h, going))
             step = self._attend(batch, x, h, step.rows[going])
-        return gates, words
+        return probs.reshape(n_b, n_s, -1), words
 
-    def _assemble_state(self, gates: list[SlotGateDecision],
-                        words: list[list[str]]) -> BeliefState:
+    def _assemble_state(self, probs: np.ndarray, words: list[list[str]]) -> BeliefState:
+        """One example's state from its (slots, 3) gate probabilities and
+        its decoded words per slot."""
         state = BeliefState()
-        for (domain, slot), gate, toks in zip(self.ontology.domain_slots, gates, words):
-            label = gate.label
-            if label == "none":
-                continue
-            if label == "dontcare":
-                state.set(domain, slot, "dontcare")
-                continue
-            value = " ".join(toks)
-            if value and value != "none":
+        for (domain, slot), gate, toks in zip(self.ontology.domain_slots,
+                                              probs.argmax(axis=1), words):
+            value = "dontcare" if gate == GATE_DONTCARE else " ".join(toks)
+            if gate != GATE_NONE and value and value != "none":
                 state.set(domain, slot, value)
         return state
 
@@ -515,8 +484,8 @@ class DstModel:
         """Greedy predictions for a batch of turns (all slots, fixed order)."""
         with ad.no_grad():
             batch = self.prepare_batch(instances)
-            gates, words = self._greedy_decode(batch)
-        return [self._assemble_state(g, w) for g, w in zip(gates, words)]
+            probs, words = self._greedy_decode(batch)
+        return [self._assemble_state(p, w) for p, w in zip(probs, words)]
 
     def predict_state(self, dialogue: Dialogue, turn: int) -> BeliefState:
         """Greedy prediction for one turn."""

@@ -84,17 +84,20 @@ def load_config_file(path) -> TrainConfig:
             key, value = key.strip(), value.strip()
             if key not in types:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
-            overrides[key] = _parse_value(types[key], value, key)
+            try:
+                overrides[key] = _parse_value(types[key], value)
+            except ValueError as exc:
+                raise ValueError(f"config line {line_no}: {key}: {exc}") from None
     return replace(TrainConfig(), **overrides)
 
 
-def _parse_value(type_name: str, raw: str, key: str):
+def _parse_value(type_name: str, raw: str):
     if type_name == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"config key {key}: {raw!r} is not a boolean")
+        raise ValueError(f"{raw!r} is not a boolean")
     if type_name == "int":
         return int(raw)
     if type_name == "float":
@@ -249,17 +252,15 @@ def predict_instances(model: DstModel, dialogues: list[Dialogue],
     that order.
     """
     instances = turn_instances(dialogues)
-    contexts = [context.build_context(d, i, tagging=True) for d, i in instances]
-    untagged = [c.untagged_length for c in contexts]
-    lengths = [c.length for c in contexts] if model.tagging else untagged
-    by_len = sorted(range(len(instances)), key=lambda j: lengths[j])
+    contexts = [context.build_context(d, i, model.tagging) for d, i in instances]
+    by_len = sorted(range(len(instances)), key=lambda j: contexts[j].length)
     states: list = [None] * len(instances)
     for lo in range(0, len(by_len), chunk):
         part = sorted(by_len[lo:lo + chunk])
         for j, state in zip(part, model.predict_states([instances[j] for j in part])):
             states[j] = state
-    return [TurnPrediction(d.id, i, n, state, d.turns[i].gold_state)
-            for (d, i), n, state in zip(instances, untagged, states)]
+    return [TurnPrediction(d.id, i, c.untagged_length, state, d.turns[i].gold_state)
+            for (d, i), c, state in zip(instances, contexts, states)]
 
 
 def ablation_name(config: TrainConfig) -> str:

@@ -88,6 +88,16 @@ def test_preprocess_min_count_zero_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_preprocess_non_object_dialogue_one_line_error(tmp_path, capsys):
+    data, out = tmp_path / "bad.json", tmp_path / "prep"
+    data.write_text("[1]")
+    code, _, err = run(capsys, "preprocess", "--data", str(data), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: CorpusFormatError: dialogue #0: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_predict_eval_pipeline(trained, tmp_path, capsys):
     synth_dir, ckpt = trained
     dump = tmp_path / "dump.jsonl"
@@ -170,7 +180,8 @@ def test_dump_config_roundtrip_defaults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["max_value_len = 0", "learning_rate = -1", "seed = -1",
-                                  "hidden_dim = 64", "min_count = 0"])
+                                  "hidden_dim = 64", "min_count = 0", "max_epochs = 1.5",
+                                  "dropout = abc"])
 def test_bad_config_value_one_line_error(synth_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"hidden_dim = 16\nembedding_dim = 16\nmax_epochs = 1\n{line}\n")

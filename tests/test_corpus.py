@@ -87,10 +87,19 @@ def test_load_order_follows_file(tmp_path):
     assert [d.id for d in load_multiwoz(p)] == ["D3", "D1", "D2"]
 
 
-def test_malformed_turn_names_dialogue_and_turn(tmp_path):
+@pytest.mark.parametrize("bad_turn", [
+    {"turn_idx": 1, "system_transcript": "x"},
+    {"turn_idx": 1, "transcript": "x", "belief_state": ["x"]},
+    {"turn_idx": 1, "transcript": "x", "belief_state": None},
+    {"turn_idx": 1, "transcript": "x", "belief_state": [{"slots": [["hotel-area"]]}]},
+    {"turn_idx": 1, "transcript": "x",
+     "belief_state": [{"slots": [["hotel-area", "east", "west"]]}]},
+], ids=["no-transcript", "belief-entry-not-object", "belief-state-null", "slot-pair-of-one",
+        "slot-pair-of-three"])
+def test_malformed_turn_names_dialogue_and_turn(tmp_path, bad_turn):
     data = [{"dialogue_idx": "BAD42", "dialogue": [
         {"turn_idx": 0, "system_transcript": "", "transcript": "hi .", "belief_state": []},
-        {"turn_idx": 1, "system_transcript": "x"},  # no transcript
+        bad_turn,
     ]}]
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))

@@ -9,9 +9,8 @@ import pytest
 from lmdst import autodiff as ad
 from lmdst.context import EOS, UNK, Vocabulary, build_context, build_vocabulary
 from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
-from lmdst.model import (CHECKPOINT_FIELDS, GATE_CLASSES, GATE_DONTCARE, GATE_NONE,
-                         GATE_PTR, DstModel, Encoder, SlotGateDecision, copy_argmax,
-                         copy_mixture, extend_context_ids)
+from lmdst.model import (CHECKPOINT_FIELDS, GATE_DONTCARE, GATE_NONE, GATE_PTR, DstModel,
+                         Encoder, copy_argmax, copy_mixture, extend_context_ids)
 from lmdst.training import predict_instances, turn_instances
 
 from test_embeddings import dense_char_avg
@@ -238,9 +237,9 @@ def test_greedy_decode_returns_gate_and_tokens():
     [gates], [words] = model._greedy_decode(batch)
     assert len(gates) == len(words) == len(model.ontology)
     for gate, tokens in zip(gates, words):
-        assert gate.probs.shape == (3,)
-        assert gate.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert gate.label in GATE_CLASSES
+        assert gate.shape == (3,)
+        assert gate.sum() == pytest.approx(1.0, abs=1e-12)
+        assert gate.argmax() in (GATE_PTR, GATE_NONE, GATE_DONTCARE)
         assert len(tokens) <= model.max_value_len
         assert EOS not in tokens
 
@@ -300,11 +299,11 @@ def test_greedy_decode_batch_matches_single():
         for turn in range(2):
             [want_gates], [want_words] = model._greedy_decode(model.prepare_batch([(d, turn)]))
             for gate, want_gate in zip(gates[turn], want_gates, strict=True):
-                np.testing.assert_allclose(gate.probs, want_gate.probs, atol=1e-12)
+                np.testing.assert_allclose(gate, want_gate, atol=1e-12)
             assert words[turn] == want_words
     # the rigged case mixes all three gates, and its ptr rows end at three steps
     for turn_gates, turn_words in zip(gates, words):
-        assert [GATE_CLASSES.index(g.label) for g in turn_gates] == [g for g, _ in MIXED_PLAN]
+        assert turn_gates.argmax(axis=1).tolist() == [g for g, _ in MIXED_PLAN]
         assert [len(w) for w in turn_words] == [1, 0, 3, 0, 5]
 
 
@@ -338,7 +337,7 @@ def test_greedy_decode_steps_only_live_rows(monkeypatch):
         gru_rows, head_rows = count_decoder_rows(monkeypatch, model)
         gates, words = model._greedy_decode(model.prepare_batch([(d, 0), (d, 1)]))
         assert gru_rows == [4] and sum(head_rows) == 0
-        assert all(g.label == GATE_CLASSES[gate] for turn in gates for g in turn)
+        assert (gates.argmax(axis=2) == gate).all()
         assert words == [[[], []], [[], []]]
 
     model = mixed_model()
@@ -346,7 +345,7 @@ def test_greedy_decode_steps_only_live_rows(monkeypatch):
     gru_rows, head_rows = count_decoder_rows(monkeypatch, model)
     gates, words = model._greedy_decode(model.prepare_batch([(d, 0), (d, 1)]))
     ptr_lengths = [len(w) for turn_gates, turn_words in zip(gates, words)
-                   for g, w in zip(turn_gates, turn_words) if g.label == "ptr"]
+                   for g, w in zip(turn_gates, turn_words) if g.argmax() == GATE_PTR]
     assert sorted(ptr_lengths) == [1, 1, 3, 3, 5, 5]
     # a ptr row is live from step 0 through the step that emits its EOS (or the cap)
     live = [sum(n >= j for n in ptr_lengths) for j in range(model.max_value_len)]
@@ -360,7 +359,7 @@ def full_width_decode(model, batch):
     argmax of the dense copy_mixture over all rows."""
     n_b, n_s = len(batch.contexts), len(model.ontology)
     eos = model.vocab.id(EOS)
-    n_oov = max(ctx.n_oov for ctx in batch.contexts)
+    n_oov = max(len(ctx.oov_surfaces) for ctx in batch.contexts)
     rows = np.arange(n_b * n_s)
     x, h = model._decoder_init(batch)
     words = [[[] for _ in range(n_s)] for _ in range(n_b)]
@@ -381,8 +380,7 @@ def full_width_decode(model, batch):
         if done.all():
             break
         x, h = model._feed(batch, np.where(done, eos, choice)), step.h
-    gates = [[SlotGateDecision(p) for p in turn] for turn in probs.reshape(n_b, n_s, -1)]
-    return gates, words
+    return probs.reshape(n_b, n_s, -1), words
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -432,7 +430,7 @@ def record_mixtures(model):
         mixtures.append(copy_mixture(
             ad.softmax(vocab_logits, axis=1), step.attn, ad.sigmoid(gen_logits),
             batch.ext_ids[step.rows // len(model.ontology)], len(model.vocab),
-            max(ctx.n_oov for ctx in batch.contexts)))
+            max(len(ctx.oov_surfaces) for ctx in batch.contexts)))
         return vocab_logits, gen_logits
 
     model._output_logits = recording
@@ -493,7 +491,7 @@ def test_copy_path_emits_oov_surface_token():
     assert ctx.oov_surfaces == ["flurb"]
     finals = record_mixtures(model)
     [gates], [words] = model._greedy_decode(batch)
-    assert [gate.label for gate in gates] == ["ptr", "ptr"]
+    assert gates.argmax(axis=1).tolist() == [GATE_PTR, GATE_PTR]
     emitted = set(words[model.ontology.domain_slots.index(("hotel", "price"))])
     assert emitted <= set(ctx.tokens)  # copy-only can emit context tokens only
     assert finals

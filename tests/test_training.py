@@ -70,7 +70,7 @@ def test_from_config_equals_explicit_construction():
     for attr in ("hidden_dim", "embedding_dim", "tagging", "lm_enabled", "dropout",
                  "word_dropout", "max_value_len"):
         assert getattr(got, attr) == getattr(want, attr), attr
-    assert got.embedding.freeze_word is want.embedding.freeze_word is True
+    assert got.embedding.word.requires_grad is want.embedding.word.requires_grad is False
     assert got.store.names() == want.store.names()
     for name in want.store.names():
         assert np.array_equal(got.store[name].value, want.store[name].value), name
