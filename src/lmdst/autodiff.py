@@ -5,8 +5,10 @@ Values are dense numpy arrays, float64 unless switched via
 the test suite runs in float64 so finite-difference checks are decisive).
 
 Graphs are built eagerly per example (define-by-run) and differentiated at
-most once. Parameters are long-lived leaf nodes whose ``grad`` buffers
-accumulate across graphs; delayed-update training relies on exactly that.
+most once: :func:`backward` releases each interior node as soon as its
+gradient has been passed on, so the graph's stashes do not outlive the pass.
+Parameters are long-lived leaf nodes whose ``grad`` buffers accumulate
+across graphs; delayed-update training relies on exactly that.
 A graph and its nodes belong to one thread; parameters may move between
 threads only between optimizer steps.
 """
@@ -69,6 +71,13 @@ class Node:
     ``grad`` is allocated lazily and accumulates; leaves keep accumulating
     across graphs until explicitly reset, which is the gradient-accumulation
     mechanism used by the trainer.
+
+    An interior node (one built by an op, with parents) lives only until
+    :func:`backward` has run its ``_backward``: then it drops its parents,
+    its backward closure with everything that closure stashed, and its
+    ``grad`` (the root keeps its ``grad`` of 1). Its ``value`` stays while
+    the caller holds the node. A released node is consumed: no later
+    backward may reach it.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "op", "_parents", "_backward", "_consumed")
@@ -727,26 +736,43 @@ def _first_nonfinite(order: list[Node]) -> str | None:
 
 
 def backward(loss: Node) -> None:
-    """Populate ``grad`` on every reachable requires_grad node.
+    """Populate ``grad`` on every reachable requires_grad leaf.
 
-    Calling backward twice on the same graph is an error; rebuild the graph
+    Nodes run in reverse topological order, each popped off that order; once
+    an interior node has passed its gradient to its parents it is released
+    (see :class:`Node`), so its stashes and its gradient are freed as the
+    pass goes instead of when the caller drops the loss. Leaves keep their
+    ``grad`` and the root keeps its ``grad`` of 1; every other ``grad`` in
+    the graph is ``None`` afterwards.
+
+    A graph is differentiated once: a backward that reaches a node released
+    by an earlier one (its own root included) is an error, since the
+    released subgraph can no longer pass its gradient on. Rebuild the graph
     instead (accumulation across rebuilt graphs is the supported contract).
     """
     if loss.shape != ():
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._consumed:
-        raise GraphError("backward: graph already differentiated; rebuild it first")
-    loss._consumed = True
     order = _topo(loss)
+    released = next((node for node in order if node._consumed), None)
+    if released is not None:
+        raise GraphError(f"backward: reaches op {released.op!r} of a graph already "
+                         "differentiated; rebuild it first")
+    loss._consumed = True
     if not np.isfinite(loss.value):
         bad = _first_nonfinite(order)
         raise GraphError(f"backward: non-finite loss (first non-finite op: {bad})")
     loss.grad = np.asarray(1.0, dtype=loss.value.dtype)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:  # a leaf: it keeps its grad
+            continue
+        if node.grad is not None:
             if not np.all(np.isfinite(node.grad)):
                 raise GraphError(f"backward: non-finite gradient at op {node.op!r}")
             node._backward(node.grad)
+        node._backward, node._parents, node._consumed = None, (), True
+        if node is not loss:
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

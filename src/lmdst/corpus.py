@@ -216,7 +216,11 @@ def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogu
                 state.set(domain, slot, value)
             turns.append(DialogueTurn(turn_idx, normalize_value(system),
                                       normalize_value(user), state))
-        domains = set(d.get("domains", [])) or {dom for t in turns for dom in t.gold_state.domains()}
+        listed = d.get("domains", [])
+        if not isinstance(listed, list) or not all(isinstance(x, str) for x in listed):
+            raise CorpusFormatError(f"dialogue {did}: domains must be a list of strings, "
+                                    f"got {listed!r}")
+        domains = set(listed) or {dom for t in turns for dom in t.gold_state.domains()}
         dialogues.append(Dialogue(did, domains, turns))
     return dialogues, skipped
 

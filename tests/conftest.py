@@ -1,5 +1,8 @@
-"""Shared fixtures: tiny corpora and the printed-numbers fixture dump that
-mirrors the reference length/error breakdown tables."""
+"""Shared fixtures: tiny corpora, the printed-numbers fixture dump that
+mirrors the reference length/error breakdown tables, and a traced-memory
+probe."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,24 @@ TABLE_BUCKETS = [("0-99", 50, 2940, 2115),
 # error-class counts among the 3,812 incorrect turns
 TABLE_ERRORS = {"over_prediction": 791, "partial_prediction": 1480,
                 "false_prediction": 1541}
+
+
+def peak_traced_mib(fn) -> float:
+    """Peak of the memory ``fn()`` allocates while it runs, in MiB.
+
+    Only allocations made inside ``fn`` are traced: memory that was live
+    before it (a forward graph built beforehand, say) counts as 0, and
+    ``fn`` freeing it does not lower the count. Trace the code that
+    allocates what ``fn`` frees to see that saving.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def _state(**kv):

@@ -1,10 +1,11 @@
 import math
-import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from conftest import peak_traced_mib
 from lmdst import autodiff as ad
 from lmdst.training import Adam
 
@@ -602,14 +603,12 @@ def test_gru_sequence_batch_has_no_padded_staging():
     cell = ad.GruCell(store, "g", 8, 8)
     lengths = [200] + [1] * 200
     xs = make_param(store, "xs", (sum(lengths), 8), rng)
-    tracemalloc.start()
-    try:
+
+    def run():
         out = ad.gru_sequence_batch(cell, xs, lengths)
         ad.backward(ad.sum_all(ad.elementwise_mul(out, out)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+
+    assert peak_traced_mib(run) < 4
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -714,6 +713,62 @@ def test_backward_reports_nonfinite_op():
     with pytest.raises(ad.GraphError) as exc:
         ad.backward(loss)
     assert "mul" in str(exc.value)
+
+
+def test_backward_releases_interior_nodes():
+    """Once backward returns, with the loss still held, the graph behind it
+    is gone: an interior value nothing else holds is freed, an interior node
+    still held has no grad, and only the leaves and the root keep theirs."""
+    store = ad.ParameterStore(0)
+    x = make_param(store, "x", (3, 4), np.random.default_rng(5))
+    squares = ad.elementwise_mul(x, x)
+    gates = ad.sigmoid(squares)
+    gates_value = weakref.ref(gates.value)
+    loss = ad.sum_all(ad.elementwise_mul(gates, gates))
+    expected = 2 * gates.value * gates.value * (1 - gates.value) * 2 * x.value
+    del gates
+    ad.backward(loss)
+    assert gates_value() is None
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=0)
+    assert squares.grad is None
+    assert float(loss.grad) == 1.0
+
+
+def test_backward_through_released_node_errors():
+    """A second loss that shares a subgraph with a differentiated one cannot
+    pass its gradient through that subgraph any more; backward says so
+    instead of leaving the shared part out of the leaves' gradients."""
+    store = ad.ParameterStore(0)
+    x = make_param(store, "x", (2, 3), np.random.default_rng(6))
+    shared = ad.elementwise_mul(x, x)
+    first = ad.sum_all(shared)
+    second = ad.sum_all(ad.sigmoid(shared))
+    ad.backward(first)
+    grad = x.grad.copy()
+    with pytest.raises(ad.GraphError, match="already differentiated"):
+        ad.backward(second)
+    np.testing.assert_array_equal(x.grad, grad)
+
+
+def test_backward_peak_above_forward_is_bounded():
+    """Four stacked 400-dim recurrences (8 sequences of 60 rows, directions
+    alternating) under sum(h*h), parameters held as in training. Backward
+    frees each node's stash and gradient once it has run, so a whole step
+    peaks about 23 MiB above the forward pass alone. Holding every stash and
+    interior gradient until the loss is dropped peaks about 53 MiB above it."""
+    store = ad.ParameterStore(41)
+    lengths = [60] * 8
+    xs = store.new("xs", (sum(lengths), 400), 1.0)
+    cells = [ad.GruCell(store, f"g{layer}", 400, 400) for layer in range(4)]
+
+    def forward():
+        h = xs
+        for layer, cell in enumerate(cells):
+            h = ad.gru_sequence_batch(cell, h, lengths, reverse=bool(layer % 2))
+        return ad.sum_all(ad.elementwise_mul(h, h))
+
+    rise = peak_traced_mib(lambda: ad.backward(forward())) - peak_traced_mib(forward)
+    assert rise < 38
 
 
 def test_gradients_accumulate_across_graphs():

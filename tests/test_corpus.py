@@ -108,6 +108,17 @@ def test_malformed_turn_names_dialogue_and_turn(tmp_path, bad_turn):
     assert "BAD42" in str(exc.value) and "turn 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("domains", [5, "hotel"], ids=["number", "string"])
+def test_domains_not_a_list_of_strings_names_dialogue(tmp_path, domains):
+    data = [{"dialogue_idx": "BAD7", "domains": domains, "dialogue": [
+        {"turn_idx": 0, "system_transcript": "", "transcript": "hi .", "belief_state": []},
+    ]}]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(CorpusFormatError, match="BAD7.*domains"):
+        load_multiwoz(p)
+
+
 def test_unknown_slot_skipped_and_counted(tmp_path, caplog):
     data = [{"dialogue_idx": "D0", "dialogue": [
         {"turn_idx": 0, "system_transcript": "", "transcript": "hi .",
