@@ -181,8 +181,8 @@ def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogu
     for d_pos, d in enumerate(raw):
         if not isinstance(d, dict):
             raise CorpusFormatError(f"dialogue #{d_pos}: not an object")
-        did = str(d.get("dialogue_idx", d.get("id", f"#{d_pos}")))
-        turns_raw = d.get("dialogue", d.get("turns"))
+        did = str(d.get("dialogue_idx", f"#{d_pos}"))
+        turns_raw = d.get("dialogue")
         if not isinstance(turns_raw, list) or not turns_raw:
             raise CorpusFormatError(f"dialogue {did}: missing or empty turn list")
         turns: list[DialogueTurn] = []

@@ -6,7 +6,11 @@ mixes a vocabulary softmax (tied to the embedding table) with the attention
 distribution over context positions, weighted by a learned p_gen. Tokens
 that are out of vocabulary but present in the context get temporary
 extended ids (one per distinct surface form), so copying can emit surface
-forms the vocabulary has never seen.
+forms the vocabulary has never seen. Each direction of that mapping has one
+implementation: :func:`extend_context_ids` (token -> extended id, for the
+context and the gold values), :meth:`DstModel._input_ids` (extended id ->
+embedding-table id, UNK for a copied surface) and
+:meth:`DstModel._token_for` (extended id -> surface).
 
 Turn instances of a micro-batch run through stacked graphs purely for
 throughput: one embedding table build, batched recurrences over the stacked
@@ -38,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .context import EOS, UNK, Vocabulary, build_context, tokenize
+from .context import EOS, UNK, ContextSequence, Vocabulary, build_context, tokenize
 from .corpus import BeliefState, Dialogue, Ontology
 from .embeddings import CompositeEmbedding
 from .lm import LanguageModel
@@ -54,22 +58,18 @@ CHECKPOINT_FIELDS = ("hidden_dim", "embedding_dim", "tagging", "lm_enabled",
 
 
 @dataclass
-class TurnContext:
-    """Everything decoding needs for one (dialogue, turn) instance."""
-
-    tokens: list[str]
-    oov_surfaces: list[str]  # distinct OOV surfaces, first-appearance order
-
-
-@dataclass
 class BatchContext:
-    contexts: list[TurnContext]
+    """A micro-batch's encoded contexts, one entry per example in instance
+    order. ``ext_ids[mask]`` lists every context's extended ids back to back
+    in that order; their :meth:`DstModel._input_ids` are the embedding input
+    and the LM targets."""
+
+    contexts: list[ContextSequence]  # the built contexts, in stacking order
+    oov: list[list[str]]  # per example, its distinct OOV surfaces, first-appearance order
     table: ad.Node       # |V| x emb
     table_t: ad.Node     # emb x |V|
     final_all: ad.Node   # B x d_h, one encoder final state per example
     hiddens: ad.Node     # B x t_max x d_h encoder states, zero-padded
-    ids: np.ndarray      # vocabulary ids of all contexts, stacked
-    lengths: list[int]   # context lengths, in stacking order
     lm_states: tuple[ad.Node, ad.Node] | None  # LM (forward, backward) states
     # one row per example, t_max wide; every slot row of an example reads it:
     mask: np.ndarray     # True at the example's context positions
@@ -95,23 +95,12 @@ class DecodeStep(NamedTuple):
                           *(ad.embedding_lookup(node, keep) for node in self[1:]))
 
 
-def extend_context_ids(vocab: Vocabulary, tokens: list[str]):
-    """Vocabulary ids plus per-surface extended ids for OOV context tokens."""
-    unk = vocab.id(UNK)
-    ids, ext_ids, surfaces = [], [], []
-    ext_of: dict[str, int] = {}
-    for tok in tokens:
-        if tok in vocab:
-            i = vocab.id(tok)
-            ids.append(i)
-            ext_ids.append(i)
-        else:
-            ids.append(unk)
-            if tok not in ext_of:
-                ext_of[tok] = len(vocab) + len(surfaces)
-                surfaces.append(tok)
-            ext_ids.append(ext_of[tok])
-    return np.array(ids, dtype=np.intp), np.array(ext_ids, dtype=np.intp), surfaces
+def extend_context_ids(vocab: Vocabulary, tokens: list[str], surfaces: list[str]) -> np.ndarray:
+    """The extended id of each token: ``|V| + i`` for ``surfaces[i]`` (a
+    context's distinct OOV tokens), else its vocabulary id, which is UNK
+    for any other token the vocabulary lacks."""
+    ext_of = {s: len(vocab) + i for i, s in enumerate(surfaces)}
+    return np.array([ext_of.get(t, vocab.id(t)) for t in tokens], dtype=np.intp)
 
 
 def copy_mixture(vocab_probs: ad.Node, context_probs: ad.Node, p_gen: ad.Node,
@@ -276,26 +265,23 @@ class DstModel:
         """
         if not instances:
             raise ValueError("prepare_batch: empty instance list")
-        tokens_per: list[list[str]] = []
-        ids_per, ext_per, oov_per = [], [], []
+        contexts, oov = [], []
         for dialogue, turn in instances:
             seq = build_context(dialogue, turn, self.tagging)
             if not seq.tokens:
                 raise ad.ShapeError(
                     f"empty context for dialogue {dialogue.id} turn {turn}")
-            ids, ext_ids, oov = extend_context_ids(self.vocab, seq.tokens)
-            tokens_per.append(seq.tokens)
-            ids_per.append(ids)
-            ext_per.append(ext_ids)
-            oov_per.append(oov)
-        lengths = [len(t) for t in tokens_per]
-        ids_all = np.concatenate(ids_per)
-
-        input_ids = ids_all
+            contexts.append(seq)
+            oov.append(list(dict.fromkeys(t for t in seq.tokens if t not in self.vocab)))
+        lengths = [seq.length for seq in contexts]
+        in_context = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        ext_ids = np.zeros(in_context.shape, dtype=np.intp)
+        ext_ids[in_context] = np.concatenate(
+            [extend_context_ids(self.vocab, seq.tokens, s) for seq, s in zip(contexts, oov)])
+        input_ids = self._input_ids(ext_ids[in_context])
         if rng is not None and self.word_dropout > 0:
-            drop = rng.random(ids_all.size) < self.word_dropout
-            if drop.any():
-                input_ids = np.where(drop, self.vocab.id(UNK), ids_all)
+            drop = rng.random(input_ids.size) < self.word_dropout
+            input_ids = np.where(drop, self.vocab.id(UNK), input_ids)
 
         table = self.embedding.table()
         table_t = ad.transpose(table)
@@ -312,13 +298,9 @@ class DstModel:
             mask = (rng.random(hiddens_all.shape) >= self.dropout) / (1.0 - self.dropout)
             hiddens_all = ad.elementwise_mul(hiddens_all, ad.Node(mask))
 
-        in_context = np.arange(max(lengths)) < np.array(lengths)[:, None]
-        ext_ids = np.zeros(in_context.shape, dtype=np.intp)
-        ext_ids[in_context] = np.concatenate(ext_per)
         return BatchContext(
-            contexts=[TurnContext(t, oov) for t, oov in zip(tokens_per, oov_per)],
-            table=table, table_t=table_t, final_all=final_all,
-            hiddens=ad.pad_sequences(hiddens_all, lengths), ids=ids_all, lengths=lengths,
+            contexts=contexts, oov=oov, table=table, table_t=table_t, final_all=final_all,
+            hiddens=ad.pad_sequences(hiddens_all, lengths),
             lm_states=lm_states, mask=in_context, ext_ids=ext_ids)
 
     def _decoder_init(self, batch: BatchContext):
@@ -357,26 +339,28 @@ class DstModel:
             self.b_pgen)
         return ad.matmul(step.h, batch.table_t), gen_logits
 
-    def _feed(self, batch: BatchContext, ids: np.ndarray) -> ad.Node:
-        """Next decoder inputs; an extended (copied OOV) id feeds UNK back."""
-        ids = np.where(ids >= len(self.vocab), self.vocab.id(UNK), ids)
-        return ad.embedding_lookup(batch.table, ids)
+    def _input_ids(self, ext: np.ndarray) -> np.ndarray:
+        """Embedding-table ids of extended ids: a copied OOV surface reads UNK."""
+        return np.where(ext >= len(self.vocab), self.vocab.id(UNK), ext)
+
+    def _feed(self, batch: BatchContext, ext: np.ndarray) -> ad.Node:
+        """Next decoder inputs for the extended ids ``ext``."""
+        return ad.embedding_lookup(batch.table, self._input_ids(ext))
 
     # -- training ----------------------------------------------------------
 
-    def _target_ids(self, ctx: TurnContext, gold: BeliefState):
+    def _target_ids(self, surfaces: list[str], gold: BeliefState):
         """Teacher-forcing targets per ontology slot: the gold value's tokens
         + EOS, so [EOS] for an absent slot and ["dontcare", EOS] for dontcare.
-        Returns (one id list per slot, one gate id per slot)."""
-        ext_of = {s: len(self.vocab) + i for i, s in enumerate(ctx.oov_surfaces)}
-        unk, eos = self.vocab.id(UNK), self.vocab.id(EOS)
+        A token is its extended id in a context whose OOV surfaces are
+        ``surfaces``. Returns (one id list per slot, one gate id per slot)."""
+        eos = self.vocab.id(EOS)
         seqs, gates = [], []
         for domain, slot in self.ontology.domain_slots:
             value = gold.get(domain, slot)
             gates.append(GATE_NONE if value is None
                          else GATE_DONTCARE if value == "dontcare" else GATE_PTR)
-            ids = [self.vocab.id(t) if t in self.vocab else ext_of.get(t, unk)
-                   for t in tokenize(value or "")]
+            ids = extend_context_ids(self.vocab, tokenize(value or ""), surfaces).tolist()
             seqs.append((ids + [eos])[:self.max_value_len])
         return seqs, gates
 
@@ -395,8 +379,8 @@ class DstModel:
         """
         batch = self.prepare_batch(instances, rng)
         seqs, gates = [], []
-        for ctx, (dialogue, turn) in zip(batch.contexts, instances):
-            slot_seqs, slot_gates = self._target_ids(ctx, dialogue.turns[turn].gold_state)
+        for surfaces, (dialogue, turn) in zip(batch.oov, instances):
+            slot_seqs, slot_gates = self._target_ids(surfaces, dialogue.turns[turn].gold_state)
             seqs += slot_seqs
             gates += slot_gates
         lens = np.array([len(s) for s in seqs], dtype=np.intp)
@@ -421,14 +405,17 @@ class DstModel:
         dst_sum = ad.elementwise_mul(ad.add(token_total, gate_total), 1.0 / len(self.ontology))
         if batch.lm_states is None:
             return dst_sum, ad.Node(0.0)
-        return dst_sum, self.lm.loss(*batch.lm_states, batch.ids, batch.lengths)
+        return dst_sum, self.lm.loss(*batch.lm_states, self._input_ids(batch.ext_ids[batch.mask]),
+                                     [seq.length for seq in batch.contexts])
 
     # -- inference ---------------------------------------------------------
 
-    def _token_for(self, ctx: TurnContext, idx: int) -> str:
+    def _token_for(self, surfaces: list[str], idx: int) -> str:
+        """The token of extended id ``idx`` in a context whose OOV surfaces
+        are ``surfaces``."""
         if idx < len(self.vocab):
             return self.vocab.token(idx)
-        return ctx.oov_surfaces[idx - len(self.vocab)]
+        return surfaces[idx - len(self.vocab)]
 
     def _greedy_decode(self, batch: BatchContext):
         """Greedy decoding of every ontology slot for every example in the batch.
@@ -461,7 +448,7 @@ class DstModel:
             going = np.flatnonzero(choice != eos)
             for r, c in zip(step.rows[going].tolist(), choice[going].tolist()):
                 i, s = divmod(r, n_s)
-                words[i][s].append(self._token_for(batch.contexts[i], c))
+                words[i][s].append(self._token_for(batch.oov[i], c))
             if not going.size or j + 1 == self.max_value_len:
                 break
             x = self._feed(batch, choice[going])

@@ -44,8 +44,8 @@ class TrainConfig:
     freeze_embeddings: bool = False  # freeze the pretrained word part
 
     def validate(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0 <= self.alpha < np.inf:  # with the LM off, 0 * alpha must stay 0
+            raise ValueError("alpha must be finite and non-negative")
         if self.delay_update_steps < 1 or self.batch_size < 1:
             raise ValueError("delay_update_steps and batch_size must be positive")
         if not 0 <= self.dropout < 1 or not 0 <= self.word_dropout < 1:
@@ -169,14 +169,13 @@ class Trainer:
         self.micro_step = 0
         self.rng = np.random.default_rng(config.seed)
 
-    def micro_batch_loss(self, batch: list[tuple[Dialogue, int]],
-                         train: bool = True) -> tuple[ad.Node, float, float]:
-        """Mean over the batch of (dst + alpha * lm); also returns the two
-        mean raw loss values for reporting."""
-        rng = self.rng if train else None
-        dst_sum, lm_sum = self.model.batch_loss(batch, rng)
-        alpha = self.config.alpha if self.model.lm_enabled else 0.0
-        mean = ad.elementwise_mul(total_loss(dst_sum, lm_sum, alpha), 1.0 / len(batch))
+    def micro_batch_loss(self, batch: list[tuple[Dialogue, int]]) -> tuple[ad.Node, float, float]:
+        """Mean over the batch of (dst + alpha * lm), with training-time
+        dropout; also returns the two mean raw loss values for reporting.
+        Without the LM, lm is the constant 0."""
+        dst_sum, lm_sum = self.model.batch_loss(batch, self.rng)
+        mean = ad.elementwise_mul(total_loss(dst_sum, lm_sum, self.config.alpha),
+                                  1.0 / len(batch))
         return mean, float(dst_sum.value) / len(batch), float(lm_sum.value) / len(batch)
 
     def train_step(self, batch: list[tuple[Dialogue, int]]) -> tuple[float, float]:
@@ -286,8 +285,6 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     config.validate()
     start = time.monotonic()
     train_dlgs, val_dlgs = split_corpus(dialogues, config.val_fraction)
-    if not train_dlgs or not val_dlgs:
-        raise ValueError("empty train or validation split")
     vocab = context.build_vocabulary(train_dlgs, config.min_count)
     model = DstModel.from_config(vocab, ontology, config)
     if vectors_path is not None:
@@ -299,7 +296,7 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     order_rng = np.random.default_rng(config.seed + 1)
 
     train_inst = turn_instances(train_dlgs)
-    inst_lengths = [context.build_context(d, i, config.tagging_enabled).length
+    inst_lengths = [context.build_context(d, i, model.tagging).length
                     for d, i in train_inst]
     report = TrainReport(ablation=ablation_name(config))
     best_state: dict | None = None

@@ -298,7 +298,7 @@ def test_criterion_5_delayed_update_equivalence():
     separate = {p.name: np.zeros_like(p.value) for p in model.store.parameters()}
     for batch in batches:
         model.store.zero_grad()
-        loss, _, _ = trainer.micro_batch_loss(batch, train=False)
+        loss, _, _ = trainer.micro_batch_loss(batch)
         ad.backward(loss)
         for p in model.store.parameters():
             separate[p.name] += p.grad
@@ -307,7 +307,7 @@ def test_criterion_5_delayed_update_equivalence():
     snapshot = model.store.state_dict()
     trainer.micro_step = 0
     for k, batch in enumerate(batches):
-        loss, _, _ = trainer.micro_batch_loss(batch, train=False)
+        loss, _, _ = trainer.micro_batch_loss(batch)
         ad.backward(loss)
         trainer.micro_step += 1
         if k < 3:

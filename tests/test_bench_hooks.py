@@ -4,8 +4,9 @@ renamed or removed hook would otherwise only show up when the benchmark runs."""
 
 from pathlib import Path
 
-from lmdst.context import Vocabulary
-from lmdst.corpus import Ontology
+from lmdst import autodiff as ad
+from lmdst.context import Vocabulary, build_context
+from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
 from lmdst.model import DstModel
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -21,6 +22,43 @@ def test_bench_tracer_finds_every_layer_hook(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_bench_tracer_reads_its_attributes(monkeypatch):
+    """The traced mode also reads attributes off what the hooks return or
+    take (a batch's contexts and their tokens, a recurrence's lengths, a
+    decoder step's rows): one traced training step and one traced
+    prediction fill every attribute the per-layer metrics read."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import tracing
+
+    model = DstModel(Vocabulary(["i", "want", "east", "area", ".", "hotel"]),
+                     Ontology([("hotel", "area")]), hidden_dim=4, embedding_dim=4, seed=3)
+    dialogue = Dialogue("toy0", {"hotel"}, [
+        DialogueTurn(0, "", "i want east area .", BeliefState({("hotel", "area"): "east"}))])
+    instances = [(dialogue, 0)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("op", op=0):
+            ad.backward(model.batch_loss(instances)[0])
+            model.predict_states(instances)
+    finally:
+        tracer.uninstall()
+
+    spans = tracer.spans
+    assert all(rec[tracing.END] is not None for rec in spans)
+
+    def attrs(name):
+        found = [rec[tracing.ATTRS] for rec in spans if rec[tracing.NAME] == name]
+        assert found, name
+        return found
+
+    length = build_context(dialogue, 0, model.tagging).length
+    assert attrs("model.prepare_batch") == [{"turns": 1, "tokens": length}] * 2
+    assert all(a["rows"] > 0 for a in attrs("gru_sequence_batch") + attrs("decoder.step"))
+    metrics = tracing.layer_metrics(tracer, [0], 0.0)
+    assert metrics["context.tokens_per_turn"] == (length, "tokens/turn")
 
 
 def test_bench_checkpoint_round_trip(monkeypatch, tmp_path):

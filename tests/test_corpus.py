@@ -119,6 +119,18 @@ def test_domains_not_a_list_of_strings_names_dialogue(tmp_path, domains):
         load_multiwoz(p)
 
 
+def test_turn_list_under_another_key_names_dialogue(tmp_path):
+    """The turn list is read from "dialogue" only; an undocumented alias such
+    as "turns" is a format error naming the dialogue."""
+    data = [{"dialogue_idx": "ALIAS3", "turns": [
+        {"turn_idx": 0, "system_transcript": "", "transcript": "hi .", "belief_state": []},
+    ]}]
+    p = tmp_path / "alias.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(CorpusFormatError, match="ALIAS3.*turn list"):
+        load_multiwoz(p)
+
+
 def test_unknown_slot_skipped_and_counted(tmp_path, caplog):
     data = [{"dialogue_idx": "D0", "dialogue": [
         {"turn_idx": 0, "system_transcript": "", "transcript": "hi .",

@@ -219,12 +219,30 @@ def test_greedy_argmax_matches_dense_mixture():
 
 
 def test_oov_context_ids():
-    vocab = tiny_vocab()
-    ids, ext, surfaces = extend_context_ids(vocab, ["i", "want", "flurb", "area", "flurb"])
-    assert surfaces == ["flurb"]
-    assert ids[2] == vocab.id(UNK) and ids[4] == vocab.id(UNK)
-    assert ext[2] == ext[4] == len(vocab)
-    assert ext[0] == vocab.id("i")
+    """Token -> extended id (extend_context_ids, for the context and through
+    _target_ids for gold values), extended id -> table id (_input_ids) and
+    extended id -> token (_token_for)."""
+    model = tiny_model()
+    vocab = model.vocab
+    unk, eos, v = vocab.id(UNK), vocab.id(EOS), len(vocab)
+    tokens = ["i", "want", "flurb", "area", "zork", "flurb"]
+    surfaces = ["flurb", "zork"]
+    ext = extend_context_ids(vocab, tokens, surfaces).tolist()
+    assert ext == [vocab.id("i"), vocab.id("want"), v, vocab.id("area"), v + 1, v]
+    assert model._input_ids(np.array(ext)).tolist() == [
+        vocab.id("i"), vocab.id("want"), unk, vocab.id("area"), unk, unk]
+    assert [model._token_for(surfaces, i) for i in ext] == tokens
+    # prepare_batch finds the same surfaces, and its ids map back to the context
+    d = tiny_dialogue()
+    d.turns[0].user_utterance = " ".join(tokens)
+    batch = model.prepare_batch([(d, 0)])
+    assert batch.oov == [surfaces]
+    assert [model._token_for(surfaces, i) for i in batch.ext_ids[batch.mask].tolist()] \
+        == batch.contexts[0].tokens
+    # a gold token outside both the vocabulary and the context becomes UNK
+    gold = BeliefState({("hotel", "area"): "zork east", ("hotel", "price"): "blorp"})
+    seqs, _ = model._target_ids(surfaces, gold)
+    assert seqs == [[v + 1, vocab.id("east"), eos], [unk, eos]]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +377,7 @@ def full_width_decode(model, batch):
     argmax of the dense copy_mixture over all rows."""
     n_b, n_s = len(batch.contexts), len(model.ontology)
     eos = model.vocab.id(EOS)
-    n_oov = max(len(ctx.oov_surfaces) for ctx in batch.contexts)
+    n_oov = max(len(surfaces) for surfaces in batch.oov)
     rows = np.arange(n_b * n_s)
     x, h = model._decoder_init(batch)
     words = [[[] for _ in range(n_s)] for _ in range(n_b)]
@@ -375,7 +393,7 @@ def full_width_decode(model, batch):
         choice = np.argmax(mixture.value, axis=1)
         for r in rows[~done & (choice != eos)]:
             i, s = divmod(int(r), n_s)
-            words[i][s].append(model._token_for(batch.contexts[i], int(choice[r])))
+            words[i][s].append(model._token_for(batch.oov[i], int(choice[r])))
         done |= choice == eos
         if done.all():
             break
@@ -430,7 +448,7 @@ def record_mixtures(model):
         mixtures.append(copy_mixture(
             ad.softmax(vocab_logits, axis=1), step.attn, ad.sigmoid(gen_logits),
             batch.ext_ids[step.rows // len(model.ontology)], len(model.vocab),
-            max(len(ctx.oov_surfaces) for ctx in batch.contexts)))
+            max(len(surfaces) for surfaces in batch.oov)))
         return vocab_logits, gen_logits
 
     model._output_logits = recording
@@ -488,7 +506,7 @@ def test_copy_path_emits_oov_surface_token():
     d.turns[1].user_utterance = "i want flurb price ."
     batch = model.prepare_batch([(d, 1)])
     ctx = batch.contexts[0]
-    assert ctx.oov_surfaces == ["flurb"]
+    assert batch.oov[0] == ["flurb"]
     finals = record_mixtures(model)
     [gates], [words] = model._greedy_decode(batch)
     assert gates.argmax(axis=1).tolist() == [GATE_PTR, GATE_PTR]
@@ -613,7 +631,9 @@ def numpy_turn_loss(model, dialogue, turn):
 
     vocab = model.vocab
     seq = build_context(dialogue, turn, model.tagging)
-    ids, ext_ids, oov = extend_context_ids(vocab, seq.tokens)
+    oov = list(dict.fromkeys(t for t in seq.tokens if t not in vocab))
+    ids = np.array(vocab.encode(seq.tokens))
+    ext_ids = extend_context_ids(vocab, seq.tokens, oov)
     table = np.concatenate(
         [model.embedding.word.value,
          dense_char_avg(model.embedding) @ model.embedding.char.value],
@@ -766,8 +786,8 @@ def stepwise_dst_loss(model, instances, rng):
     Returns the loss and each row's target ids."""
     batch = model.prepare_batch(instances, rng)
     seqs, gates = [], []
-    for ctx, (dialogue, turn) in zip(batch.contexts, instances):
-        slot_seqs, slot_gates = model._target_ids(ctx, dialogue.turns[turn].gold_state)
+    for surfaces, (dialogue, turn) in zip(batch.oov, instances):
+        slot_seqs, slot_gates = model._target_ids(surfaces, dialogue.turns[turn].gold_state)
         seqs += slot_seqs
         gates += slot_gates
     x, h = model._decoder_init(batch)
@@ -833,7 +853,8 @@ def test_prediction_skips_lm_heads(monkeypatch):
     instances = [(d, 0), (d, 1)]
     with ad.no_grad():
         batch = model.prepare_batch(instances)
-        model.lm.loss(*batch.lm_states, batch.ids, batch.lengths)
+        model.lm.loss(*batch.lm_states, model._input_ids(batch.ext_ids[batch.mask]),
+                      [seq.length for seq in batch.contexts])
         gates, words = model._greedy_decode(batch)
     want = [model._assemble_state(g, w) for g, w in zip(gates, words)]
     assert all(len(state) for state in want)

@@ -121,7 +121,7 @@ def test_accumulated_gradient_equals_sum_of_micro_batch_gradients():
     separate = {}
     for batch in batches:
         trainer.model.store.zero_grad()
-        loss, _, _ = trainer.micro_batch_loss(batch, train=False)
+        loss, _, _ = trainer.micro_batch_loss(batch)
         ad.backward(loss)
         for p in trainer.model.store.parameters():
             separate.setdefault(p.name, np.zeros_like(p.value))
@@ -132,13 +132,13 @@ def test_accumulated_gradient_equals_sum_of_micro_batch_gradients():
     trainer.micro_step = 0
     snapshot = trainer.model.store.state_dict()
     for i, batch in enumerate(batches[:3]):
-        loss, _, _ = trainer.micro_batch_loss(batch, train=False)
+        loss, _, _ = trainer.micro_batch_loss(batch)
         ad.backward(loss)
         trainer.micro_step += 1
         for name, value in snapshot.items():
             assert (trainer.model.store[name].value == value).all(), \
                 f"parameters changed inside accumulation window at micro-step {i}"
-    loss, _, _ = trainer.micro_batch_loss(batches[3], train=False)
+    loss, _, _ = trainer.micro_batch_loss(batches[3])
     ad.backward(loss)
     for p in trainer.model.store.parameters():
         np.testing.assert_allclose(p.grad, separate[p.name], rtol=0, atol=1e-10)
@@ -375,8 +375,9 @@ def test_config_file_unknown_key(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(alpha=-1).validate()
+    for alpha in (-1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            TrainConfig(alpha=alpha).validate()
     with pytest.raises(ValueError):
         TrainConfig(delay_update_steps=0).validate()
     with pytest.raises(ValueError):
