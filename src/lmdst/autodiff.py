@@ -116,9 +116,14 @@ def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(x)
 
 
+def _records(parents: Sequence[Node]) -> bool:
+    """Whether an op on ``parents`` joins the graph, so its backward may run."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _op(name: str, value: Tensor, parents: Sequence[Node], backward) -> Node:
     out = Node(value, op=name)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
@@ -602,8 +607,11 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     loop runs either direction: every sequence starts from its ``h0`` row at
     step 0, and finished sequences drop off the end of the prefix. Backward
     is hand-rolled BPTT over the stashed gate activations on the same
-    prefixes. The input projections and the weight gradients are GEMMs over
-    the stacked rows, gathered into and out of the packed order. Batching
+    prefixes; a call that records no graph (under :func:`no_grad`, or with
+    no input that needs a gradient) stashes nothing. The input projections
+    are GEMMs over the rows gathered into packed order, each step writes its
+    states straight to their stacked rows, and the weight gradients are
+    GEMMs over the stacked rows. Batching
     exists purely so the recurrent weight matrices stream from memory once
     per step instead of once per step per sequence.
     """
@@ -636,31 +644,38 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     stacked[packed] = np.arange(packed.size)
     w_zr, u_zr, b_zr = cell.w_zr, cell.u_zr, cell.b_zr
     w_h, u_h, b_h = cell.w_h, cell.u_h, cell.b_h
+    parents = (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h, h0)
+    record = _records(parents)  # else nothing is stashed for backward
 
     x = xs.value
-    # Input projections on the stacked rows, gathered into packed order; the
-    # loop overwrites them with the gates and the candidates.
-    zrs = (x @ w_zr.value + b_zr.value)[stacked]
-    cands = (x @ w_h.value + b_h.value)[stacked]
+    # Input projections of the rows gathered into packed order, the bias
+    # added in place; the loop overwrites them with the gates and the
+    # candidates.
+    xp = x[stacked]
+    zrs = xp @ w_zr.value
+    zrs += b_zr.value
+    cands = xp @ w_h.value
+    cands += b_h.value
+    del xp
     h0s = h0.value[perm]
 
     steps = [(int(lo[t]), int(ks[t])) for t in range(t_max)]
-    aligned = np.empty_like(cands)
-    h_before = np.empty_like(cands)
+    out = np.empty_like(cands)  # each step's states go to their stacked rows
+    h_before = np.empty_like(cands) if record else None
 
     h = h0s
     uzr_v, uh_v = u_zr.value, u_h.value
     for a, k in steps:
         h = h[:k]  # finished sequences drop off the end of the prefix
-        h_before[a:a + k] = h
+        if record:
+            h_before[a:a + k] = h
         zr = zrs[a:a + k]
         zr[:] = _sigmoid(zr + h @ uzr_v)
         z, r = zr[:, :d], zr[:, d:]
         c = cands[a:a + k]
         c[:] = np.tanh(c + (r * h) @ uh_v)
-        h = aligned[a:a + k] = h + z * (c - h)
-
-    out = aligned[packed]
+        h = h + z * (c - h)
+        out[stacked[a:a + k]] = h
 
     def backward(g):
         gp = g[stacked]
@@ -703,7 +718,7 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         if h0.requires_grad:
             h0.accumulate(gh[rank])  # the BPTT carry past each sequence's first step
 
-    return _op("gru_sequence_batch", out, (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h, h0), backward)
+    return _op("gru_sequence_batch", out, parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -784,18 +799,30 @@ class ParameterStore:
 
     A parameter is the leaf :class:`Node` itself (``name`` from its op
     label). Mutate its ``value`` in place between optimizer steps only.
+
+    A store opened on ``state`` (a checkpoint's arrays by name) draws no
+    initial values: :meth:`new` adopts the array of that name as the
+    parameter's value, so a loaded model holds one copy of each. A name the
+    state lacks or holds at another shape gets zeros, and the caller's
+    :meth:`load_state_dict` of the same state then reports it.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, state: dict[str, Tensor] | None = None):
         self._params: dict[str, Node] = {}
         self.rng = np.random.default_rng(seed)
+        self._state = state
 
     def new(self, name: str, shape: tuple[int, ...], bound: float) -> Node:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         if name.startswith("_"):
             raise ValueError(f"parameter names must not start with '_': {name!r}")
-        value = self.rng.uniform(-bound, bound, size=shape).astype(_DEFAULT_DTYPE)
+        if self._state is None:
+            value = self.rng.uniform(-bound, bound, size=shape).astype(_DEFAULT_DTYPE, copy=False)
+        elif name in self._state and np.shape(self._state[name]) == shape:
+            value = self._state[name]
+        else:
+            value = np.zeros(shape)
         node = Node(value, requires_grad=True, op=f"param:{name}")
         self._params[name] = node
         return node
@@ -817,6 +844,10 @@ class ParameterStore:
         return {name: p.value.copy() for name, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, Tensor]) -> None:
+        """Set every parameter to the array of its name in ``state`` (an
+        adopted array stays as it is); a store opened on a state lets go of
+        it here."""
+        self._state = None
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
         if missing or extra:
@@ -834,8 +865,12 @@ class ParameterStore:
 def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
     """Write a checkpoint: numpy .npz, one array per parameter name in the
     default dtype, plus a '_meta' JSON string. Round-trips bit-exactly.
+
+    The file is ``path`` exactly, whatever its suffix (``np.savez`` given a
+    file name would append ``.npz`` to one that lacks it).
     """
-    np.savez(path, _meta=np.array(json.dumps(meta or {}, sort_keys=True)), **params)
+    with open(path, "wb") as f:
+        np.savez(f, _meta=np.array(json.dumps(meta or {}, sort_keys=True)), **params)
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:

@@ -36,6 +36,7 @@ example and slot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,13 +68,19 @@ class BatchContext:
     contexts: list[ContextSequence]  # the built contexts, in stacking order
     oov: list[list[str]]  # per example, its distinct OOV surfaces, first-appearance order
     table: ad.Node       # |V| x emb
-    table_t: ad.Node     # emb x |V|
     final_all: ad.Node   # B x d_h, one encoder final state per example
     hiddens: ad.Node     # B x t_max x d_h encoder states, zero-padded
     lm_states: tuple[ad.Node, ad.Node] | None  # LM (forward, backward) states
     # one row per example, t_max wide; every slot row of an example reads it:
     mask: np.ndarray     # True at the example's context positions
     ext_ids: np.ndarray  # extended id per position (0 in the padding)
+
+    @functools.cached_property
+    def table_t(self) -> ad.Node:
+        """The emb x |V| transposed table the vocabulary head multiplies by,
+        copied on first use, so it is not held while the LM and the encoder
+        run. A copy, not a view: the head's GEMMs round by operand layout."""
+        return ad.transpose(self.table)
 
 
 class DecodeStep(NamedTuple):
@@ -207,7 +214,8 @@ class DstModel:
                  tagging: bool = True, lm_enabled: bool = True,
                  dropout: float = 0.2, word_dropout: float = 0.15,
                  max_value_len: int = 10,
-                 freeze_word_embeddings: bool = False, seed: int = 0):
+                 freeze_word_embeddings: bool = False, seed: int = 0,
+                 state: dict[str, np.ndarray] | None = None):
         if hidden_dim != embedding_dim:
             raise ValueError("hidden_dim must equal embedding_dim (states are summed "
                              f"with embeddings); got {hidden_dim} vs {embedding_dim}")
@@ -221,7 +229,9 @@ class DstModel:
         self.word_dropout = word_dropout
         self.max_value_len = max_value_len
 
-        self.store = ad.ParameterStore(seed)
+        # with ``state`` (a checkpoint's arrays), the parameters are those
+        # arrays, and ``seed`` draws nothing
+        self.store = ad.ParameterStore(seed, state)
         self.embedding = CompositeEmbedding(
             self.store, vocab, embedding_dim=embedding_dim, hidden_dim=hidden_dim,
             freeze_word=freeze_word_embeddings)
@@ -243,6 +253,8 @@ class DstModel:
                 for i in ids:
                     m[s, i] += 1.0 / len(ids)
         self._slot_token_avg = m
+        if state is not None:
+            self.store.load_state_dict(state)  # names and shapes must match
 
     @classmethod
     def from_config(cls, vocab: Vocabulary, ontology: Ontology, config) -> "DstModel":
@@ -284,7 +296,6 @@ class DstModel:
             input_ids = np.where(drop, self.vocab.id(UNK), input_ids)
 
         table = self.embedding.table()
-        table_t = ad.transpose(table)
         emb = ad.embedding_lookup(table, input_ids)
         if rng is not None and self.dropout > 0:
             mask = (rng.random(emb.shape) >= self.dropout) / (1.0 - self.dropout)
@@ -292,6 +303,7 @@ class DstModel:
 
         lm_states = self.lm.forward(emb, lengths) if self.lm_enabled else None
         fused = emb if lm_states is None else ad.add(emb, ad.add(*lm_states))
+        del emb  # without a graph, nothing holds it while the encoder runs
 
         hiddens_all, final_all = self.encoder.forward(fused, lengths)
         if rng is not None and self.dropout > 0:
@@ -299,7 +311,7 @@ class DstModel:
             hiddens_all = ad.elementwise_mul(hiddens_all, ad.Node(mask))
 
         return BatchContext(
-            contexts=contexts, oov=oov, table=table, table_t=table_t, final_all=final_all,
+            contexts=contexts, oov=oov, table=table, final_all=final_all,
             hiddens=ad.pad_sequences(hiddens_all, lengths),
             lm_states=lm_states, mask=in_context, ext_ids=ext_ids)
 
@@ -471,6 +483,7 @@ class DstModel:
         """Greedy predictions for a batch of turns (all slots, fixed order)."""
         with ad.no_grad():
             batch = self.prepare_batch(instances)
+            batch.lm_states = None  # only the LM loss reads them; decoding does not
             probs, words = self._greedy_decode(batch)
         return [self._assemble_state(p, w) for p, w in zip(probs, words)]
 
@@ -501,6 +514,5 @@ class DstModel:
         for key in meta["ontology"]:
             domain, _, slot = key.partition("-")
             pairs.append((domain, slot))
-        model = cls(vocab, Ontology(pairs), **{k: meta[k] for k in CHECKPOINT_FIELDS})
-        model.store.load_state_dict(arrays)
-        return model
+        return cls(vocab, Ontology(pairs), **{k: meta[k] for k in CHECKPOINT_FIELDS},
+                   state=arrays)

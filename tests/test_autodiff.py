@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 import weakref
@@ -594,6 +595,26 @@ def test_gru_reverse_is_forward_over_flipped_rows(d_in, d_h, lengths, with_h0):
         np.testing.assert_allclose(rev_grads[p.name], fwd_grads[p.name], rtol=0, atol=1e-12)
 
 
+def test_no_grad_gru_sequence_batch_stashes_nothing():
+    """Under ``no_grad`` the kernel keeps no backward stash: its traced
+    peak is the gate and candidate work buffers (3 units of rows x d here,
+    float64), the states it returns (1 unit) and the step temporaries, about
+    4.2 units. Filling the previous-state stash as well adds a unit; so does
+    staging the states in packed order and gathering them at the end."""
+    store = ad.ParameterStore(43)
+    lengths = [300] * 4
+    d = 64
+    cell = ad.GruCell(store, "g", d, d)
+    xs = ad.Node(np.random.default_rng(43).normal(size=(sum(lengths), d)))
+    unit = sum(lengths) * d * 8 / 2**20
+
+    def run():
+        with ad.no_grad():
+            ad.gru_sequence_batch(cell, xs, lengths, reverse=True)
+
+    assert peak_traced_mib(run) < 4.6 * unit
+
+
 def test_gru_sequence_batch_has_no_padded_staging():
     """One long sequence among many one-step ones: a padded (t_max, B, d)
     layout would stage 200 x 201 rows per activation array (a peak of about
@@ -839,6 +860,43 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     fresh.load_state_dict(arrays)
     for name in fresh.names():
         assert (fresh[name].value == store[name].value).all()
+
+
+def test_npz_checkpoint_bytes_are_those_of_savez(tmp_path, monkeypatch):
+    """Writing through an open file gives the bytes ``np.savez`` writes to
+    a ``.npz`` path (the zip members' times pinned, since they record the
+    clock)."""
+    monkeypatch.setattr("zipfile.time.time", lambda: 1.6e9)
+    store = ad.ParameterStore(3)
+    store.new("w", (4, 3), 0.5)
+    store.new("b", (3,), 0.5)
+    meta = {"hidden": 3}
+    ad.save_checkpoint(tmp_path / "ours.npz", store.state_dict(), meta)
+    np.savez(tmp_path / "savez.npz", _meta=np.array(json.dumps(meta, sort_keys=True)),
+             **store.state_dict())
+    assert (tmp_path / "ours.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+
+
+def test_checkpoint_path_is_written_as_given(tmp_path):
+    store = ad.ParameterStore(3)
+    store.new("w", (4, 3), 0.5)
+    path = tmp_path / "model.ckpt"
+    ad.save_checkpoint(path, store.state_dict(), {"note": "no suffix"})
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    arrays, meta = ad.load_checkpoint(path)
+    assert meta == {"note": "no suffix"}
+    np.testing.assert_array_equal(arrays["w"], store["w"].value)
+
+
+def test_store_on_a_state_adopts_its_arrays():
+    """A store opened on a state takes each array as the parameter's value,
+    with no copy and no draw from its rng."""
+    state = {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)}
+    store = ad.ParameterStore(0, state)
+    w, b = store.new("w", (2, 3), 1.0), store.new("b", (3,), 1.0)
+    store.load_state_dict(state)
+    assert w.value is state["w"] and b.value is state["b"]
+    assert store.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_checkpoint_shape_mismatch_errors(tmp_path):

@@ -11,8 +11,9 @@ from lmdst.context import EOS, UNK, Vocabulary, build_context, build_vocabulary
 from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
 from lmdst.model import (CHECKPOINT_FIELDS, GATE_DONTCARE, GATE_NONE, GATE_PTR, DstModel,
                          Encoder, copy_argmax, copy_mixture, extend_context_ids)
-from lmdst.training import predict_instances, turn_instances
+from lmdst.training import TrainConfig, Trainer, predict_instances, turn_instances
 
+from conftest import peak_traced_mib
 from test_embeddings import dense_char_avg
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -416,6 +417,26 @@ def test_prediction_matches_full_width_decode_on_infer_woz(monkeypatch, seed):
     with ad.no_grad():  # predict_instances runs a 16-turn group as one batch
         gates, words = full_width_decode(model, model.prepare_batch(turn_instances(group)))
     assert predicted == [model._assemble_state(g, w) for g, w in zip(gates, words)]
+
+
+def test_batch_copies_the_transposed_table_only_for_the_heads():
+    """A batch holds no transposed copy of the table while the LM and the
+    encoder run: the vocabulary head makes it on first use, once, in the
+    row-major layout its GEMMs have always read. Decoding with no ptr row
+    never makes it."""
+    d = tiny_dialogue()
+    model = tiny_model()
+    force_gate(model, GATE_NONE)
+    with ad.no_grad():
+        batch = model.prepare_batch([(d, 0), (d, 1)])
+        assert "table_t" not in vars(batch)
+        model._greedy_decode(batch)
+        assert "table_t" not in vars(batch)
+        force_gate(model, GATE_PTR)
+        model._greedy_decode(batch)
+    table_t = vars(batch)["table_t"]
+    assert batch.table_t is table_t and table_t.value.flags.c_contiguous
+    np.testing.assert_array_equal(table_t.value, batch.table.value.T)
 
 
 def test_batch_freed_without_cycle_collection():
@@ -927,6 +948,68 @@ def test_model_save_load_roundtrip_non_default_fields(tmp_path):
     assert loaded.meta() == model.meta()
     for turn in range(len(d.turns)):
         assert loaded.predict_state(d, turn) == model.predict_state(d, turn)
+
+
+def test_model_load_holds_one_copy_of_the_parameters(tmp_path):
+    """Load builds each parameter from the checkpoint's array: no random
+    initial values are drawn and then replaced, which would peak at about
+    twice the parameter bytes."""
+    model = DstModel(tiny_vocab(), tiny_ontology(), hidden_dim=400, embedding_dim=400)
+    param_mib = sum(p.value.nbytes for p in model.store.parameters()) / 2**20
+    path = tmp_path / "model.npz"
+    model.save(path)
+    del model
+    assert peak_traced_mib(lambda: DstModel.load(path)) <= 1.3 * param_mib
+
+
+def test_loaded_model_trains(tmp_path):
+    """The adopted arrays are writeable: a loaded model takes a micro-step
+    and an Adam update in place."""
+    path = tmp_path / "model.npz"
+    tiny_model().save(path)
+    model = DstModel.load(path)
+    before = {p.name: p.value.copy() for p in model.store.parameters()}
+    trainer = Trainer(model, TrainConfig(hidden_dim=8, embedding_dim=8, dropout=0.0,
+                                         word_dropout=0.0, delay_update_steps=1))
+    trainer.train_step([(tiny_dialogue(), 1)])
+    assert all(p.value.flags.writeable for p in model.store.parameters())
+    assert any((p.value != before[p.name]).any() for p in model.store.parameters())
+
+
+def test_model_save_load_roundtrip_without_npz_suffix(tmp_path):
+    """The checkpoint is written to the path as given, so the same path
+    loads it back."""
+    model = tiny_model()
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    loaded = DstModel.load(path)
+    for name in model.store.names():
+        np.testing.assert_array_equal(loaded.store[name].value, model.store[name].value)
+
+
+def _corrupt(state, how):
+    if how == "missing":
+        del state["dec.b_gate"]
+    elif how == "unexpected":
+        state["dec.extra"] = np.zeros(3)
+    else:
+        state["dec.b_gate"] = np.zeros(4)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("missing", r"missing: \['dec.b_gate'\], unexpected: \[\]"),
+    ("unexpected", r"missing: \[\], unexpected: \['dec.extra'\]"),
+    ("shape", r"parameter dec.b_gate: checkpoint shape \(4,\) vs model \(3,\)"),
+])
+def test_model_load_names_a_mismatched_parameter(tmp_path, how, message):
+    model = tiny_model()
+    state = model.store.state_dict()
+    _corrupt(state, how)
+    path = tmp_path / "model.npz"
+    ad.save_checkpoint(path, state, model.meta())
+    with pytest.raises(ad.CheckpointError, match=message):
+        DstModel.load(path)
 
 
 @pytest.mark.parametrize("field", CHECKPOINT_FIELDS)
