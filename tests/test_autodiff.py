@@ -877,17 +877,6 @@ def test_npz_checkpoint_bytes_are_those_of_savez(tmp_path, monkeypatch):
     assert (tmp_path / "ours.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
 
 
-def test_checkpoint_path_is_written_as_given(tmp_path):
-    store = ad.ParameterStore(3)
-    store.new("w", (4, 3), 0.5)
-    path = tmp_path / "model.ckpt"
-    ad.save_checkpoint(path, store.state_dict(), {"note": "no suffix"})
-    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
-    arrays, meta = ad.load_checkpoint(path)
-    assert meta == {"note": "no suffix"}
-    np.testing.assert_array_equal(arrays["w"], store["w"].value)
-
-
 def test_store_on_a_state_adopts_its_arrays():
     """A store opened on a state takes each array as the parameter's value,
     with no copy and no draw from its rng."""

@@ -988,24 +988,17 @@ def test_model_save_load_roundtrip_without_npz_suffix(tmp_path):
         np.testing.assert_array_equal(loaded.store[name].value, model.store[name].value)
 
 
-def _corrupt(state, how):
-    if how == "missing":
-        del state["dec.b_gate"]
-    elif how == "unexpected":
-        state["dec.extra"] = np.zeros(3)
-    else:
-        state["dec.b_gate"] = np.zeros(4)
-
-
-@pytest.mark.parametrize("how, message", [
-    ("missing", r"missing: \['dec.b_gate'\], unexpected: \[\]"),
-    ("unexpected", r"missing: \[\], unexpected: \['dec.extra'\]"),
-    ("shape", r"parameter dec.b_gate: checkpoint shape \(4,\) vs model \(3,\)"),
-])
-def test_model_load_names_a_mismatched_parameter(tmp_path, how, message):
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda s: s.pop("dec.b_gate"), r"missing: \['dec.b_gate'\], unexpected: \[\]"),
+    (lambda s: s.update({"dec.extra": np.zeros(3)}),
+     r"missing: \[\], unexpected: \['dec.extra'\]"),
+    (lambda s: s.update({"dec.b_gate": np.zeros(4)}),
+     r"parameter dec.b_gate: checkpoint shape \(4,\) vs model \(3,\)"),
+], ids=["missing", "unexpected", "shape"])
+def test_model_load_names_a_mismatched_parameter(tmp_path, corrupt, message):
     model = tiny_model()
     state = model.store.state_dict()
-    _corrupt(state, how)
+    corrupt(state)
     path = tmp_path / "model.npz"
     ad.save_checkpoint(path, state, model.meta())
     with pytest.raises(ad.CheckpointError, match=message):
