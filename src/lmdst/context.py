@@ -113,10 +113,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def encode(self, tokens: list[str]) -> list[int]:
-        unk = self._token_to_id[UNK]
-        return [self._token_to_id.get(t, unk) for t in tokens]
-
     def tokens(self) -> list[str]:
         return list(self._id_to_token)
 

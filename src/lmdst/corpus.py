@@ -31,6 +31,18 @@ def normalize_value(value: str) -> str:
     return _WS.sub(" ", str(value).strip().lower())
 
 
+def split_slot_key(key: str) -> tuple[str, str]:
+    """``(domain, slot)`` of a ``domain-slot`` name, split at the first ``-``.
+
+    The dataset, the ontology file, the prediction dump and a checkpoint's
+    metadata all name a slot this way; both parts must be non-empty.
+    """
+    domain, _, slot = key.partition("-")
+    if not domain or not slot:
+        raise ValueError(f"slot name {key!r} is not 'domain-slot'")
+    return domain, slot
+
+
 class BeliefState:
     """Map from (domain, slot) to a normalized value string.
 
@@ -78,11 +90,7 @@ class BeliefState:
 
     @classmethod
     def from_json(cls, obj: dict[str, str]) -> "BeliefState":
-        out = cls()
-        for key, value in obj.items():
-            domain, _, slot = key.partition("-")
-            out.set(domain, slot, value)
-        return out
+        return cls({split_slot_key(key): value for key, value in obj.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BeliefState) and self._entries == other._entries
@@ -130,12 +138,6 @@ class Ontology:
     def __len__(self) -> int:
         return len(self.domain_slots)
 
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in set(self.domain_slots)
-
-    def domains(self) -> set[str]:
-        return {domain for domain, _ in self.domain_slots}
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for domain, slot in self.domain_slots:
@@ -145,14 +147,14 @@ class Ontology:
     def load(cls, path) -> "Ontology":
         pairs = []
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for line_no, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                domain, _, slot = line.partition("-")
-                if not domain or not slot:
-                    raise ValueError(f"ontology line {line!r} is not 'domain-slot'")
-                pairs.append((domain, slot))
+                try:
+                    pairs.append(split_slot_key(line))
+                except ValueError as exc:
+                    raise ValueError(f"ontology {path} line {line_no}: {exc}") from exc
         return cls(pairs)
 
 
@@ -164,8 +166,9 @@ def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogu
     """Parse a dataset file; returns (dialogues, skipped_entry_count).
 
     Belief-state entries naming a (domain, slot) outside ``ontology`` are
-    skipped with a warning and counted; structural problems raise
-    :class:`CorpusFormatError` naming the dialogue and turn.
+    skipped with a warning and counted; structural problems, a slot name
+    that is not ``domain-slot`` among them, raise :class:`CorpusFormatError`
+    naming the dialogue and turn.
     """
     with open(path, encoding="utf-8") as f:
         content = f.read().strip()
@@ -194,7 +197,7 @@ def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogu
                 turn_idx = int(t["turn_idx"])
                 system = str(t.get("system_transcript", ""))
                 user = str(t["transcript"])
-                pairs = [(str(name), value) for entry in t["belief_state"]
+                pairs = [(split_slot_key(str(name)), value) for entry in t["belief_state"]
                          for name, value in entry.get("slots", [])]
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"dialogue {did}, turn {t_pos}: {exc}") from exc
@@ -203,8 +206,7 @@ def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogu
                     f"dialogue {did}, turn {t_pos}: turn_idx {turn_idx} not increasing")
             prev_idx = turn_idx
             state = BeliefState()
-            for name, value in pairs:
-                domain, _, slot = name.partition("-")
+            for (domain, slot), value in pairs:
                 value = normalize_value(value)
                 if not value or value == "none":
                     continue

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .context import EOS, UNK, ContextSequence, Vocabulary, build_context, tokenize
-from .corpus import BeliefState, Dialogue, Ontology
+from .corpus import BeliefState, Dialogue, Ontology, split_slot_key
 from .embeddings import CompositeEmbedding
 from .lm import LanguageModel
 
@@ -249,7 +249,7 @@ class DstModel:
         m = np.zeros((len(ontology), len(vocab)))
         for s, (domain, slot) in enumerate(ontology.domain_slots):
             for name in (domain, slot):
-                ids = vocab.encode(tokenize(name))
+                ids = [vocab.id(t) for t in tokenize(name)]
                 for i in ids:
                     m[s, i] += 1.0 / len(ids)
         self._slot_token_avg = m
@@ -509,10 +509,9 @@ class DstModel:
         missing = [k for k in ("vocab", "ontology", *CHECKPOINT_FIELDS) if k not in meta]
         if missing:
             raise ad.CheckpointError(f"checkpoint {path} missing metadata {missing}")
-        vocab = Vocabulary(meta["vocab"])
-        pairs = []
-        for key in meta["ontology"]:
-            domain, _, slot = key.partition("-")
-            pairs.append((domain, slot))
-        return cls(vocab, Ontology(pairs), **{k: meta[k] for k in CHECKPOINT_FIELDS},
-                   state=arrays)
+        try:
+            ontology = Ontology([split_slot_key(key) for key in meta["ontology"]])
+        except ValueError as exc:
+            raise ad.CheckpointError(f"checkpoint {path}: {exc}") from exc
+        return cls(Vocabulary(meta["vocab"]), ontology,
+                   **{k: meta[k] for k in CHECKPOINT_FIELDS}, state=arrays)

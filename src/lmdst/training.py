@@ -56,8 +56,8 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.max_value_len < 1:
             raise ValueError("max_value_len must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.min_count < 1:
@@ -352,15 +352,17 @@ def sweep(alpha_values, delay_values, dialogues: list[Dialogue], ontology: Ontol
     """fit() per (alpha, delay) grid cell; rows are plot-ready dicts."""
     if not alpha_values or not delay_values:
         raise ValueError("sweep grids must be non-empty")
+    cells = [replace(base_config, alpha=alpha, delay_update_steps=delay)
+             for alpha in alpha_values for delay in delay_values]
+    for cfg in cells:  # a bad cell fails the sweep before any earlier cell trains
+        cfg.validate()
     rows = []
-    for alpha in alpha_values:
-        for delay in delay_values:
-            cfg = replace(base_config, alpha=alpha, delay_update_steps=delay)
-            _, report = fit(dialogues, ontology, cfg)
-            rows.append({
-                "alpha": alpha,
-                "delay_update_steps": delay,
-                "val_joint_accuracy": report.best_val_joint,
-                "epochs": len(report.epochs),
-            })
+    for cfg in cells:
+        _, report = fit(dialogues, ontology, cfg)
+        rows.append({
+            "alpha": cfg.alpha,
+            "delay_update_steps": cfg.delay_update_steps,
+            "val_joint_accuracy": report.best_val_joint,
+            "epochs": len(report.epochs),
+        })
     return rows

@@ -1,6 +1,6 @@
 """Shared fixtures: tiny corpora, the printed-numbers fixture dump that
-mirrors the reference length/error breakdown tables, and a traced-memory
-probe."""
+mirrors the reference length/error breakdown tables, a traced-memory
+probe and a straight-line numpy GRU."""
 
 import tracemalloc
 
@@ -36,6 +36,23 @@ def peak_traced_mib(fn) -> float:
     finally:
         tracemalloc.stop()
     return peak / 2**20
+
+
+def numpy_gru(cell, xs, reverse=False):
+    """States of ``cell`` over the rows of ``xs`` from a zero start, one
+    straight-line numpy step at a time (read last to first if ``reverse``)."""
+    d = cell.hidden_dim
+    h = np.zeros(d)
+    out = np.zeros((len(xs), d))
+    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
+    for t in order:
+        zr = 1 / (1 + np.exp(-(xs[t] @ cell.w_zr.value + cell.b_zr.value
+                               + h @ cell.u_zr.value)))
+        z, r = zr[:d], zr[d:]
+        c = np.tanh(xs[t] @ cell.w_h.value + cell.b_h.value + (r * h) @ cell.u_h.value)
+        h = (1 - z) * h + z * c
+        out[t] = h
+    return out
 
 
 def _state(**kv):

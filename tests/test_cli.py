@@ -98,6 +98,18 @@ def test_preprocess_non_object_dialogue_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_preprocess_malformed_slot_name_one_line_error(tmp_path, capsys):
+    data, out = tmp_path / "bad.json", tmp_path / "prep"
+    data.write_text(json.dumps([{"dialogue_idx": "D1", "dialogue": [
+        {"turn_idx": 0, "system_transcript": "", "transcript": "hi .",
+         "belief_state": [{"slots": [["hotelarea", "east"]], "act": "inform"}]}]}]))
+    code, _, err = run(capsys, "preprocess", "--data", str(data), "--out", str(out))
+    assert code == 1
+    assert err == ("error: CorpusFormatError: dialogue D1, turn 0: "
+                   "slot name 'hotelarea' is not 'domain-slot'\n")
+    assert not out.exists()
+
+
 def test_predict_eval_pipeline(trained, tmp_path, capsys):
     synth_dir, ckpt = trained
     dump = tmp_path / "dump.jsonl"
@@ -181,7 +193,8 @@ def test_dump_config_roundtrip_defaults(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["max_value_len = 0", "learning_rate = -1", "seed = -1",
                                   "hidden_dim = 64", "min_count = 0", "max_epochs = 1.5",
-                                  "dropout = abc"])
+                                  "dropout = abc", "learning_rate = nan",
+                                  "learning_rate = inf"])
 def test_bad_config_value_one_line_error(synth_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"hidden_dim = 16\nembedding_dim = 16\nmax_epochs = 1\n{line}\n")

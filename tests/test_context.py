@@ -124,7 +124,7 @@ def test_vocabulary_ids_and_unk():
     v = Vocabulary(["alpha", "beta"])
     assert v.id("alpha") == len(ctx.RESERVED_TOKENS)
     assert v.id("missing") == v.id(ctx.UNK) == 1
-    assert v.encode(["beta", "zzz"]) == [len(ctx.RESERVED_TOKENS) + 1, 1]
+    assert [v.id(t) for t in ["beta", "zzz"]] == [len(ctx.RESERVED_TOKENS) + 1, 1]
     assert v.token(0) == ctx.PAD
 
 

@@ -131,6 +131,52 @@ def test_turn_list_under_another_key_names_dialogue(tmp_path):
         load_multiwoz(p)
 
 
+@pytest.mark.parametrize("with_ontology", [False, True], ids=["no-ontology", "ontology"])
+@pytest.mark.parametrize("name", ["hotelarea", "hotel-", "-area"])
+def test_malformed_slot_name_names_dialogue_and_turn(tmp_path, name, with_ontology):
+    """A slot name that is not 'domain-slot' is an error, not a rewritten
+    key, whether or not an ontology is given."""
+    data = [{"dialogue_idx": "D1", "dialogue": [
+        {"turn_idx": 0, "system_transcript": "", "transcript": "hi .",
+         "belief_state": [{"slots": [[name, "east"]]}]},
+    ]}]
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(data))
+    ontology = Ontology([("hotel", "area")]) if with_ontology else None
+    with pytest.raises(CorpusFormatError) as exc:
+        read_dialogues(p, ontology)
+    assert str(exc.value) == f"dialogue D1, turn 0: slot name {name!r} is not 'domain-slot'"
+
+
+def test_slot_name_with_a_dash_roundtrips(tmp_path):
+    """A slot whose own name holds '-' reads back as the same pair from the
+    dataset, the ontology file and a belief state's JSON."""
+    pair = ("hotel", "book-day")
+    state = BeliefState({pair: "monday"})
+    assert state.to_json() == {"hotel-book-day": "monday"}
+    assert BeliefState.from_json(state.to_json()) == state
+    ontology = Ontology([pair, ("hotel", "area")])
+    ontology.save(tmp_path / "ont.txt")
+    assert Ontology.load(tmp_path / "ont.txt").domain_slots == ontology.domain_slots
+    corpus.save_dialogues(tmp_path / "d.json",
+                          [make_dialogue("D0", {"hotel"}, [{pair: "monday"}])])
+    dialogues, skipped = read_dialogues(tmp_path / "d.json", ontology)
+    assert skipped == 0 and dialogues[0].turns[0].gold_state == state
+
+
+def test_belief_state_from_json_rejects_a_malformed_name():
+    with pytest.raises(ValueError, match="slot name 'hotel' is not 'domain-slot'"):
+        BeliefState.from_json({"hotel": "x"})
+
+
+def test_ontology_load_rejects_a_malformed_line(tmp_path):
+    p = tmp_path / "ont.txt"
+    p.write_text("hotel-area\nhotelstars\n")
+    with pytest.raises(ValueError) as exc:
+        Ontology.load(p)
+    assert str(exc.value) == f"ontology {p} line 2: slot name 'hotelstars' is not 'domain-slot'"
+
+
 def test_unknown_slot_skipped_and_counted(tmp_path, caplog):
     data = [{"dialogue_idx": "D0", "dialogue": [
         {"turn_idx": 0, "system_transcript": "", "transcript": "hi .",
@@ -300,6 +346,7 @@ def test_packaged_multiwoz_ontology():
     path = Path(corpus.__file__).parent / "data" / "multiwoz_ontology.txt"
     ontology = Ontology.load(path)
     assert 30 <= len(ontology) <= 35
-    assert ontology.domains() == {"attraction", "hotel", "restaurant", "taxi", "train"}
+    assert {d for d, _ in ontology.domain_slots} == {"attraction", "hotel", "restaurant",
+                                                     "taxi", "train"}
     keys = [f"{d}-{s}" for d, s in ontology.domain_slots]
     assert keys == sorted(keys)

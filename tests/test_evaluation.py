@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,18 @@ def test_malformed_dump_line_reported(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_predictions(path)
     assert "line 1" in str(exc.value)
+
+
+def test_malformed_slot_name_in_dump_names_the_line(tmp_path):
+    """A dump key without a slot part is an error naming its line, not a
+    pair with an empty slot."""
+    good = {"dialogue_id": "d", "turn_index": 0, "context_length": 3,
+            "predicted": {"hotel-area": "east"}, "gold": {"hotel-area": "east"}}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n"
+                    + json.dumps({**good, "predicted": {"hotel": "east"}}) + "\n")
+    with pytest.raises(ValueError, match="prediction dump line 2: slot name 'hotel'"):
+        read_predictions(path)
 
 
 def test_report_formatting(table_fixture_predictions):

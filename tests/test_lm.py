@@ -6,6 +6,7 @@ import pytest
 from lmdst import autodiff as ad
 from lmdst.lm import LanguageModel
 
+from conftest import numpy_gru
 from test_model import tiny_dialogue, tiny_model
 
 
@@ -16,22 +17,8 @@ def make_lm(input_dim=4, hidden_dim=4, vocab=6, seed=0):
 
 def numpy_bigru_lm(emb, ids, lm):
     """Independent straight-line recomputation of the bi-GRU LM loss."""
-    def gru(xs, cell, reverse):
-        d = cell.hidden_dim
-        h = np.zeros(d)
-        out = np.zeros((len(xs), d))
-        order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-        for t in order:
-            zr = 1 / (1 + np.exp(-(xs[t] @ cell.w_zr.value + cell.b_zr.value
-                                   + h @ cell.u_zr.value)))
-            z, r = zr[:d], zr[d:]
-            c = np.tanh(xs[t] @ cell.w_h.value + cell.b_h.value + (r * h) @ cell.u_h.value)
-            h = (1 - z) * h + z * c
-            out[t] = h
-        return out
-
-    f = gru(emb, lm.fwd, False)
-    b = gru(emb, lm.bwd, True)
+    f = numpy_gru(lm.fwd, emb)
+    b = numpy_gru(lm.bwd, emb, reverse=True)
 
     def nll(hiddens, w, targets):
         total = 0.0

@@ -13,7 +13,7 @@ from lmdst.model import (CHECKPOINT_FIELDS, GATE_DONTCARE, GATE_NONE, GATE_PTR, 
                          Encoder, copy_argmax, copy_mixture, extend_context_ids)
 from lmdst.training import TrainConfig, Trainer, predict_instances, turn_instances
 
-from conftest import peak_traced_mib
+from conftest import numpy_gru, peak_traced_mib
 from test_embeddings import dense_char_avg
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -81,22 +81,7 @@ def test_encoder_matches_scalar_recomputation():
     enc = Encoder(store, 3, 3)
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(4, 3))
-
-    def run(cell, reverse):
-        d = cell.hidden_dim
-        h = np.zeros(d)
-        out = np.zeros((4, d))
-        order = range(3, -1, -1) if reverse else range(4)
-        for t in order:
-            zr = 1 / (1 + np.exp(-(xs[t] @ cell.w_zr.value + cell.b_zr.value
-                                   + h @ cell.u_zr.value)))
-            z, r = zr[:d], zr[d:]
-            c = np.tanh(xs[t] @ cell.w_h.value + cell.b_h.value + (r * h) @ cell.u_h.value)
-            h = (1 - z) * h + z * c
-            out[t] = h
-        return out
-
-    f, b = run(enc.fwd, False), run(enc.bwd, True)
+    f, b = numpy_gru(enc.fwd, xs), numpy_gru(enc.bwd, xs, reverse=True)
     hiddens, finals = enc.forward(ad.Node(xs), [4])
     np.testing.assert_allclose(hiddens.value, f + b, atol=1e-12)
     np.testing.assert_allclose(finals.value[0], f[-1] + b[0], atol=1e-12)
@@ -636,24 +621,10 @@ def numpy_turn_loss(model, dialogue, turn):
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
 
-    def gru_seq(cell, xs, reverse):
-        d = cell.hidden_dim
-        h = np.zeros(d)
-        out = np.zeros((len(xs), d))
-        order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-        for t in order:
-            zr = 1 / (1 + np.exp(-(xs[t] @ cell.w_zr.value + cell.b_zr.value
-                                   + h @ cell.u_zr.value)))
-            z, r = zr[:d], zr[d:]
-            c = np.tanh(xs[t] @ cell.w_h.value + cell.b_h.value + (r * h) @ cell.u_h.value)
-            h = (1 - z) * h + z * c
-            out[t] = h
-        return out
-
     vocab = model.vocab
     seq = build_context(dialogue, turn, model.tagging)
     oov = list(dict.fromkeys(t for t in seq.tokens if t not in vocab))
-    ids = np.array(vocab.encode(seq.tokens))
+    ids = np.array([vocab.id(t) for t in seq.tokens])
     ext_ids = extend_context_ids(vocab, seq.tokens, oov)
     table = np.concatenate(
         [model.embedding.word.value,
@@ -663,8 +634,8 @@ def numpy_turn_loss(model, dialogue, turn):
 
     lm_total = 0.0
     if model.lm_enabled:
-        f = gru_seq(model.lm.fwd, emb, False)
-        b = gru_seq(model.lm.bwd, emb, True)
+        f = numpy_gru(model.lm.fwd, emb)
+        b = numpy_gru(model.lm.bwd, emb, reverse=True)
         for t in range(len(ids) - 1):
             p = softmax_rows(f[t] @ model.lm.w_f.value)
             lm_total += -math.log(p[ids[t + 1]])
@@ -674,8 +645,8 @@ def numpy_turn_loss(model, dialogue, turn):
     else:
         fused = emb
 
-    ef = gru_seq(model.encoder.fwd, fused, False)
-    eb = gru_seq(model.encoder.bwd, fused, True)
+    ef = numpy_gru(model.encoder.fwd, fused)
+    eb = numpy_gru(model.encoder.bwd, fused, reverse=True)
     hiddens = ef + eb
     final = ef[-1] + eb[0]
 
@@ -1003,6 +974,28 @@ def test_model_load_names_a_mismatched_parameter(tmp_path, corrupt, message):
     ad.save_checkpoint(path, state, model.meta())
     with pytest.raises(ad.CheckpointError, match=message):
         DstModel.load(path)
+
+
+@pytest.mark.parametrize("key", ["hotel", "hotel-", "-area"])
+def test_model_load_rejects_a_malformed_ontology_key(tmp_path, key):
+    """A ``_meta`` ontology key that is not 'domain-slot' is a checkpoint
+    error naming the path and the key, not a slot with an empty name."""
+    model = tiny_model()
+    meta = model.meta()
+    meta["ontology"][0] = key
+    path = tmp_path / "model.npz"
+    ad.save_checkpoint(path, model.store.state_dict(), meta)
+    with pytest.raises(ad.CheckpointError) as exc:
+        DstModel.load(path)
+    assert str(exc.value) == f"checkpoint {path}: slot name {key!r} is not 'domain-slot'"
+
+
+def test_model_load_keeps_a_dash_in_a_slot_name(tmp_path):
+    ontology = Ontology([("hotel", "book-day"), ("hotel", "area")])
+    model = DstModel(tiny_vocab(), ontology, hidden_dim=8, embedding_dim=8, seed=5)
+    model.save(tmp_path / "model.npz")
+    assert model.meta()["ontology"] == ["hotel-book-day", "hotel-area"]
+    assert DstModel.load(tmp_path / "model.npz").ontology.domain_slots == ontology.domain_slots
 
 
 @pytest.mark.parametrize("field", CHECKPOINT_FIELDS)

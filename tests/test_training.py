@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lmdst import autodiff as ad
+from lmdst import training
 from lmdst.corpus import SynthConfig, generate_synthetic
 from lmdst.model import DstModel
 from lmdst.context import build_context, build_vocabulary
@@ -313,6 +314,18 @@ def test_sweep_grid_shape():
         sweep([], [1], dialogues, ontology, cfg)
 
 
+def test_sweep_validates_every_cell_before_the_first_fit(monkeypatch):
+    """An invalid later cell fails the sweep before any cell trains."""
+    calls = []
+    monkeypatch.setattr(training, "fit", lambda *a, **kw: calls.append(a))
+    dialogues, ontology = small_corpus(n=12)
+    with pytest.raises(ValueError, match="delay_update_steps"):
+        sweep([0.9], [4, 0], dialogues, ontology, small_config())
+    with pytest.raises(ValueError, match="alpha"):
+        sweep([0.9, -1.0], [4], dialogues, ontology, small_config())
+    assert calls == []
+
+
 def test_sweep_six_cell_smoke():
     dialogues, ontology = small_corpus(n=16)
     cfg = small_config(max_epochs=1, batch_size=8)
@@ -384,7 +397,7 @@ def test_config_validation():
         TrainConfig(dropout=1.0).validate()
     with pytest.raises(ValueError, match="max_value_len"):
         TrainConfig(max_value_len=0).validate()
-    for lr in (0.0, -1.0):
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr).validate()
     with pytest.raises(ValueError, match="seed"):
