@@ -513,8 +513,10 @@ def gather_segment_sum(table, indices, offsets, weights, grouping=None) -> Node:
     .sum(axis=0)``; an empty segment gives a zero row. This is ``A @ table``
     for the sparse matrix A whose row r holds ``weights[r]`` at those columns,
     without building A: forward and backward are each one gather and one
-    ``np.add.reduceat``. ``grouping`` is :func:`segment_grouping` of the same
-    indices and offsets, computed here when not given.
+    ``np.add.reduceat``. Both gather columns of the transposed rows and
+    reduce along the contiguous axis, which is faster than reducing rows
+    and gives the same bits. ``grouping`` is :func:`segment_grouping` of the
+    same indices and offsets, computed here when not given.
     """
     table = as_node(table)
     idx = np.asarray(indices, dtype=np.intp)
@@ -534,14 +536,14 @@ def gather_segment_sum(table, indices, offsets, weights, grouping=None) -> Node:
     filled = off[1:] > starts
     value = np.zeros((n_rows, table.shape[1]), dtype=table.value.dtype)
     if idx.size:
-        value[filled] = (np.add.reduceat(table.value[idx], starts[filled], axis=0)
-                         * w[filled, None])
+        value[filled] = (np.add.reduceat(np.take(table.value.T, idx, axis=1),
+                                         starts[filled], axis=1).T * w[filled, None])
 
     def backward(g):
         if table.requires_grad and idx.size:
             # each group of entries sums the weighted gradients of its output rows
             rows, first, table_rows = segment_grouping(idx, off) if grouping is None else grouping
-            sums = np.add.reduceat((g * w[:, None])[rows], first, axis=0)
+            sums = np.add.reduceat(np.take((g * w[:, None]).T, rows, axis=1), first, axis=1).T
             if table.grad is None:
                 table.grad = np.zeros(table.shape, dtype=table.value.dtype)
             table.grad[table_rows] += sums
@@ -593,7 +595,11 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     receives the gradient of the start states) or, without ``h0``, from
     zeros. The LM and the encoder run whole sequences from zeros, the
     teacher-forced decoder from the encoder's final states; greedy decoding
-    runs one step as length-1 sequences from its previous states. States
+    runs one step as length-1 sequences from its previous states. A forward
+    state reads only the rows up to its own, so a sequence that is the first
+    rows of another needs no run of its own: in prediction the LM runs its
+    forward direction once per dialogue and each turn gathers its states
+    from those rows (:meth:`lmdst.lm.LanguageModel.forward`). States
     equal those of running a sequence alone up to float rounding only: BLAS
     may sum stacked rows in another order for another batch shape, so an
     exact tie downstream can resolve differently.

@@ -90,6 +90,8 @@ class BeliefState:
 
     @classmethod
     def from_json(cls, obj: dict[str, str]) -> "BeliefState":
+        if not isinstance(obj, dict):
+            raise TypeError(f"belief state is {type(obj).__name__}, not a JSON object")
         return cls({split_slot_key(key): value for key, value in obj.items()})
 
     def __eq__(self, other) -> bool:

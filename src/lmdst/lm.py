@@ -38,14 +38,42 @@ class LanguageModel:
         self.w_f = store.new("lm.w_f", (hidden_dim, vocab_size), bound)
         self.w_b = store.new("lm.w_b", (hidden_dim, vocab_size), bound)
 
-    def forward(self, xs: ad.Node, lengths) -> tuple[ad.Node, ad.Node]:
+    def forward(self, xs: ad.Node, lengths, carriers=None) -> tuple[ad.Node, ad.Node]:
         """(forward states, backward states) for stacked sequences.
 
         ``xs`` holds the embedded sequences back to back: rows ``offset_i ..
-        offset_i + lengths[i]`` belong to sequence i.
+        offset_i + lengths[i]`` belong to sequence i. ``carriers``, if
+        given, names for each sequence i a sequence whose first
+        ``lengths[i]`` rows equal sequence i's rows (i itself when none
+        does; a carrier carries itself). A forward state reads only the
+        rows up to its own, so the forward direction then runs once over
+        the carriers' rows and each sequence gathers its states from its
+        carrier's first rows (one ``embedding_lookup``); the backward
+        direction reads each sequence's later rows and runs over every
+        sequence. Without ``carriers`` both directions run over every
+        sequence.
         """
-        return (ad.gru_sequence_batch(self.fwd, xs, lengths),
-                ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True))
+        if carriers is None:
+            f = ad.gru_sequence_batch(self.fwd, xs, lengths)
+        else:
+            lens = np.asarray(lengths, dtype=np.intp)
+            carriers = np.asarray(carriers, dtype=np.intp)
+            if (carriers.shape != lens.shape or np.any(carriers[carriers] != carriers)
+                    or np.any(lens[carriers] < lens)):
+                raise ad.ShapeError(f"lm forward: carriers {carriers.tolist()} do not "
+                                    f"carry lengths {lens.tolist()}")
+            starts = np.cumsum(lens) - lens
+            own = np.unique(carriers)  # the carriers, in stacked order
+            own_lens = lens[own]
+            own_starts = np.cumsum(own_lens) - own_lens
+            rows = np.repeat(starts[own] - own_starts, own_lens) + np.arange(own_lens.sum())
+            f_own = ad.gru_sequence_batch(self.fwd, ad.embedding_lookup(xs, rows),
+                                          own_lens.tolist())
+            at = np.zeros_like(lens)
+            at[own] = own_starts  # each carrier's first row in f_own
+            f = ad.embedding_lookup(
+                f_own, np.repeat(at[carriers] - starts, lens) + np.arange(lens.sum()))
+        return f, ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True)
 
     def loss(self, f: ad.Node, b: ad.Node, token_ids, lengths) -> ad.Node:
         """Next-word and previous-word loss on :meth:`forward`'s states.

@@ -14,7 +14,12 @@ embedding-table id, UNK for a copied surface) and
 
 Turn instances of a micro-batch run through stacked graphs purely for
 throughput: one embedding table build, batched recurrences over the stacked
-contexts, and a decoder over the (example, slot) rows. Attention reads the
+contexts, and a decoder over the (example, slot) rows. Prediction, which has
+no dropout and no graph, also shares prefixes: a turn's context is the first
+rows of its dialogue's longest context in the batch, so the LM's forward
+direction runs once per dialogue and each turn reads its forward states from
+those rows (the backward direction and the encoder read later rows and run
+per turn). Attention reads the
 encoder states zero-padded to (B, t_max, d) under a length mask, grouped by
 example. Training is teacher-forced, so every decoder input is known up
 front: the decoder GRU runs once over all rows as sequences of their own
@@ -50,12 +55,12 @@ from .lm import LanguageModel
 
 GATE_PTR, GATE_NONE, GATE_DONTCARE = 0, 1, 2  # the gate logits' column order
 
-# Constructor arguments a checkpoint records, beside the vocabulary and the
-# ontology. Dropout, word dropout, the embedding freeze and the seed (whose
-# initial values the stored arrays replace) shape only training, so a loaded
-# model takes their defaults.
-CHECKPOINT_FIELDS = ("hidden_dim", "embedding_dim", "tagging", "lm_enabled",
-                     "max_value_len")
+# Constructor arguments a checkpoint records, with their types, beside the
+# vocabulary and the ontology. Dropout, word dropout, the embedding freeze and
+# the seed (whose initial values the stored arrays replace) shape only
+# training, so a loaded model takes their defaults.
+CHECKPOINT_FIELDS = {"hidden_dim": int, "embedding_dim": int, "tagging": bool,
+                     "lm_enabled": bool, "max_value_len": int}
 
 
 @dataclass
@@ -269,11 +274,17 @@ class DstModel:
     # -- forward pieces ----------------------------------------------------
 
     def prepare_batch(self, instances: list[tuple[Dialogue, int]],
-                      rng: np.random.Generator | None = None) -> BatchContext:
+                      rng: np.random.Generator | None = None,
+                      table: ad.Node | None = None) -> BatchContext:
         """Context -> embeddings -> optional LM -> encoder for a batch.
 
         Passing ``rng`` enables training-time dropout (embedding rows,
         encoder outputs) and word dropout on the embedding input ids.
+        Without it and without a graph (prediction), a turn's embedded rows
+        depend only on its tokens, so the LM's forward direction runs once
+        per dialogue (:meth:`_lm_carriers`); a graph keeps one recurrence
+        over every example, so gradients keep their summation order.
+        ``table`` is the embedding table to read, built here when not given.
         """
         if not instances:
             raise ValueError("prepare_batch: empty instance list")
@@ -295,13 +306,17 @@ class DstModel:
             drop = rng.random(input_ids.size) < self.word_dropout
             input_ids = np.where(drop, self.vocab.id(UNK), input_ids)
 
-        table = self.embedding.table()
+        table = self.embedding.table() if table is None else table
         emb = ad.embedding_lookup(table, input_ids)
         if rng is not None and self.dropout > 0:
             mask = (rng.random(emb.shape) >= self.dropout) / (1.0 - self.dropout)
             emb = ad.elementwise_mul(emb, ad.Node(mask))
 
-        lm_states = self.lm.forward(emb, lengths) if self.lm_enabled else None
+        lm_states = None
+        if self.lm_enabled:
+            carriers = (self._lm_carriers(instances, contexts)
+                        if rng is None and not emb.requires_grad else None)
+            lm_states = self.lm.forward(emb, lengths, carriers)
         fused = emb if lm_states is None else ad.add(emb, ad.add(*lm_states))
         del emb  # without a graph, nothing holds it while the encoder runs
 
@@ -314,6 +329,24 @@ class DstModel:
             contexts=contexts, oov=oov, table=table, final_all=final_all,
             hiddens=ad.pad_sequences(hiddens_all, lengths),
             lm_states=lm_states, mask=in_context, ext_ids=ext_ids)
+
+    @staticmethod
+    def _lm_carriers(instances: list[tuple[Dialogue, int]],
+                     contexts: list[ContextSequence]) -> list[int] | None:
+        """Each example's carrier for :meth:`LanguageModel.forward`: the
+        longest context of the same :class:`Dialogue` object in the batch
+        (the first of equal ones) when the example's tokens are a prefix of
+        it, else the example itself. None when every example carries itself."""
+        longest: dict[int, int] = {}
+        for i, ((dialogue, _), seq) in enumerate(zip(instances, contexts)):
+            j = longest.setdefault(id(dialogue), i)
+            if seq.length > contexts[j].length:
+                longest[id(dialogue)] = i
+        carriers = []
+        for i, ((dialogue, _), seq) in enumerate(zip(instances, contexts)):
+            c = longest[id(dialogue)]
+            carriers.append(c if contexts[c].tokens[:seq.length] == seq.tokens else i)
+        return None if carriers == list(range(len(contexts))) else carriers
 
     def _decoder_init(self, batch: BatchContext):
         """Stacked first inputs (slot embeddings) and initial states (tiled
@@ -479,10 +512,13 @@ class DstModel:
                 state.set(domain, slot, value)
         return state
 
-    def predict_states(self, instances: list[tuple[Dialogue, int]]) -> list[BeliefState]:
-        """Greedy predictions for a batch of turns (all slots, fixed order)."""
+    def predict_states(self, instances: list[tuple[Dialogue, int]],
+                       table: ad.Node | None = None) -> list[BeliefState]:
+        """Greedy predictions for a batch of turns (all slots, fixed order);
+        ``table`` is an embedding table built from the current parameters,
+        built here when not given."""
         with ad.no_grad():
-            batch = self.prepare_batch(instances)
+            batch = self.prepare_batch(instances, table=table)
             batch.lm_states = None  # only the LM loss reads them; decoding does not
             probs, words = self._greedy_decode(batch)
         return [self._assemble_state(p, w) for p, w in zip(probs, words)]
@@ -509,6 +545,13 @@ class DstModel:
         missing = [k for k in ("vocab", "ontology", *CHECKPOINT_FIELDS) if k not in meta]
         if missing:
             raise ad.CheckpointError(f"checkpoint {path} missing metadata {missing}")
+        for name in ("vocab", "ontology"):
+            if not (isinstance(meta[name], list) and all(isinstance(t, str) for t in meta[name])):
+                raise ad.CheckpointError(f"checkpoint {path}: {name} is not a list of strings")
+        for name, kind in CHECKPOINT_FIELDS.items():
+            if type(meta[name]) is not kind:  # exact: a bool is an int too
+                raise ad.CheckpointError(f"checkpoint {path}: {name} is "
+                                         f"{type(meta[name]).__name__}, not {kind.__name__}")
         try:
             ontology = Ontology([split_slot_key(key) for key in meta["ontology"]])
         except ValueError as exc:

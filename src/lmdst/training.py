@@ -248,15 +248,18 @@ def predict_instances(model: DstModel, dialogues: list[Dialogue],
     Turns are grouped into chunks of near-equal context length (each chunk
     costs its longest context in recurrence steps); within a chunk they keep
     their corpus order, so a corpus of one chunk runs as a single batch in
-    that order.
+    that order. Every chunk reads one embedding table, built here and
+    dropped on return, since training updates the parameters in place.
     """
     instances = turn_instances(dialogues)
     contexts = [context.build_context(d, i, model.tagging) for d, i in instances]
     by_len = sorted(range(len(instances)), key=lambda j: contexts[j].length)
     states: list = [None] * len(instances)
+    with ad.no_grad():
+        table = model.embedding.table()
     for lo in range(0, len(by_len), chunk):
         part = sorted(by_len[lo:lo + chunk])
-        for j, state in zip(part, model.predict_states([instances[j] for j in part])):
+        for j, state in zip(part, model.predict_states([instances[j] for j in part], table)):
             states[j] = state
     return [TurnPrediction(d.id, i, c.untagged_length, state, d.turns[i].gold_state)
             for (d, i), c, state in zip(instances, contexts, states)]

@@ -382,6 +382,37 @@ def test_gather_segment_sum_precomputed_grouping():
     assert [a.size for a in ad.segment_grouping([], [0, 0])] == [0, 0, 0]
 
 
+def test_gather_segment_sum_bytes_equal_the_row_reduction():
+    """Reducing along the contiguous axis of the transposed gather gives the
+    bytes of the plain row form, ``np.add.reduceat(table[idx], starts,
+    axis=0)``, forward and backward: empty segments, segments of 1-7 and of
+    8-128 entries, and a table row that more than 128 entries read."""
+    rng = np.random.default_rng(780)
+    n_table, dim = 300, 37
+    counts = np.concatenate([[0, 0], np.arange(1, 8), rng.integers(8, 129, size=20), [0],
+                             rng.integers(0, 6, size=40)])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    idx = rng.integers(1, n_table, size=offsets[-1])
+    idx[rng.choice(idx.size, size=200, replace=False)] = 0  # one group of 200 entries
+    weights = rng.uniform(0.05, 1.0, size=counts.size)
+    table = ad.Node(rng.normal(size=(n_table, dim)), requires_grad=True)
+    g = rng.normal(size=(counts.size, dim))
+
+    out = ad.gather_segment_sum(table, idx, offsets, weights)
+    ad.backward(ad.sum_all(ad.elementwise_mul(out, ad.Node(g))))
+
+    starts, filled = offsets[:-1], counts > 0
+    want = np.zeros_like(out.value)
+    want[filled] = (np.add.reduceat(table.value[idx], starts[filled], axis=0)
+                    * weights[filled, None])
+    rows, first, table_rows = ad.segment_grouping(idx, offsets)
+    assert np.diff(np.append(first, idx.size)).max() == 200
+    want_grad = np.zeros_like(table.value)
+    want_grad[table_rows] += np.add.reduceat((g * weights[:, None])[rows], first, axis=0)
+    assert out.value.tobytes() == want.tobytes()
+    assert table.grad.tobytes() == want_grad.tobytes()
+
+
 def test_gather_segment_sum_rejects_bad_segments():
     table = np.zeros((4, 2))
     for idx, offsets, weights in (([0, 1], [0, 1], [1.0]),          # last offset short

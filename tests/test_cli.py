@@ -149,6 +149,16 @@ def test_analyze_prints_table_numbers(tmp_path, capsys):
     assert {l["kind"] for l in lines} == {"length_bucket", "taxonomy"}
 
 
+def test_analyze_non_object_state_one_line_error(tmp_path, capsys):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps({"dialogue_id": "d", "turn_index": 0, "context_length": 3,
+                                "predicted": [], "gold": {"hotel-area": "east"}}) + "\n")
+    code, _, err = run(capsys, "analyze", "--data", str(dump))
+    assert code == 1
+    assert err == ("error: ValueError: prediction dump line 1: "
+                   "belief state is list, not a JSON object\n")
+
+
 def test_analyze_machine_report_deterministic(tmp_path):
     dump = tmp_path / "dump.jsonl"
     write_predictions(dump, build_table_fixture())

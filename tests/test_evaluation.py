@@ -268,6 +268,18 @@ def test_malformed_slot_name_in_dump_names_the_line(tmp_path):
         read_predictions(path)
 
 
+@pytest.mark.parametrize("field", ["predicted", "gold"])
+@pytest.mark.parametrize("value, kind", [([], "list"), ("east", "str"), (None, "NoneType")])
+def test_non_object_state_in_dump_names_the_line(tmp_path, field, value, kind):
+    good = {"dialogue_id": "d", "turn_index": 0, "context_length": 3,
+            "predicted": {"hotel-area": "east"}, "gold": {"hotel-area": "east"}}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_predictions(path)
+    assert str(exc.value) == f"prediction dump line 2: belief state is {kind}, not a JSON object"
+
+
 def test_report_formatting(table_fixture_predictions):
     text = format_length_table(length_report(table_fixture_predictions))
     assert "2,940" in text and "71.94" in text and ">=300" in text

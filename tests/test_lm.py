@@ -210,3 +210,34 @@ def test_empty_sequence_rejected():
     f, b = lm.forward(ad.Node(np.zeros((3, 4))), [3])
     with pytest.raises(ad.ShapeError):
         lm.loss(f, b, [1, 2], [3])
+
+
+def test_forward_with_carriers_reads_the_carrier_rows():
+    """A sequence whose rows are the first rows of a carrier reads its
+    forward states from the carrier's run, which equal its own up to
+    rounding; the backward states run per sequence and do not change.
+    Gradients flow through the gathers."""
+    lm, store = make_lm(input_dim=3, hidden_dim=3, vocab=5, seed=12)
+    rng = np.random.default_rng(12)
+    carrier, other = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+    # sequence 0 is the first 3 rows of sequence 2, sequence 1 carries itself
+    emb_p = store.new("emb", (10, 3), 1.0)
+    emb_p.value = np.concatenate([carrier[:3], other, carrier])
+    lengths, carriers = [3, 2, 5], [2, 1, 2]
+    plain_f, plain_b = lm.forward(emb_p, lengths)
+    f, b = lm.forward(emb_p, lengths, carriers)
+    np.testing.assert_allclose(f.value, plain_f.value, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(b.value, plain_b.value)
+
+    ids = rng.integers(0, 5, size=10)
+    err = ad.grad_check(lambda: lm.loss(*lm.forward(emb_p, lengths, carriers), ids, lengths),
+                        store.parameters(), eps=1e-5)
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("carriers", [[1, 1, 2], [2, 2, 1], [2, 1], [0, 1, 1]])
+def test_forward_rejects_carriers_that_do_not_carry(carriers):
+    """Each carrier carries itself and is at least as long as what it carries."""
+    lm, _ = make_lm(input_dim=3, hidden_dim=3, vocab=5)
+    with pytest.raises(ad.ShapeError, match="carriers"):
+        lm.forward(ad.Node(np.zeros((10, 3))), [3, 2, 5], carriers)

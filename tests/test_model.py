@@ -834,6 +834,96 @@ def test_batched_prediction_matches_single():
     assert batched[1] == model.predict_state(d, 1)
 
 
+def three_turn_dialogue(dialogue_id="toy3", last_user="i want dear price ."):
+    turns = [
+        *tiny_dialogue().turns,
+        DialogueTurn(2, "you want cheap price ?", last_user,
+                     BeliefState({("hotel", "area"): "east", ("hotel", "price"): "dear"})),
+    ]
+    return Dialogue(dialogue_id, {"hotel"}, turns)
+
+
+def record_lm_forward_lengths(monkeypatch, model):
+    """The ``lengths`` of every LM forward-direction recurrence, in call order."""
+    seen = []
+    gru = ad.gru_sequence_batch
+
+    def recording(cell, xs, lengths, *args, **kwargs):
+        if cell is model.lm.fwd:
+            seen.append([int(n) for n in lengths])
+        return gru(cell, xs, lengths, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "gru_sequence_batch", recording)
+    return seen
+
+
+def test_prediction_runs_the_lm_forward_direction_once_per_dialogue(monkeypatch):
+    """Without dropout and without a graph, a turn's context is a prefix of
+    its dialogue's longest context in the batch, so the LM's forward
+    direction runs one sequence per dialogue and each turn reads its states
+    from the first rows: they equal the turn's states run alone."""
+    model = tiny_model()
+    d, other = three_turn_dialogue(), tiny_dialogue()
+    instances = [(d, 0), (other, 1), (d, 2), (other, 0), (d, 1)]
+    lengths = [build_context(dlg, t, True).length for dlg, t in instances]
+    seen = record_lm_forward_lengths(monkeypatch, model)
+    with ad.no_grad():
+        batch = model.prepare_batch(instances)
+        assert seen == [[lengths[1], lengths[2]]]  # the carriers, in stacked order
+        offsets = np.cumsum(lengths) - lengths
+        for i, (dlg, turn) in enumerate(instances):
+            alone = model.prepare_batch([(dlg, turn)])
+            for got, want in zip(batch.lm_states, alone.lm_states):
+                np.testing.assert_allclose(got.value[offsets[i]:offsets[i] + lengths[i]],
+                                           want.value, rtol=0, atol=1e-12)
+
+
+def test_lm_forward_runs_every_example_with_dropout_or_a_graph(monkeypatch):
+    """With ``rng`` (training) or with a graph, the forward direction is the
+    one recurrence over every example."""
+    model = tiny_model()
+    d = three_turn_dialogue()
+    instances = [(d, 0), (d, 1), (d, 2)]
+    lengths = [build_context(d, t, True).length for t in range(3)]
+    seen = record_lm_forward_lengths(monkeypatch, model)
+    model.prepare_batch(instances, np.random.default_rng(0))
+    model.batch_loss(instances)
+    assert seen == [lengths, lengths]
+
+
+def test_lm_forward_shares_only_within_one_dialogue_object(monkeypatch):
+    """A second Dialogue object with the same id but another utterance is
+    not a carrier, and a context that is not a prefix of its dialogue's
+    longest one carries itself."""
+    model = tiny_model()
+    d = three_turn_dialogue()
+    edited = three_turn_dialogue(last_user="i want west area .")
+    seen = record_lm_forward_lengths(monkeypatch, model)
+    with ad.no_grad():
+        model.prepare_batch([(d, 1), (edited, 2)])
+    assert seen == [[build_context(d, 1, True).length, build_context(edited, 2, True).length]]
+
+    contexts = [build_context(d, t, True) for t in range(3)]
+    instances = [(d, t) for t in range(3)]
+    assert DstModel._lm_carriers(instances, contexts) == [2, 2, 2]
+    contexts[1].tokens[-1] = "?"  # no longer a prefix of turn 2
+    assert DstModel._lm_carriers(instances, contexts) == [2, 1, 2]
+    assert DstModel._lm_carriers(instances[:1], contexts[:1]) is None
+
+
+def test_batched_prediction_over_two_dialogues_matches_single():
+    """The batch-vs-single contract with the forward direction shared:
+    every turn of two dialogues predicted in one batch equals each turn
+    predicted alone, with values decoded."""
+    model = tiny_model()
+    force_gate(model, GATE_PTR)
+    d, other = three_turn_dialogue(), oov_dialogue()
+    instances = [(dlg, t) for dlg in (d, other) for t in range(len(dlg.turns))]
+    batched = model.predict_states(instances)
+    assert all(len(state) for state in batched)
+    assert batched == [model.predict_state(dlg, t) for dlg, t in instances]
+
+
 def test_prediction_skips_lm_heads(monkeypatch):
     """Prediction reads only the LM states: with the LM loss made to raise,
     predictions come back equal to decoding a batch whose LM loss was built
@@ -988,6 +1078,29 @@ def test_model_load_rejects_a_malformed_ontology_key(tmp_path, key):
     with pytest.raises(ad.CheckpointError) as exc:
         DstModel.load(path)
     assert str(exc.value) == f"checkpoint {path}: slot name {key!r} is not 'domain-slot'"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ontology", [5], "ontology is not a list of strings"),
+    ("ontology", "hotel-area", "ontology is not a list of strings"),
+    ("vocab", ["i", 3], "vocab is not a list of strings"),
+    ("vocab", {"i": 0}, "vocab is not a list of strings"),
+    ("hidden_dim", "8", "hidden_dim is str, not int"),
+    ("max_value_len", True, "max_value_len is bool, not int"),
+    ("tagging", 1, "tagging is int, not bool"),
+], ids=["ontology-int", "ontology-str", "vocab-int", "vocab-dict", "hidden-str",
+        "max-len-bool", "tagging-int"])
+def test_model_load_rejects_a_mistyped_field(tmp_path, field, value, message):
+    """Each metadata field a checkpoint records must have its type; a wrong
+    one is a checkpoint error naming the path and the field."""
+    model = tiny_model()
+    meta = model.meta()
+    meta[field] = value
+    path = tmp_path / "model.npz"
+    ad.save_checkpoint(path, model.store.state_dict(), meta)
+    with pytest.raises(ad.CheckpointError) as exc:
+        DstModel.load(path)
+    assert str(exc.value) == f"checkpoint {path}: {message}"
 
 
 def test_model_load_keeps_a_dash_in_a_slot_name(tmp_path):

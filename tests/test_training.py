@@ -6,6 +6,7 @@ import pytest
 from lmdst import autodiff as ad
 from lmdst import training
 from lmdst.corpus import SynthConfig, generate_synthetic
+from lmdst.embeddings import CompositeEmbedding
 from lmdst.model import DstModel
 from lmdst.context import build_context, build_vocabulary
 from lmdst.training import (Adam, TrainConfig, Trainer, ablation_name, fit,
@@ -271,9 +272,9 @@ def test_predict_instances_chunks_by_length_in_turn_order():
     chunks = []
     predict_states = model.predict_states
 
-    def recording(instances):
+    def recording(instances, table=None):
         chunks.append([build_context(d, i, model.tagging).length for d, i in instances])
-        return predict_states(instances)
+        return predict_states(instances, table)
 
     model.predict_states = recording
     preds = predict_instances(model, dialogues, chunk=4)
@@ -288,6 +289,36 @@ def test_predict_instances_chunks_by_length_in_turn_order():
     for p, (d, i) in zip(preds, instances):
         assert p.predicted == model.predict_state(d, i)
         assert p.context_length == build_context(d, i, tagging=False).length
+
+
+def test_predict_instances_builds_one_table_per_call(monkeypatch):
+    """Every chunk of a call reads one embedding table, and the predictions
+    equal each chunk predicted on its own (which builds its own table)."""
+    trainer, dialogues, _ = small_trainer()
+    dialogues = dialogues[:12]
+    model = trainer.model
+    model.b_gate.value = np.array([5.0, 0.0, 0.0])  # every slot ptr: words are read
+    builds, chunks = [], []
+    table, predict_states = CompositeEmbedding.table, model.predict_states
+
+    def counting(self):
+        builds.append(self)
+        return table(self)
+
+    def recording(instances, table=None):
+        chunks.append(instances)
+        return predict_states(instances, table)
+
+    monkeypatch.setattr(CompositeEmbedding, "table", counting)
+    model.predict_states = recording
+    preds = predict_instances(model, dialogues, chunk=4)
+    del model.predict_states
+    assert builds == [model.embedding] and len(chunks) > 2
+
+    by_turn = {(p.dialogue_id, p.turn_index): p.predicted for p in preds}
+    for part in chunks:
+        assert [by_turn[d.id, i] for d, i in part] == model.predict_states(part)
+    assert len(builds) == 1 + len(chunks)
 
 
 def test_fit_epochs_contiguous_from_one():
