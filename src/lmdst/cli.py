@@ -112,7 +112,7 @@ def cmd_train(args) -> int:
     print(format_metrics_table(report.best_val_joint, best.val_slot,
                                label=ablation_name(cfg)))
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_json(), indent=1, sort_keys=True))
+        Path(args.out).write_text(json.dumps(dataclasses.asdict(report), indent=1, sort_keys=True))
         print(f"training report -> {args.out}")
     print(f"best epoch {report.best_epoch}, checkpoint -> {args.checkpoint}")
     return 0

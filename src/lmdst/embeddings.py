@@ -45,8 +45,7 @@ class CompositeEmbedding:
     """Trainable table of concat(word_vector, weighted char-n-gram sum)."""
 
     def __init__(self, store: ad.ParameterStore, vocab: Vocabulary,
-                 embedding_dim: int = 400, hidden_dim: int = 400,
-                 freeze_word: bool = False):
+                 embedding_dim: int = 400, freeze_word: bool = False):
         self.vocab = vocab
         self.embedding_dim = embedding_dim
         self.word_dim, self.char_dim = split_dims(embedding_dim)
@@ -72,7 +71,7 @@ class CompositeEmbedding:
         self._ngram_offsets = np.concatenate([[0], np.cumsum(counts)])
         self._ngram_grouping = ad.segment_grouping(self._ngram_index, self._ngram_offsets)
 
-        bound = 1.0 / np.sqrt(hidden_dim)
+        bound = 1.0 / np.sqrt(embedding_dim)
         self.word = store.new("embedding.word", (len(vocab), self.word_dim), bound)
         self.word.requires_grad = not freeze_word
         self.char = store.new("embedding.char", (max(1, len(grams)), self.char_dim), bound)

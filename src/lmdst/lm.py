@@ -26,17 +26,15 @@ from . import autodiff as ad
 
 
 class LanguageModel:
-    """Shared bi-GRU with next-word and previous-word softmax heads."""
+    """Shared bi-GRU with next-word and previous-word softmax heads. Its
+    states are as wide as its inputs (``dim``): the model adds the two."""
 
-    def __init__(self, store: ad.ParameterStore, input_dim: int, hidden_dim: int,
-                 vocab_size: int):
-        self.hidden_dim = hidden_dim
-        self.vocab_size = vocab_size
-        self.fwd = ad.GruCell(store, "lm.fwd", input_dim, hidden_dim)
-        self.bwd = ad.GruCell(store, "lm.bwd", input_dim, hidden_dim)
-        bound = 1.0 / np.sqrt(hidden_dim)
-        self.w_f = store.new("lm.w_f", (hidden_dim, vocab_size), bound)
-        self.w_b = store.new("lm.w_b", (hidden_dim, vocab_size), bound)
+    def __init__(self, store: ad.ParameterStore, dim: int, vocab_size: int):
+        self.fwd = ad.GruCell(store, "lm.fwd", dim, dim)
+        self.bwd = ad.GruCell(store, "lm.bwd", dim, dim)
+        bound = 1.0 / np.sqrt(dim)
+        self.w_f = store.new("lm.w_f", (dim, vocab_size), bound)
+        self.w_b = store.new("lm.w_b", (dim, vocab_size), bound)
 
     def forward(self, xs: ad.Node, lengths, carriers=None) -> tuple[ad.Node, ad.Node]:
         """(forward states, backward states) for stacked sequences.

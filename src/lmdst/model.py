@@ -188,11 +188,12 @@ def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.n
 
 
 class Encoder:
-    """Bi-GRU utterance encoder over the (fused) embedded context."""
+    """Bi-GRU utterance encoder over the (fused) embedded context; its
+    states are as wide as its inputs (``dim``)."""
 
-    def __init__(self, store: ad.ParameterStore, input_dim: int, hidden_dim: int):
-        self.fwd = ad.GruCell(store, "enc.fwd", input_dim, hidden_dim)
-        self.bwd = ad.GruCell(store, "enc.bwd", input_dim, hidden_dim)
+    def __init__(self, store: ad.ParameterStore, dim: int):
+        self.fwd = ad.GruCell(store, "enc.fwd", dim, dim)
+        self.bwd = ad.GruCell(store, "enc.bwd", dim, dim)
 
     def forward(self, xs: ad.Node, lengths) -> tuple[ad.Node, ad.Node]:
         """(forward + backward states, one final state per sequence).
@@ -237,11 +238,10 @@ class DstModel:
         # with ``state`` (a checkpoint's arrays), the parameters are those
         # arrays, and ``seed`` draws nothing
         self.store = ad.ParameterStore(seed, state)
-        self.embedding = CompositeEmbedding(
-            self.store, vocab, embedding_dim=embedding_dim, hidden_dim=hidden_dim,
-            freeze_word=freeze_word_embeddings)
-        self.lm = LanguageModel(self.store, embedding_dim, hidden_dim, len(vocab))
-        self.encoder = Encoder(self.store, embedding_dim, hidden_dim)
+        self.embedding = CompositeEmbedding(self.store, vocab, embedding_dim=embedding_dim,
+                                            freeze_word=freeze_word_embeddings)
+        self.lm = LanguageModel(self.store, embedding_dim, len(vocab))
+        self.encoder = Encoder(self.store, embedding_dim)
         self.decoder_cell = ad.GruCell(self.store, "dec", embedding_dim, hidden_dim)
         bound = 1.0 / np.sqrt(hidden_dim)
         self.w_gate = self.store.new("dec.w_gate", (hidden_dim, 3), bound)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class TrainConfig:
 
 def load_config_file(path) -> TrainConfig:
     """Parse a "key = value" config file onto the default TrainConfig."""
-    types = {f.name: f.type for f in fields(TrainConfig)}
+    types = {f.name: type(f.default) for f in fields(TrainConfig)}
     overrides = {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -91,18 +91,14 @@ def load_config_file(path) -> TrainConfig:
     return replace(TrainConfig(), **overrides)
 
 
-def _parse_value(type_name: str, raw: str):
-    if type_name == "bool":
+def _parse_value(kind: type, raw: str):
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"{raw!r} is not a boolean")
-    if type_name == "int":
-        return int(raw)
-    if type_name == "float":
-        return float(raw)
-    return raw
+    return kind(raw)
 
 
 def save_config_file(path, cfg: TrainConfig) -> None:
@@ -211,9 +207,6 @@ class TrainReport:
     wall_clock_sec: float = 0.0
     ablation: str = "full"
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def split_corpus(dialogues: list[Dialogue], val_fraction: float) -> tuple[list[Dialogue], list[Dialogue]]:
     """Deterministic tail split; at least one dialogue on each side."""
@@ -280,8 +273,12 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     """Train on a corpus with early stopping on validation joint accuracy.
 
     Deterministic for a fixed config seed: data order, initialization and
-    dropout masks all derive from it. The best model (by validation joint
-    accuracy) is restored at the end and optionally persisted. If
+    dropout masks all derive from it. An epoch is the new best when its
+    rounded validation joint accuracy beats every earlier epoch's (epoch 1
+    always is). Training stops after ``config.patience`` epochs without a
+    new best, or at once when the best reads 100.00, which no epoch can
+    beat; ``report.epochs`` then ends there. The best model is restored at
+    the end and optionally persisted. If
     ``vectors_path`` names a GloVe-format file, covered word rows start from
     it (and stay frozen under ``config.freeze_embeddings``).
     """
@@ -302,47 +299,36 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     inst_lengths = [context.build_context(d, i, model.tagging).length
                     for d, i in train_inst]
     report = TrainReport(ablation=ablation_name(config))
-    best_state: dict | None = None
-    best_joint = -1.0
-    best_epoch = 0
 
     for epoch in range(1, config.max_epochs + 1):
         batches = _length_sorted_batches(train_inst, inst_lengths,
                                          config.batch_size, order_rng)
-        dst_sum = lm_sum = 0.0
-        n_batches = 0
-        for batch in batches:
-            dst, lm = trainer.train_step(batch)
-            dst_sum += dst
-            lm_sum += lm
-            n_batches += 1
+        losses = [trainer.train_step(batch) for batch in batches]
         if trainer.micro_step % config.delay_update_steps != 0:
             trainer.apply_accumulated()  # flush a partial window at epoch end
 
         preds = predict_instances(model, val_dlgs)
-        val_joint = joint_accuracy(preds)
-        val_slot = slot_accuracy(preds, ontology)
-        stats = EpochStats(epoch, dst_sum / n_batches, lm_sum / n_batches,
-                           val_joint, val_slot)
+        stats = EpochStats(epoch, sum(dst for dst, _ in losses) / len(losses),
+                           sum(lm for _, lm in losses) / len(losses),
+                           joint_accuracy(preds), slot_accuracy(preds, ontology))
         report.epochs.append(stats)
         if progress:
             print(f"epoch {epoch:3d}  dst {stats.train_dst:8.4f}  lm {stats.train_lm:10.4f}"
-                  f"  val joint {val_joint:6.2f}  val slot {val_slot:6.2f}", flush=True)
+                  f"  val joint {stats.val_joint:6.2f}  val slot {stats.val_slot:6.2f}",
+                  flush=True)
         log.info("epoch %d: dst %.4f lm %.4f val joint %.2f slot %.2f",
-                 epoch, stats.train_dst, stats.train_lm, val_joint, val_slot)
+                 epoch, stats.train_dst, stats.train_lm, stats.val_joint, stats.val_slot)
 
-        if val_joint > best_joint:
-            best_joint = val_joint
-            best_epoch = epoch
+        if report.best_epoch == 0 or stats.val_joint > report.best_val_joint:
+            report.best_epoch, report.best_val_joint = epoch, stats.val_joint
             best_state = model.store.state_dict()
-        elif epoch - best_epoch >= config.patience:
-            log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
+        ceiling = report.best_val_joint == 100.0  # no rounded score can beat it
+        if ceiling or epoch - report.best_epoch >= config.patience:
+            log.info("stop at epoch %d (best epoch %d): %s", epoch, report.best_epoch,
+                     "validation joint reads 100.00" if ceiling else "patience ran out")
             break
 
-    if best_state is not None:
-        model.store.load_state_dict(best_state)
-    report.best_epoch = best_epoch
-    report.best_val_joint = best_joint
+    model.store.load_state_dict(best_state)
     report.wall_clock_sec = time.monotonic() - start
     if checkpoint_path is not None:
         model.save(checkpoint_path)

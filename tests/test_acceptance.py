@@ -26,7 +26,8 @@ from lmdst.corpus import (BeliefState, Dialogue, DialogueTurn, Ontology, SynthCo
 from lmdst.evaluation import (ERROR_CLASSES, joint_accuracy, length_report,
                               slot_accuracy, taxonomy_report)
 from lmdst.model import DstModel, copy_mixture
-from lmdst.training import TrainConfig, Trainer, fit, turn_instances
+from lmdst.training import (TrainConfig, Trainer, fit, predict_instances, split_corpus,
+                            turn_instances)
 
 from conftest import build_table_fixture
 from test_evaluation import ONTOLOGY as EVAL_ONTOLOGY
@@ -181,7 +182,7 @@ def test_criterion_2_lm_loss_oracle():
     from lmdst.lm import LanguageModel
 
     store = ad.ParameterStore(7)
-    lm = LanguageModel(store, 5, 5, 12)
+    lm = LanguageModel(store, 5, 12)
     rng = np.random.default_rng(7)
     emb = rng.normal(size=(5, 5))
     ids = rng.integers(0, 12, size=5)
@@ -194,7 +195,7 @@ def test_criterion_2_lm_loss_oracle():
     assert t1 == 0.0
 
     store4 = ad.ParameterStore(9)
-    lm4 = LanguageModel(store4, 4, 4, 4)
+    lm4 = LanguageModel(store4, 4, 4)
     lm4.w_f.value = np.zeros_like(lm4.w_f.value)
     lm4.w_b.value = np.zeros_like(lm4.w_b.value)
     uniform = float(lm4.loss(*lm4.forward(ad.Node(rng.normal(size=(3, 4))), [3]),
@@ -374,6 +375,21 @@ def test_criterion_7_open_vocabulary_copy(synthetic_run):
         hits += state.get(domain, slot) == word
     assert hits >= 9, f"only {hits}/10 OOV values copied"
     report(7, f"{hits}/10 unseen values decoded via the copy path (>= 9 required)")
+
+
+def test_trained_model_batched_prediction_matches_single(synthetic_run):
+    """Batch independence on a model that decodes real values: corpus
+    prediction (length chunks of 16) equals one turn at a time, over enough
+    distinct values that the check sees real decoding, not one token."""
+    dialogues, _, model, _, _ = synthetic_run
+    _, val = split_corpus(dialogues, ACCEPT_TRAIN.val_fraction)
+    instances = turn_instances(val)
+    preds = predict_instances(model, val)
+    assert [(p.dialogue_id, p.turn_index) for p in preds] == [(d.id, i) for d, i in instances]
+    for p, (d, i) in zip(preds, instances):
+        assert p.predicted == model.predict_state(d, i), f"{d.id} turn {i}"
+    values = {v for p in preds for v in p.predicted.entries().values()}
+    assert len(values - {"dontcare"}) >= 20, sorted(values)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from lmdst.embeddings import CompositeEmbedding, VectorFileError, char_ngrams, s
 def make_embedding(tokens=("hotel", "east", "cheap"), dim=400):
     store = ad.ParameterStore(3)
     vocab = Vocabulary(list(tokens))
-    return CompositeEmbedding(store, vocab, embedding_dim=dim, hidden_dim=dim), store, vocab
+    return CompositeEmbedding(store, vocab, embedding_dim=dim), store, vocab
 
 
 def dense_char_avg(emb):
@@ -169,7 +169,7 @@ def test_gradient_flows_into_both_parts():
 def test_freeze_word_blocks_word_gradient():
     store = ad.ParameterStore(3)
     vocab = Vocabulary(["hotel"])
-    emb = CompositeEmbedding(store, vocab, embedding_dim=8, hidden_dim=8, freeze_word=True)
+    emb = CompositeEmbedding(store, vocab, embedding_dim=8, freeze_word=True)
     t = emb.table()
     ad.backward(ad.sum_all(ad.elementwise_mul(t, t)))
     assert emb.word.grad is None

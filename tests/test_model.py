@@ -60,7 +60,7 @@ def force_gate(model, gate):
 
 def test_encoder_shapes():
     store = ad.ParameterStore(0)
-    enc = Encoder(store, 6, 6)
+    enc = Encoder(store, 6)
     hiddens, finals = enc.forward(ad.Node(np.random.default_rng(0).normal(size=(9, 6))), [9])
     assert hiddens.shape == (9, 6)
     assert finals.shape == (1, 6)
@@ -71,14 +71,14 @@ def test_encoder_shapes():
 
 def test_encoder_t1_final_equals_hidden():
     store = ad.ParameterStore(1)
-    enc = Encoder(store, 4, 4)
+    enc = Encoder(store, 4)
     hiddens, finals = enc.forward(ad.Node(np.random.default_rng(1).normal(size=(1, 4))), [1])
     np.testing.assert_array_equal(finals.value[0], hiddens.value[0])
 
 
 def test_encoder_matches_scalar_recomputation():
     store = ad.ParameterStore(2)
-    enc = Encoder(store, 3, 3)
+    enc = Encoder(store, 3)
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(4, 3))
     f, b = numpy_gru(enc.fwd, xs), numpy_gru(enc.bwd, xs, reverse=True)
@@ -88,7 +88,7 @@ def test_encoder_matches_scalar_recomputation():
 
 
 def test_encoder_rejects_empty():
-    enc = Encoder(ad.ParameterStore(0), 4, 4)
+    enc = Encoder(ad.ParameterStore(0), 4)
     with pytest.raises(ad.ShapeError):
         enc.forward(ad.Node(np.zeros((0, 4))), [0])
 

@@ -327,6 +327,38 @@ def test_fit_epochs_contiguous_from_one():
     assert [e.epoch for e in report.epochs] == list(range(1, len(report.epochs) + 1))
 
 
+@pytest.mark.parametrize("scores, patience, stop, best", [
+    ([50.0] + [100.0] * 5, 3, 2, (2, 100.0)),  # nothing beats 100.00: stop at once
+    ([0.0] * 5, 2, 3, (1, 0.0)),  # epoch 1 is the best even when it reads 0.00
+])
+def test_fit_stops_and_restores_the_best_epoch(monkeypatch, tmp_path, scores, patience,
+                                               stop, best):
+    """With epoch n reading ``scores[n - 1]`` as its validation joint, the
+    run stops after epoch ``stop`` and ends as the run that was only ever
+    given the best epoch's count of epochs: same report, parameters and
+    checkpoint arrays."""
+    dialogues, ontology = small_corpus()
+    runs = []
+    for max_epochs in (len(scores), best[0]):
+        it = iter(scores)
+        monkeypatch.setattr(training, "joint_accuracy", lambda preds: next(it))
+        path = tmp_path / f"max{max_epochs}.npz"
+        model, report = fit(dialogues, ontology,
+                            small_config(max_epochs=max_epochs, patience=patience),
+                            checkpoint_path=path)
+        runs.append((report, model.store.state_dict(), np.load(path)))
+    (report, state, arrays), (short, short_state, short_arrays) = runs
+    assert [e.epoch for e in report.epochs] == list(range(1, stop + 1))
+    assert (report.best_epoch, report.best_val_joint) == best
+    assert (short.best_epoch, short.best_val_joint) == best
+    assert report.epochs[:best[0]] == short.epochs
+    assert state.keys() == short_state.keys() and arrays.files == short_arrays.files
+    for name in state:
+        np.testing.assert_array_equal(state[name], short_state[name])
+    for name in arrays.files:
+        np.testing.assert_array_equal(arrays[name], short_arrays[name])
+
+
 def test_fit_rejects_tiny_corpus():
     dialogues, ontology = small_corpus(n=1)
     with pytest.raises(ValueError):
@@ -404,10 +436,15 @@ def test_config_file_roundtrip(tmp_path):
 
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "train.cfg"
-    path.write_text("# comment\nalpha = 0.25\nlm_enabled = false\nbatch_size = 2\n")
+    path.write_text("# comment\nalpha = 0.25\nlm_enabled = false\nbatch_size = 2\n"
+                    "dropout = 1\n")
     cfg = load_config_file(path)
     assert cfg.alpha == 0.25 and cfg.lm_enabled is False and cfg.batch_size == 2
+    assert cfg.dropout == 1.0 and type(cfg.dropout) is float  # parsed by the field's type
     assert cfg.delay_update_steps == 4  # untouched default
+    path.write_text("alpha = 0.5\nbatch_size = 1.5\n")
+    with pytest.raises(ValueError, match="config line 2: batch_size: "):
+        load_config_file(path)
 
 
 def test_config_file_unknown_key(tmp_path):
