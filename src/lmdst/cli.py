@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import autodiff as ad
 from . import corpus as corpus_mod
-from .context import build_vocabulary, context_length_stats
+from .context import context_length_stats
 from .corpus import (CorpusFormatError, Ontology, SynthConfig, filter_domains,
                      generate_synthetic, load_multiwoz, mean_speaker_turns,
                      save_dialogues)
@@ -28,8 +28,8 @@ from .evaluation import (format_length_table, format_metrics_table,
                          read_predictions, slot_accuracy, taxonomy_report,
                          write_predictions)
 from .model import DstModel
-from .training import (TrainConfig, ablation_name, fit, load_config_file,
-                       predict_instances, save_config_file, sweep)
+from .training import (TrainConfig, fit, load_config_file, predict_instances,
+                       save_config_file, sweep)
 
 log = logging.getLogger("lmdst")
 
@@ -56,9 +56,7 @@ def _train_config(args) -> TrainConfig:
     cfg = TrainConfig() if args.config is None else load_config_file(args.config)
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
              if getattr(args, f.name, None) is not None}
-    cfg = dataclasses.replace(cfg, **given)
-    cfg.validate()
-    return cfg
+    return dataclasses.replace(cfg, **given)
 
 
 def _load_corpus(args) -> tuple[list, Ontology]:
@@ -72,11 +70,9 @@ def cmd_preprocess(args) -> int:
     dialogues = load_multiwoz(args.data, ontology)
     dialogues = filter_domains(dialogues, set(args.exclude_domains.split(","))
                                if args.exclude_domains else corpus_mod.DEFAULT_EXCLUDED_DOMAINS)
-    vocab = build_vocabulary(dialogues, args.min_count)  # checks min_count before any write
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dialogues(out / "corpus.json", dialogues)
-    vocab.save(out / "vocab.txt")
     stats = context_length_stats(dialogues)
     print(f"dialogues: {len(dialogues)}")
     print(f"mean speaker turns: {mean_speaker_turns(dialogues):.2f}")
@@ -84,7 +80,6 @@ def cmd_preprocess(args) -> int:
     print(f"max context length (untagged): {stats['max_length']}")
     print(f"fraction >= 200 tokens: {stats['fraction_ge_200']:.4f}")
     print("bucket counts: " + "  ".join(f"{k}: {v:,}" for k, v in stats["bucket_counts"].items()))
-    print(f"vocabulary: {len(vocab)} tokens -> {out / 'vocab.txt'}")
     print(f"corpus -> {out / 'corpus.json'}")
     return 0
 
@@ -92,8 +87,7 @@ def cmd_preprocess(args) -> int:
 def cmd_synth(args) -> int:
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)
              if getattr(args, f.name) is not None}
-    cfg = dataclasses.replace(SynthConfig(), **given)
-    dialogues, ontology = generate_synthetic(cfg)
+    dialogues, ontology = generate_synthetic(SynthConfig(**given))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dialogues(out / "corpus.json", dialogues)
@@ -109,8 +103,7 @@ def cmd_train(args) -> int:
     model, report = fit(dialogues, ontology, cfg, checkpoint_path=args.checkpoint,
                         vectors_path=args.vectors, progress=not args.quiet)
     best = report.epochs[report.best_epoch - 1]
-    print(format_metrics_table(report.best_val_joint, best.val_slot,
-                               label=ablation_name(cfg)))
+    print(format_metrics_table(report.best_val_joint, best.val_slot, label=report.ablation))
     if args.out:
         Path(args.out).write_text(json.dumps(dataclasses.asdict(report), indent=1, sort_keys=True))
         print(f"training report -> {args.out}")
@@ -184,12 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "auxiliary bi-directional language model.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="normalize a dataset file, emit corpus + vocabulary")
+    p = sub.add_parser("preprocess", help="normalize a dataset file, emit corpus + statistics")
     p.add_argument("--data", type=Path, required=True, help="dataset file (per-turn JSON)")
     p.add_argument("--ontology", type=Path, help="ontology file (domain-slot per line)")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--min-count", type=int, dest="min_count", default=1,
-                   help="vocabulary frequency threshold (default 1)")
     p.add_argument("--exclude-domains", dest="exclude_domains",
                    help="comma list of domains to drop (default: hospital,police)")
     p.set_defaults(func=cmd_preprocess)

@@ -18,7 +18,6 @@ SYS_TAG, USR_TAG = "[sys]", "[usr]"
 RESERVED_TOKENS = (PAD, UNK, SOS, EOS, SYS_TAG, USR_TAG)
 
 BUCKET_LABELS = ("0-99", "100-199", "200-299", ">=300")
-_BUCKET_STARTS = (0, 100, 200, 300)
 
 _TERMINAL_PUNCT = set(".,!?;:")
 
@@ -88,18 +87,9 @@ class Vocabulary:
     """Token <-> id map with a fixed reserved block (see RESERVED_TOKENS)."""
 
     def __init__(self, tokens: list[str] | None = None):
-        self._id_to_token: list[str] = list(RESERVED_TOKENS)
+        # A repeated token keeps its first id.
+        self._id_to_token: list[str] = list(dict.fromkeys([*RESERVED_TOKENS, *(tokens or [])]))
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(self._id_to_token)}
-        for t in tokens or []:
-            self.add(t)
-
-    def add(self, token: str) -> int:
-        if token in self._token_to_id:
-            return self._token_to_id[token]
-        idx = len(self._id_to_token)
-        self._id_to_token.append(token)
-        self._token_to_id[token] = idx
-        return idx
 
     def id(self, token: str) -> int:
         return self._token_to_id.get(token, self._token_to_id[UNK])
@@ -118,17 +108,6 @@ class Vocabulary:
 
     def content_tokens(self) -> list[str]:
         return self._id_to_token[len(RESERVED_TOKENS):]
-
-    def save(self, path) -> None:
-        """One content token per line; id = line number + reserved block size."""
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self.content_tokens():
-                f.write(t + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
 
 
 def build_vocabulary(dialogues: list[Dialogue], min_count: int = 1) -> Vocabulary:
@@ -157,10 +136,7 @@ def length_bucket(length: int) -> str:
     """Half-open context-length buckets [0,100), [100,200), [200,300), [300,inf)."""
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    for start, label in zip(reversed(_BUCKET_STARTS), reversed(BUCKET_LABELS)):
-        if length >= start:
-            return label
-    raise AssertionError("unreachable")
+    return BUCKET_LABELS[min(length // 100, len(BUCKET_LABELS) - 1)]
 
 
 def context_length_stats(dialogues: list[Dialogue]) -> dict:

@@ -296,7 +296,7 @@ def filter_domains(dialogues: list[Dialogue], excluded=DEFAULT_EXCLUDED_DOMAINS)
 # synthetic corpus
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     n_dialogues: int = 500
     n_domains: int = 5
@@ -306,7 +306,7 @@ class SynthConfig:
     seed: int = 13
     dontcare_rate: float = 0.0  # "dontcare" values are gate-level, not copyable
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("n_dialogues", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -375,7 +375,6 @@ def generate_synthetic(config: SynthConfig) -> tuple[list[Dialogue], Ontology]:
     confirm previously given ones, and states accumulate monotonically, so
     each turn's gold values all appear in its concatenated context.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
 
     # "none" is how belief states spell an absent value, never a value word

@@ -23,8 +23,10 @@ from .model import DstModel
 log = logging.getLogger("lmdst.training")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Checked when built; ``dataclasses.replace`` makes a checked copy."""
+
     alpha: float = 0.9
     delay_update_steps: int = 4
     batch_size: int = 8
@@ -43,7 +45,7 @@ class TrainConfig:
     max_value_len: int = 10
     freeze_embeddings: bool = False  # freeze the pretrained word part
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.alpha < np.inf:  # with the LM off, 0 * alpha must stay 0
             raise ValueError("alpha must be finite and non-negative")
         if self.delay_update_steps < 1 or self.batch_size < 1:
@@ -88,7 +90,7 @@ def load_config_file(path) -> TrainConfig:
                 overrides[key] = _parse_value(types[key], value)
             except ValueError as exc:
                 raise ValueError(f"config line {line_no}: {key}: {exc}") from None
-    return replace(TrainConfig(), **overrides)
+    return TrainConfig(**overrides)
 
 
 def _parse_value(kind: type, raw: str):
@@ -158,7 +160,6 @@ class Trainer:
     """
 
     def __init__(self, model: DstModel, config: TrainConfig):
-        config.validate()
         self.model = model
         self.config = config
         self.optimizer = Adam(model.store, lr=config.learning_rate)
@@ -282,7 +283,6 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
     ``vectors_path`` names a GloVe-format file, covered word rows start from
     it (and stay frozen under ``config.freeze_embeddings``).
     """
-    config.validate()
     start = time.monotonic()
     train_dlgs, val_dlgs = split_corpus(dialogues, config.val_fraction)
     vocab = context.build_vocabulary(train_dlgs, config.min_count)
@@ -341,10 +341,9 @@ def sweep(alpha_values, delay_values, dialogues: list[Dialogue], ontology: Ontol
     """fit() per (alpha, delay) grid cell; rows are plot-ready dicts."""
     if not alpha_values or not delay_values:
         raise ValueError("sweep grids must be non-empty")
+    # A bad cell raises here, before any earlier cell trains.
     cells = [replace(base_config, alpha=alpha, delay_update_steps=delay)
              for alpha in alpha_values for delay in delay_values]
-    for cfg in cells:  # a bad cell fails the sweep before any earlier cell trains
-        cfg.validate()
     rows = []
     for cfg in cells:
         _, report = fit(dialogues, ontology, cfg)

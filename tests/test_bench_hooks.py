@@ -2,12 +2,14 @@
 and its checkpoint check reads each parameter's ``name`` and ``value``. A
 renamed or removed hook would otherwise only show up when the benchmark runs."""
 
+import json
 from pathlib import Path
 
 from lmdst import autodiff as ad
 from lmdst.context import Vocabulary, build_context
 from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
 from lmdst.model import DstModel
+from lmdst.training import TrainConfig
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -70,3 +72,17 @@ def test_bench_checkpoint_round_trip(monkeypatch, tmp_path):
     path = str(tmp_path / "model.npz")
     loaded = workloads._load_checked(path, workloads._save(model, path))
     assert loaded.store.names() == model.store.names()
+
+
+def test_bench_workloads_construct_their_configs(monkeypatch, tmp_path):
+    """Constructing a workload builds its configs (no corpus, no model), so a
+    config change the benchmark cannot run fails here first."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    declared = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]
+    built = {w["name"]: workloads.make(w["name"], 1, str(tmp_path / "model.npz"))
+             for w in declared}
+    for name, dim in (("train-synth128", 128), ("train-synth400", 400)):
+        assert built[name].config == TrainConfig(hidden_dim=dim, embedding_dim=dim,
+                                                 learning_rate=0.003, seed=1)

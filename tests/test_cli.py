@@ -73,19 +73,9 @@ def test_preprocess_outputs_and_stats(tmp_path, capsys):
     code, stdout, _ = run(capsys, "preprocess", "--data", str(FIXTURE),
                           "--out", str(out))
     assert code == 0
-    assert (out / "corpus.json").exists() and (out / "vocab.txt").exists()
+    assert [p.name for p in out.iterdir()] == ["corpus.json"]
     assert "mean speaker turns" in stdout
     assert "max context length" in stdout
-
-
-def test_preprocess_min_count_zero_one_line_error(tmp_path, capsys):
-    out = tmp_path / "prep"
-    code, _, err = run(capsys, "preprocess", "--data", str(FIXTURE), "--out", str(out),
-                       "--min-count", "0")
-    assert code == 1
-    assert err.startswith("error: ValueError: ") and "min_count" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not out.exists()
 
 
 def test_preprocess_non_object_dialogue_one_line_error(tmp_path, capsys):

@@ -128,14 +128,6 @@ def test_vocabulary_ids_and_unk():
     assert v.token(0) == ctx.PAD
 
 
-def test_vocabulary_file_roundtrip(tmp_path):
-    v = build_vocabulary(load_multiwoz(FIXTURE))
-    p = tmp_path / "vocab.txt"
-    v.save(p)
-    again = Vocabulary.load(p)
-    assert again.tokens() == v.tokens()
-
-
 def test_vocabulary_order_deterministic():
     dialogues = load_multiwoz(FIXTURE)
     a = build_vocabulary(dialogues).tokens()

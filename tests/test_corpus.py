@@ -312,6 +312,11 @@ def test_synth_vocab_too_small():
         synth(n_dialogues=1, n_domains=5, n_slots_per_domain=3, vocab_size=10)
 
 
+def test_synth_config_checked_when_built():
+    with pytest.raises(ValueError, match="max_turns"):
+        SynthConfig(max_turns=0)
+
+
 def test_synth_ontology_consistent():
     dialogues, ontology = synth(n_dialogues=25, seed=11)
     pairs = set(ontology.domain_slots)

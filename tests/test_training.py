@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -437,10 +438,10 @@ def test_config_file_roundtrip(tmp_path):
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text("# comment\nalpha = 0.25\nlm_enabled = false\nbatch_size = 2\n"
-                    "dropout = 1\n")
+                    "learning_rate = 1\n")
     cfg = load_config_file(path)
     assert cfg.alpha == 0.25 and cfg.lm_enabled is False and cfg.batch_size == 2
-    assert cfg.dropout == 1.0 and type(cfg.dropout) is float  # parsed by the field's type
+    assert cfg.learning_rate == 1.0 and type(cfg.learning_rate) is float  # the field's type
     assert cfg.delay_update_steps == 4  # untouched default
     path.write_text("alpha = 0.5\nbatch_size = 1.5\n")
     with pytest.raises(ValueError, match="config line 2: batch_size: "):
@@ -458,21 +459,35 @@ def test_config_file_unknown_key(tmp_path):
 def test_config_validation():
     for alpha in (-1, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="alpha"):
-            TrainConfig(alpha=alpha).validate()
+            TrainConfig(alpha=alpha)
     with pytest.raises(ValueError):
-        TrainConfig(delay_update_steps=0).validate()
+        TrainConfig(delay_update_steps=0)
     with pytest.raises(ValueError):
-        TrainConfig(dropout=1.0).validate()
+        TrainConfig(dropout=1.0)
     with pytest.raises(ValueError, match="max_value_len"):
-        TrainConfig(max_value_len=0).validate()
+        TrainConfig(max_value_len=0)
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=lr).validate()
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError, match="seed"):
-        TrainConfig(seed=-1).validate()
+        TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="hidden_dim"):
-        TrainConfig(hidden_dim=64).validate()
+        TrainConfig(hidden_dim=64)
     with pytest.raises(ValueError, match="min_count"):
-        TrainConfig(min_count=0).validate()
+        TrainConfig(min_count=0)
     with pytest.raises(ValueError, match="embedding_dim"):
-        TrainConfig(hidden_dim=0, embedding_dim=0).validate()
+        TrainConfig(hidden_dim=0, embedding_dim=0)
+
+
+def test_configs_are_frozen():
+    """Configs are checked only when built, so no field can change after."""
+    for cfg, name in ((TrainConfig(), "alpha"), (SynthConfig(), "seed")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, 1)
+
+
+def test_config_file_value_checked_on_load(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("dropout = 1\n")
+    with pytest.raises(ValueError, match="dropout"):
+        load_config_file(path)
