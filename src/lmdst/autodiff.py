@@ -599,7 +599,7 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     state reads only the rows up to its own, so a sequence that is the first
     rows of another needs no run of its own: in prediction the LM runs its
     forward direction once per dialogue and each turn gathers its states
-    from those rows (:meth:`lmdst.lm.LanguageModel.forward`). States
+    from those rows (:meth:`lmdst.lm.BiGru.forward`). States
     equal those of running a sequence alone up to float rounding only: BLAS
     may sum stacked rows in another order for another batch shape, so an
     exact tie downstream can resolve differently.

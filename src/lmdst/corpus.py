@@ -135,7 +135,9 @@ class Ontology:
 
     def __post_init__(self):
         if len(set(self.domain_slots)) != len(self.domain_slots):
-            raise ValueError("ontology contains duplicate (domain, slot) pairs")
+            domain, slot = next(pair for i, pair in enumerate(self.domain_slots)
+                                if pair in self.domain_slots[:i])
+            raise ValueError(f"ontology lists slot '{domain}-{slot}' twice")
 
     def __len__(self) -> int:
         return len(self.domain_slots)
@@ -147,35 +149,39 @@ class Ontology:
 
     @classmethod
     def load(cls, path) -> "Ontology":
-        pairs = []
+        line_of: dict[tuple[str, str], int] = {}  # each pair's line, in file order
         with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    pairs.append(split_slot_key(line))
+                    pair = split_slot_key(line)
                 except ValueError as exc:
                     raise ValueError(f"ontology {path} line {line_no}: {exc}") from exc
-        return cls(pairs)
+                if pair in line_of:
+                    raise ValueError(f"ontology {path} line {line_no}: slot '{line}' "
+                                     f"repeats line {line_of[pair]}")
+                line_of[pair] = line_no
+        return cls(list(line_of))
 
 
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
 
-def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogue], int]:
-    """Parse a dataset file; returns (dialogues, skipped_entry_count).
+def load_multiwoz(path, ontology: Ontology | None = None) -> list[Dialogue]:
+    """Load a per-turn annotated dataset file (order follows the file).
 
     Belief-state entries naming a (domain, slot) outside ``ontology`` are
-    skipped with a warning and counted; structural problems, a slot name
-    that is not ``domain-slot`` among them, raise :class:`CorpusFormatError`
-    naming the dialogue and turn.
+    skipped, each with a warning, and a last warning gives their count;
+    structural problems, a slot name that is not ``domain-slot`` among them,
+    raise :class:`CorpusFormatError` naming the dialogue and turn.
     """
     with open(path, encoding="utf-8") as f:
         content = f.read().strip()
     if not content:
-        return [], 0
+        return []
     raw = json.loads(content)
     if not isinstance(raw, list):
         raise CorpusFormatError("dataset root must be a JSON array of dialogues")
@@ -226,12 +232,6 @@ def read_dialogues(path, ontology: Ontology | None = None) -> tuple[list[Dialogu
                                     f"got {listed!r}")
         domains = set(listed) or {dom for t in turns for dom in t.gold_state.domains()}
         dialogues.append(Dialogue(did, domains, turns))
-    return dialogues, skipped
-
-
-def load_multiwoz(path, ontology: Ontology | None = None) -> list[Dialogue]:
-    """Load a per-turn annotated dataset file (order follows the file)."""
-    dialogues, skipped = read_dialogues(path, ontology)
     if skipped:
         log.warning("%d belief-state entries skipped (unknown domain/slot)", skipped)
     return dialogues
@@ -315,6 +315,9 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dontcare_rate < 1.0:
             raise ValueError("dontcare_rate must be in [0, 1)")
+        n_slots = self.n_domains * self.n_slots_per_domain
+        if self.vocab_size < n_slots:  # each slot needs a value word of its own
+            raise ValueError(f"vocab_size {self.vocab_size} too small to cover {n_slots} slots")
 
 
 _DOMAIN_WORDS = ["hotel", "restaurant", "train", "attraction", "taxi",
@@ -388,11 +391,7 @@ def generate_synthetic(config: SynthConfig) -> tuple[list[Dialogue], Ontology]:
         if w not in reserved:
             pool.append(w)
 
-    n_slots = config.n_domains * config.n_slots_per_domain
-    per_slot = config.vocab_size // n_slots
-    if per_slot < 1:
-        raise ValueError(
-            f"vocab_size {config.vocab_size} too small to cover {n_slots} slots")
+    per_slot = config.vocab_size // (config.n_domains * config.n_slots_per_domain)
 
     domain_slots: list[tuple[str, str]] = []
     known_values: dict[tuple[str, str], list[str]] = {}

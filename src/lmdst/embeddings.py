@@ -105,6 +105,8 @@ class CompositeEmbedding:
                         vec = np.array([float(v) for v in values])
                     except ValueError as exc:
                         raise VectorFileError(f"line {line_no}: {exc}") from exc
+                    if not np.isfinite(vec).all():
+                        raise VectorFileError(f"line {line_no}: non-finite value for {token!r}")
                     self.word.value[self.vocab.id(token)] = vec
                     if token not in RESERVED_TOKENS:
                         covered.add(token)

@@ -1,8 +1,11 @@
-"""Bi-directional GRU language model over the embedded dialogue context.
+"""The bi-GRU layer of the LM and the encoder, and the LM's loss.
 
-Forward hidden states predict the next word, backward states the previous
-word, each through its own softmax projection. The loss of one sequence is
-the sum of both negative log-likelihood chains:
+:class:`BiGru` runs a forward and a backward GRU over sequences stacked back
+to back, one batched recurrence per direction. The model runs two: the
+language model, and the utterance encoder over the LM-fused embeddings.
+The LM's forward states predict the next word, its backward states the
+previous word, each through its own softmax head. The loss of one sequence
+is the sum of both negative log-likelihood chains:
 
     loss = - sum_{t=1}^{T-1} log P(w_{t+1} | forward state t)
            - sum_{t=2}^{T}   log P(w_{t-1} | backward state t)
@@ -10,12 +13,10 @@ the sum of both negative log-likelihood chains:
 (1-indexed; a length-1 sequence has loss exactly 0, and no begin-of-sequence
 token is prepended). The LM is an auxiliary training task: prediction reads
 only its states, which the model fuses with the embeddings. The two passes
-are therefore separate. :meth:`LanguageModel.forward` runs a micro-batch of
-sequences stacked back to back through one batched recurrence per
-direction and returns the directional states; :meth:`LanguageModel.loss`
-builds the two |V|-wide heads on those states and sums the loss over the
-sequences, and only the training loss calls it. A single sequence is the
-batch ``lengths=[T]``.
+are therefore separate: :meth:`BiGru.forward` returns the directional
+states, and :meth:`LanguageModel.loss` builds the two |V|-wide heads on
+them and sums the loss over the sequences; only the training loss calls it.
+A single sequence is the batch ``lengths=[T]``.
 """
 
 from __future__ import annotations
@@ -25,21 +26,18 @@ import numpy as np
 from . import autodiff as ad
 
 
-class LanguageModel:
-    """Shared bi-GRU with next-word and previous-word softmax heads. Its
-    states are as wide as its inputs (``dim``): the model adds the two."""
+class BiGru:
+    """A forward and a backward GRU, ``{prefix}.fwd`` and ``{prefix}.bwd``,
+    whose states are as wide as their inputs (``dim``)."""
 
-    def __init__(self, store: ad.ParameterStore, dim: int, vocab_size: int):
-        self.fwd = ad.GruCell(store, "lm.fwd", dim, dim)
-        self.bwd = ad.GruCell(store, "lm.bwd", dim, dim)
-        bound = 1.0 / np.sqrt(dim)
-        self.w_f = store.new("lm.w_f", (dim, vocab_size), bound)
-        self.w_b = store.new("lm.w_b", (dim, vocab_size), bound)
+    def __init__(self, store: ad.ParameterStore, prefix: str, dim: int):
+        self.fwd = ad.GruCell(store, f"{prefix}.fwd", dim, dim)
+        self.bwd = ad.GruCell(store, f"{prefix}.bwd", dim, dim)
 
     def forward(self, xs: ad.Node, lengths, carriers=None) -> tuple[ad.Node, ad.Node]:
         """(forward states, backward states) for stacked sequences.
 
-        ``xs`` holds the embedded sequences back to back: rows ``offset_i ..
+        ``xs`` holds the sequences back to back: rows ``offset_i ..
         offset_i + lengths[i]`` belong to sequence i. ``carriers``, if
         given, names for each sequence i a sequence whose first
         ``lengths[i]`` rows equal sequence i's rows (i itself when none
@@ -58,7 +56,7 @@ class LanguageModel:
             carriers = np.asarray(carriers, dtype=np.intp)
             if (carriers.shape != lens.shape or np.any(carriers[carriers] != carriers)
                     or np.any(lens[carriers] < lens)):
-                raise ad.ShapeError(f"lm forward: carriers {carriers.tolist()} do not "
+                raise ad.ShapeError(f"bi-gru forward: carriers {carriers.tolist()} do not "
                                     f"carry lengths {lens.tolist()}")
             starts = np.cumsum(lens) - lens
             own = np.unique(carriers)  # the carriers, in stacked order
@@ -72,6 +70,16 @@ class LanguageModel:
             f = ad.embedding_lookup(
                 f_own, np.repeat(at[carriers] - starts, lens) + np.arange(lens.sum()))
         return f, ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True)
+
+
+class LanguageModel(BiGru):
+    """The ``lm`` bi-GRU with next-word and previous-word softmax heads."""
+
+    def __init__(self, store: ad.ParameterStore, dim: int, vocab_size: int):
+        super().__init__(store, "lm", dim)
+        bound = 1.0 / np.sqrt(dim)
+        self.w_f = store.new("lm.w_f", (dim, vocab_size), bound)
+        self.w_b = store.new("lm.w_b", (dim, vocab_size), bound)
 
     def loss(self, f: ad.Node, b: ad.Node, token_ids, lengths) -> ad.Node:
         """Next-word and previous-word loss on :meth:`forward`'s states.

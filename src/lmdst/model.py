@@ -1,9 +1,12 @@
 """Utterance encoder, per-slot gate, and copy-augmented value generator.
 
 Prediction runs the pipeline context -> embed -> (optional LM fusion) ->
-bi-GRU encoder -> per-slot decoding in ontology order. Each decode step
-mixes a vocabulary softmax (tied to the embedding table) with the attention
-distribution over context positions, weighted by a learned p_gen. Tokens
+bi-GRU encoder -> per-slot decoding in ontology order. The LM and the
+encoder are each a :class:`lmdst.lm.BiGru`; the encoder's states are the
+sum of its two directions, and a context's final state is its last forward
+plus its first backward state. Each decode step mixes a vocabulary softmax
+(tied to the embedding table) with the attention distribution over context
+positions, weighted by a learned p_gen. Tokens
 that are out of vocabulary but present in the context get temporary
 extended ids (one per distinct surface form), so copying can emit surface
 forms the vocabulary has never seen. Each direction of that mapping has one
@@ -51,7 +54,7 @@ from . import autodiff as ad
 from .context import EOS, UNK, ContextSequence, Vocabulary, build_context, tokenize
 from .corpus import BeliefState, Dialogue, Ontology, split_slot_key
 from .embeddings import CompositeEmbedding
-from .lm import LanguageModel
+from .lm import BiGru, LanguageModel
 
 GATE_PTR, GATE_NONE, GATE_DONTCARE = 0, 1, 2  # the gate logits' column order
 
@@ -187,31 +190,6 @@ def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.n
     return np.where(top, cols, np.iinfo(np.intp).max).min(axis=1)
 
 
-class Encoder:
-    """Bi-GRU utterance encoder over the (fused) embedded context; its
-    states are as wide as its inputs (``dim``)."""
-
-    def __init__(self, store: ad.ParameterStore, dim: int):
-        self.fwd = ad.GruCell(store, "enc.fwd", dim, dim)
-        self.bwd = ad.GruCell(store, "enc.bwd", dim, dim)
-
-    def forward(self, xs: ad.Node, lengths) -> tuple[ad.Node, ad.Node]:
-        """(forward + backward states, one final state per sequence).
-
-        ``xs`` holds the sequences back to back (see
-        :func:`lmdst.autodiff.gru_sequence_batch`); the final state of
-        sequence i is its last forward state plus its first backward state.
-        """
-        lens = np.asarray(lengths, dtype=np.intp)
-        offsets = np.cumsum(lens) - lens
-        f = ad.gru_sequence_batch(self.fwd, xs, lengths)
-        b = ad.gru_sequence_batch(self.bwd, xs, lengths, reverse=True)
-        hiddens = ad.add(f, b)
-        finals = ad.add(ad.embedding_lookup(f, offsets + lens - 1),
-                        ad.embedding_lookup(b, offsets))
-        return hiddens, finals
-
-
 class DstModel:
     """TRADE-style state generator with optional tagging and LM fusion."""
 
@@ -241,7 +219,7 @@ class DstModel:
         self.embedding = CompositeEmbedding(self.store, vocab, embedding_dim=embedding_dim,
                                             freeze_word=freeze_word_embeddings)
         self.lm = LanguageModel(self.store, embedding_dim, len(vocab))
-        self.encoder = Encoder(self.store, embedding_dim)
+        self.encoder = BiGru(self.store, "enc", embedding_dim)
         self.decoder_cell = ad.GruCell(self.store, "dec", embedding_dim, hidden_dim)
         bound = 1.0 / np.sqrt(hidden_dim)
         self.w_gate = self.store.new("dec.w_gate", (hidden_dim, 3), bound)
@@ -320,7 +298,12 @@ class DstModel:
         fused = emb if lm_states is None else ad.add(emb, ad.add(*lm_states))
         del emb  # without a graph, nothing holds it while the encoder runs
 
-        hiddens_all, final_all = self.encoder.forward(fused, lengths)
+        ends = np.cumsum(lengths)
+        f, b = self.encoder.forward(fused, lengths)
+        hiddens_all = ad.add(f, b)
+        final_all = ad.add(ad.embedding_lookup(f, ends - 1),
+                           ad.embedding_lookup(b, ends - lengths))
+        del f, b  # nor these while the states are padded
         if rng is not None and self.dropout > 0:
             mask = (rng.random(hiddens_all.shape) >= self.dropout) / (1.0 - self.dropout)
             hiddens_all = ad.elementwise_mul(hiddens_all, ad.Node(mask))

@@ -6,7 +6,7 @@ import pytest
 from lmdst import corpus
 from lmdst.corpus import (BeliefState, CorpusFormatError, Dialogue, DialogueTurn,
                           Ontology, SynthConfig, filter_domains, generate_synthetic,
-                          load_multiwoz, read_dialogues)
+                          load_multiwoz)
 from lmdst.context import build_context
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_dialogues.json"
@@ -144,11 +144,17 @@ def test_malformed_slot_name_names_dialogue_and_turn(tmp_path, name, with_ontolo
     p.write_text(json.dumps(data))
     ontology = Ontology([("hotel", "area")]) if with_ontology else None
     with pytest.raises(CorpusFormatError) as exc:
-        read_dialogues(p, ontology)
+        load_multiwoz(p, ontology)
     assert str(exc.value) == f"dialogue D1, turn 0: slot name {name!r} is not 'domain-slot'"
 
 
-def test_slot_name_with_a_dash_roundtrips(tmp_path):
+def skipped_entries(caplog) -> int:
+    """The count in :func:`load_multiwoz`'s closing warning, 0 without one."""
+    return sum(int(r.getMessage().split()[0]) for r in caplog.records
+               if r.getMessage().endswith("entries skipped (unknown domain/slot)"))
+
+
+def test_slot_name_with_a_dash_roundtrips(tmp_path, caplog):
     """A slot whose own name holds '-' reads back as the same pair from the
     dataset, the ontology file and a belief state's JSON."""
     pair = ("hotel", "book-day")
@@ -160,8 +166,9 @@ def test_slot_name_with_a_dash_roundtrips(tmp_path):
     assert Ontology.load(tmp_path / "ont.txt").domain_slots == ontology.domain_slots
     corpus.save_dialogues(tmp_path / "d.json",
                           [make_dialogue("D0", {"hotel"}, [{pair: "monday"}])])
-    dialogues, skipped = read_dialogues(tmp_path / "d.json", ontology)
-    assert skipped == 0 and dialogues[0].turns[0].gold_state == state
+    with caplog.at_level("WARNING", logger="lmdst.corpus"):
+        dialogues = load_multiwoz(tmp_path / "d.json", ontology)
+    assert skipped_entries(caplog) == 0 and dialogues[0].turns[0].gold_state == state
 
 
 def test_belief_state_from_json_rejects_a_malformed_name():
@@ -177,6 +184,19 @@ def test_ontology_load_rejects_a_malformed_line(tmp_path):
     assert str(exc.value) == f"ontology {p} line 2: slot name 'hotelstars' is not 'domain-slot'"
 
 
+def test_repeated_ontology_slot_is_named():
+    with pytest.raises(ValueError, match="^ontology lists slot 'hotel-area' twice$"):
+        Ontology([("hotel", "area"), ("hotel", "stars"), ("hotel", "area")])
+
+
+def test_ontology_load_names_a_repeated_slot_and_its_lines(tmp_path):
+    p = tmp_path / "ont.txt"
+    p.write_text("hotel-area\n# comment\nhotel-stars\nhotel-area\n")
+    with pytest.raises(ValueError) as exc:
+        Ontology.load(p)
+    assert str(exc.value) == f"ontology {p} line 4: slot 'hotel-area' repeats line 1"
+
+
 def test_unknown_slot_skipped_and_counted(tmp_path, caplog):
     data = [{"dialogue_idx": "D0", "dialogue": [
         {"turn_idx": 0, "system_transcript": "", "transcript": "hi .",
@@ -186,8 +206,8 @@ def test_unknown_slot_skipped_and_counted(tmp_path, caplog):
     p.write_text(json.dumps(data))
     ontology = Ontology([("hotel", "area")])
     with caplog.at_level("WARNING", logger="lmdst.corpus"):
-        dialogues, skipped = read_dialogues(p, ontology)
-    assert skipped == 1
+        dialogues = load_multiwoz(p, ontology)
+    assert skipped_entries(caplog) == 1
     assert dialogues[0].turns[0].gold_state == BeliefState({("hotel", "area"): "east"})
     assert any("spaceport-gate" in r.getMessage() for r in caplog.records)
 
@@ -308,8 +328,10 @@ def test_synth_value_pool_skips_none():
 
 
 def test_synth_vocab_too_small():
-    with pytest.raises(ValueError):
-        synth(n_dialogues=1, n_domains=5, n_slots_per_domain=3, vocab_size=10)
+    """Every slot needs a value word of its own; the config says so when built."""
+    with pytest.raises(ValueError, match="^vocab_size 10 too small to cover 15 slots$"):
+        SynthConfig(vocab_size=10)
+    assert SynthConfig(vocab_size=15).vocab_size == 15
 
 
 def test_synth_config_checked_when_built():

@@ -146,6 +146,20 @@ def test_load_pretrained_wrong_dim_names_line(tmp_path):
     assert "line 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_pretrained_non_finite_value_names_line(tmp_path, bad):
+    """A NaN or infinite value would reach training as a word row and fail
+    only at the first backward; it is a file error naming its line."""
+    emb, _, vocab = make_embedding(tokens=("hotel", "east"), dim=8)
+    before = emb.word.value.copy()
+    p = tmp_path / "vec.txt"
+    p.write_text("east 1 2 3 4 5 6\nhotel " + bad + " 1 2 3 4 5\n")
+    with pytest.raises(VectorFileError, match="line 2: non-finite value for 'hotel'"):
+        emb.load_pretrained_vectors(p)
+    np.testing.assert_array_equal(emb.word.value[vocab.id("hotel")],
+                                  before[vocab.id("hotel")])
+
+
 def test_gradient_flows_into_both_parts():
     emb, store, vocab = make_embedding(tokens=("hotel", "east"), dim=8)
     ids = [vocab.id("hotel"), vocab.id("east"), vocab.id("hotel")]

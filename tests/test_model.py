@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 from pathlib import Path
@@ -9,8 +10,9 @@ import pytest
 from lmdst import autodiff as ad
 from lmdst.context import EOS, UNK, Vocabulary, build_context, build_vocabulary
 from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
+from lmdst.lm import BiGru
 from lmdst.model import (CHECKPOINT_FIELDS, GATE_DONTCARE, GATE_NONE, GATE_PTR, DstModel,
-                         Encoder, copy_argmax, copy_mixture, extend_context_ids)
+                         copy_argmax, copy_mixture, extend_context_ids)
 from lmdst.training import TrainConfig, Trainer, predict_instances, turn_instances
 
 from conftest import numpy_gru, peak_traced_mib
@@ -55,40 +57,41 @@ def force_gate(model, gate):
 
 
 # ---------------------------------------------------------------------------
-# encoder
+# encoder: a BiGru, whose two directions prepare_batch sums
 # ---------------------------------------------------------------------------
 
 def test_encoder_shapes():
-    store = ad.ParameterStore(0)
-    enc = Encoder(store, 6)
-    hiddens, finals = enc.forward(ad.Node(np.random.default_rng(0).normal(size=(9, 6))), [9])
-    assert hiddens.shape == (9, 6)
-    assert finals.shape == (1, 6)
-    hiddens, finals = enc.forward(ad.Node(np.random.default_rng(0).normal(size=(11, 6))), [9, 2])
-    assert hiddens.shape == (11, 6)
-    assert finals.shape == (2, 6)
+    enc = BiGru(ad.ParameterStore(0), "enc", 6)
+    for rows, lengths in ((9, [9]), (11, [9, 2])):
+        f, b = enc.forward(ad.Node(np.random.default_rng(0).normal(size=(rows, 6))), lengths)
+        assert f.shape == b.shape == (rows, 6)
 
 
 def test_encoder_t1_final_equals_hidden():
-    store = ad.ParameterStore(1)
-    enc = Encoder(store, 4)
-    hiddens, finals = enc.forward(ad.Node(np.random.default_rng(1).normal(size=(1, 4))), [1])
-    np.testing.assert_array_equal(finals.value[0], hiddens.value[0])
+    """A one-token context's final state is its one encoder state."""
+    model = tiny_model(tagging=False, lm_enabled=False)
+    d = Dialogue("one", {"hotel"}, [DialogueTurn(0, "", "east", BeliefState())])
+    batch = model.prepare_batch([(d, 0)])
+    assert batch.hiddens.shape == (1, 1, 8)
+    np.testing.assert_array_equal(batch.final_all.value[0], batch.hiddens.value[0, 0])
 
 
 def test_encoder_matches_scalar_recomputation():
-    store = ad.ParameterStore(2)
-    enc = Encoder(store, 3)
-    rng = np.random.default_rng(2)
-    xs = rng.normal(size=(4, 3))
-    f, b = numpy_gru(enc.fwd, xs), numpy_gru(enc.bwd, xs, reverse=True)
-    hiddens, finals = enc.forward(ad.Node(xs), [4])
-    np.testing.assert_allclose(hiddens.value, f + b, atol=1e-12)
-    np.testing.assert_allclose(finals.value[0], f[-1] + b[0], atol=1e-12)
+    """The encoder states and the final state of every example in a batch
+    equal a straight-line recomputation over its own embedded context."""
+    model = tiny_model(lm_enabled=False)
+    d = tiny_dialogue()
+    batch = model.prepare_batch([(d, 0), (d, 1)])
+    for i, seq in enumerate(batch.contexts):
+        xs = batch.table.value[[model.vocab.id(t) for t in seq.tokens]]
+        f, b = numpy_gru(model.encoder.fwd, xs), numpy_gru(model.encoder.bwd, xs, reverse=True)
+        np.testing.assert_allclose(batch.hiddens.value[i, :seq.length], f + b, atol=1e-12)
+        np.testing.assert_array_equal(batch.hiddens.value[i, seq.length:], 0.0)
+        np.testing.assert_allclose(batch.final_all.value[i], f[-1] + b[0], atol=1e-12)
 
 
 def test_encoder_rejects_empty():
-    enc = Encoder(ad.ParameterStore(0), 4)
+    enc = BiGru(ad.ParameterStore(0), "enc", 4)
     with pytest.raises(ad.ShapeError):
         enc.forward(ad.Node(np.zeros((0, 4))), [0])
 
@@ -982,6 +985,34 @@ def test_hidden_must_match_embedding_dim():
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
+
+# Every parameter of a model, in creation order: the order of the initial
+# draws, so of every seeded run and every checkpoint's arrays.
+PARAMETER_NAMES = [
+    "embedding.word", "embedding.char",
+    "lm.fwd.w_zr", "lm.fwd.u_zr", "lm.fwd.b_zr", "lm.fwd.w_h", "lm.fwd.u_h", "lm.fwd.b_h",
+    "lm.bwd.w_zr", "lm.bwd.u_zr", "lm.bwd.b_zr", "lm.bwd.w_h", "lm.bwd.u_h", "lm.bwd.b_h",
+    "lm.w_f", "lm.w_b",
+    "enc.fwd.w_zr", "enc.fwd.u_zr", "enc.fwd.b_zr", "enc.fwd.w_h", "enc.fwd.u_h", "enc.fwd.b_h",
+    "enc.bwd.w_zr", "enc.bwd.u_zr", "enc.bwd.b_zr", "enc.bwd.w_h", "enc.bwd.u_h", "enc.bwd.b_h",
+    "dec.w_zr", "dec.u_zr", "dec.b_zr", "dec.w_h", "dec.u_h", "dec.b_h",
+    "dec.w_gate", "dec.b_gate", "dec.w_pgen", "dec.b_pgen",
+]
+
+
+def test_parameter_names_and_initial_values_are_pinned():
+    """A refactor that renames a parameter or reorders the draws fails here,
+    not only as different criterion-9 bytes or an unreadable checkpoint."""
+    model = DstModel(Vocabulary(["hotel", "east"]), Ontology([("hotel", "area")]),
+                     hidden_dim=4, embedding_dim=4, seed=3)
+    assert model.store.names() == PARAMETER_NAMES
+    digest = hashlib.sha256()
+    for name in PARAMETER_NAMES:
+        digest.update(name.encode())
+        digest.update(np.asarray(model.store[name].value, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == (
+        "945f528107ee15dd85d0d1f5d0b79cdc402cb47987c3e94df40703681813a9b9")
+
 
 def test_model_save_load_roundtrip(tmp_path):
     model = tiny_model()
