@@ -59,7 +59,10 @@ def _train_config(args) -> TrainConfig:
     return dataclasses.replace(cfg, **given)
 
 
-def _load_corpus(args) -> tuple[list, Ontology]:
+def _load_corpus(args, *outputs) -> tuple[list, Ontology]:
+    for path in outputs:  # checked before a long run, not after it
+        if path is not None and not path.parent.is_dir():
+            raise FileNotFoundError(f"output directory {path.parent} of {path} does not exist")
     ontology = Ontology.load(args.ontology)
     dialogues = load_multiwoz(args.data, ontology)
     return dialogues, ontology
@@ -68,8 +71,7 @@ def _load_corpus(args) -> tuple[list, Ontology]:
 def cmd_preprocess(args) -> int:
     ontology = Ontology.load(args.ontology) if args.ontology else None
     dialogues = load_multiwoz(args.data, ontology)
-    dialogues = filter_domains(dialogues, set(args.exclude_domains.split(","))
-                               if args.exclude_domains else corpus_mod.DEFAULT_EXCLUDED_DOMAINS)
+    dialogues = filter_domains(dialogues, args.exclude_domains.split(","))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dialogues(out / "corpus.json", dialogues)
@@ -99,7 +101,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    dialogues, ontology = _load_corpus(args)
+    dialogues, ontology = _load_corpus(args, args.checkpoint, args.out)
     model, report = fit(dialogues, ontology, cfg, checkpoint_path=args.checkpoint,
                         vectors_path=args.vectors, progress=not args.quiet)
     best = report.epochs[report.best_epoch - 1]
@@ -148,7 +150,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _train_config(args)
-    dialogues, ontology = _load_corpus(args)
+    dialogues, ontology = _load_corpus(args, args.out)
     alphas = [float(a) for a in args.alphas.split(",")]
     delays = [int(d) for d in args.delays.split(",")]
     rows = sweep(alphas, delays, dialogues, ontology, cfg)
@@ -182,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ontology", type=Path, help="ontology file (domain-slot per line)")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--exclude-domains", dest="exclude_domains",
-                   help="comma list of domains to drop (default: hospital,police)")
+                   default=",".join(sorted(corpus_mod.DEFAULT_EXCLUDED_DOMAINS)),
+                   help="comma list of domains to drop (default: %(default)s)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")

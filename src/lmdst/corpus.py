@@ -126,14 +126,16 @@ class Dialogue:
 class Ontology:
     """Ordered (domain, slot) list; order is the decoder's iteration order.
 
-    ``known_values`` is used only by the synthetic generator and for
-    validation, never for prediction.
+    ``known_values`` is used only by the synthetic generator, never for
+    prediction. An ontology lists at least one slot.
     """
 
     domain_slots: list[tuple[str, str]]
     known_values: dict[tuple[str, str], list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.domain_slots:
+            raise ValueError("ontology lists no slot")
         if len(set(self.domain_slots)) != len(self.domain_slots):
             domain, slot = next(pair for i, pair in enumerate(self.domain_slots)
                                 if pair in self.domain_slots[:i])
@@ -163,6 +165,8 @@ class Ontology:
                     raise ValueError(f"ontology {path} line {line_no}: slot '{line}' "
                                      f"repeats line {line_of[pair]}")
                 line_of[pair] = line_no
+        if not line_of:
+            raise ValueError(f"ontology {path} lists no slot")
         return cls(list(line_of))
 
 

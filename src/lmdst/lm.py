@@ -16,7 +16,8 @@ only its states, which the model fuses with the embeddings. The two passes
 are therefore separate: :meth:`BiGru.forward` returns the directional
 states, and :meth:`LanguageModel.loss` builds the two |V|-wide heads on
 them and sums the loss over the sequences; only the training loss calls it.
-A single sequence is the batch ``lengths=[T]``.
+A single sequence is the batch ``lengths=[T]``; sequences named as one
+prefix group share one forward run (:meth:`BiGru.forward`).
 """
 
 from __future__ import annotations
@@ -34,30 +35,34 @@ class BiGru:
         self.fwd = ad.GruCell(store, f"{prefix}.fwd", dim, dim)
         self.bwd = ad.GruCell(store, f"{prefix}.bwd", dim, dim)
 
-    def forward(self, xs: ad.Node, lengths, carriers=None) -> tuple[ad.Node, ad.Node]:
+    def forward(self, xs: ad.Node, lengths, prefix_groups=None) -> tuple[ad.Node, ad.Node]:
         """(forward states, backward states) for stacked sequences.
 
         ``xs`` holds the sequences back to back: rows ``offset_i ..
-        offset_i + lengths[i]`` belong to sequence i. ``carriers``, if
-        given, names for each sequence i a sequence whose first
-        ``lengths[i]`` rows equal sequence i's rows (i itself when none
-        does; a carrier carries itself). A forward state reads only the
-        rows up to its own, so the forward direction then runs once over
+        offset_i + lengths[i]`` belong to sequence i. ``prefix_groups``, if
+        given, holds one key per sequence; equal keys promise that each
+        sequence's rows are the first rows of its group's longest sequence,
+        the carrier (the first of equal lengths). A forward state reads only
+        the rows up to its own, so the forward direction then runs once over
         the carriers' rows and each sequence gathers its states from its
         carrier's first rows (one ``embedding_lookup``); the backward
         direction reads each sequence's later rows and runs over every
-        sequence. Without ``carriers`` both directions run over every
-        sequence.
+        sequence. Without keys, or with distinct ones, both directions run
+        over every sequence.
         """
-        if carriers is None:
+        lens = np.asarray(lengths, dtype=np.intp)
+        keys = range(lens.size) if prefix_groups is None else prefix_groups
+        if len(keys) != lens.size:
+            raise ad.ShapeError(f"bi-gru forward: {len(keys)} prefix groups "
+                                f"for {lens.size} sequences")
+        carrier: dict = {}  # each group's carrier
+        for i, key in enumerate(keys):
+            if lens[i] > lens[carrier.setdefault(key, i)]:
+                carrier[key] = i
+        if len(carrier) == lens.size:  # every sequence carries itself
             f = ad.gru_sequence_batch(self.fwd, xs, lengths)
         else:
-            lens = np.asarray(lengths, dtype=np.intp)
-            carriers = np.asarray(carriers, dtype=np.intp)
-            if (carriers.shape != lens.shape or np.any(carriers[carriers] != carriers)
-                    or np.any(lens[carriers] < lens)):
-                raise ad.ShapeError(f"bi-gru forward: carriers {carriers.tolist()} do not "
-                                    f"carry lengths {lens.tolist()}")
+            carriers = np.array([carrier[key] for key in keys], dtype=np.intp)
             starts = np.cumsum(lens) - lens
             own = np.unique(carriers)  # the carriers, in stacked order
             own_lens = lens[own]

@@ -19,10 +19,10 @@ Turn instances of a micro-batch run through stacked graphs purely for
 throughput: one embedding table build, batched recurrences over the stacked
 contexts, and a decoder over the (example, slot) rows. Prediction, which has
 no dropout and no graph, also shares prefixes: a turn's context is the first
-rows of its dialogue's longest context in the batch, so the LM's forward
-direction runs once per dialogue and each turn reads its forward states from
-those rows (the backward direction and the encoder read later rows and run
-per turn). Attention reads the
+rows of its dialogue's longest context in the batch, so its dialogue is its
+LM prefix group: the LM's forward direction runs once per dialogue and each
+turn reads its forward states from those rows (the backward direction and
+the encoder read later rows and run per turn). Attention reads the
 encoder states zero-padded to (B, t_max, d) under a length mask, grouped by
 example. Training is teacher-forced, so every decoder input is known up
 front: the decoder GRU runs once over all rows as sequences of their own
@@ -259,9 +259,11 @@ class DstModel:
         Passing ``rng`` enables training-time dropout (embedding rows,
         encoder outputs) and word dropout on the embedding input ids.
         Without it and without a graph (prediction), a turn's embedded rows
-        depend only on its tokens, so the LM's forward direction runs once
-        per dialogue (:meth:`_lm_carriers`); a graph keeps one recurrence
-        over every example, so gradients keep their summation order.
+        depend only on its tokens, and :func:`build_context` makes them the
+        first rows of every later turn of the same :class:`Dialogue` object.
+        So the dialogue is the LM's prefix group, and its forward direction
+        runs once per dialogue. A graph keeps one recurrence over every
+        example, so gradients keep their summation order.
         ``table`` is the embedding table to read, built here when not given.
         """
         if not instances:
@@ -292,9 +294,9 @@ class DstModel:
 
         lm_states = None
         if self.lm_enabled:
-            carriers = (self._lm_carriers(instances, contexts)
-                        if rng is None and not emb.requires_grad else None)
-            lm_states = self.lm.forward(emb, lengths, carriers)
+            groups = ([id(dialogue) for dialogue, _ in instances]
+                      if rng is None and not emb.requires_grad else None)
+            lm_states = self.lm.forward(emb, lengths, groups)
         fused = emb if lm_states is None else ad.add(emb, ad.add(*lm_states))
         del emb  # without a graph, nothing holds it while the encoder runs
 
@@ -312,24 +314,6 @@ class DstModel:
             contexts=contexts, oov=oov, table=table, final_all=final_all,
             hiddens=ad.pad_sequences(hiddens_all, lengths),
             lm_states=lm_states, mask=in_context, ext_ids=ext_ids)
-
-    @staticmethod
-    def _lm_carriers(instances: list[tuple[Dialogue, int]],
-                     contexts: list[ContextSequence]) -> list[int] | None:
-        """Each example's carrier for :meth:`LanguageModel.forward`: the
-        longest context of the same :class:`Dialogue` object in the batch
-        (the first of equal ones) when the example's tokens are a prefix of
-        it, else the example itself. None when every example carries itself."""
-        longest: dict[int, int] = {}
-        for i, ((dialogue, _), seq) in enumerate(zip(instances, contexts)):
-            j = longest.setdefault(id(dialogue), i)
-            if seq.length > contexts[j].length:
-                longest[id(dialogue)] = i
-        carriers = []
-        for i, ((dialogue, _), seq) in enumerate(zip(instances, contexts)):
-            c = longest[id(dialogue)]
-            carriers.append(c if contexts[c].tokens[:seq.length] == seq.tokens else i)
-        return None if carriers == list(range(len(contexts))) else carriers
 
     def _decoder_init(self, batch: BatchContext):
         """Stacked first inputs (slot embeddings) and initial states (tiled

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_table_fixture
+from lmdst import cli
 from lmdst.cli import build_parser, main
 from lmdst.evaluation import write_predictions
 
@@ -98,6 +99,52 @@ def test_preprocess_malformed_slot_name_one_line_error(tmp_path, capsys):
     assert err == ("error: CorpusFormatError: dialogue D1, turn 0: "
                    "slot name 'hotelarea' is not 'domain-slot'\n")
     assert not out.exists()
+
+
+def test_preprocess_empty_exclude_domains_drops_no_domain(tmp_path, capsys):
+    """``--exclude-domains ""`` drops nothing; without the flag the default
+    (hospital, police) is dropped."""
+    data, out = tmp_path / "d.json", tmp_path / "prep"
+    data.write_text(json.dumps([
+        {"dialogue_idx": name, "domains": [domain], "dialogue": [
+            {"turn_idx": 0, "system_transcript": "", "transcript": f"a {domain} please .",
+             "belief_state": []}]}
+        for name, domain in (("P1", "police"), ("H1", "hotel"))]))
+    for flags, kept in (([], 1), (["--exclude-domains", ""], 2),
+                        (["--exclude-domains", "taxi"], 2)):
+        code, stdout, _ = run(capsys, "preprocess", "--data", str(data), "--out", str(out),
+                              *flags)
+        assert code == 0 and stdout.startswith(f"dialogues: {kept}\n")
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--checkpoint"), ("train", "--out"),
+                                           ("sweep", "--out")])
+def test_missing_output_directory_fails_before_the_run(synth_dir, tmp_path, capsys,
+                                                       monkeypatch, command, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} ran with a missing output directory")
+
+    monkeypatch.setattr(cli, "fit", refuse)
+    monkeypatch.setattr(cli, "sweep", refuse)
+    missing = tmp_path / "nodir"
+    outputs = {"--checkpoint": tmp_path / "m.npz"} if command == "train" else {}
+    outputs[flag] = missing / "out"
+    code, _, err = run(capsys, command, "--data", str(synth_dir / "corpus.json"),
+                       "--ontology", str(synth_dir / "ontology.txt"),
+                       *(str(x) for pair in outputs.items() for x in pair))
+    assert code == 1
+    assert err.startswith("error: FileNotFoundError: ") and str(missing) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_train_empty_ontology_one_line_error(synth_dir, tmp_path, capsys):
+    ontology = tmp_path / "empty.txt"
+    ontology.write_text("")
+    code, _, err = run(capsys, "train", "--data", str(synth_dir / "corpus.json"),
+                       "--ontology", str(ontology), "--checkpoint", str(tmp_path / "m.npz"),
+                       "--quiet")
+    assert code == 1
+    assert err == f"error: ValueError: ontology {ontology} lists no slot\n"
 
 
 def test_predict_eval_pipeline(trained, tmp_path, capsys):

@@ -197,6 +197,13 @@ def test_ontology_load_names_a_repeated_slot_and_its_lines(tmp_path):
     assert str(exc.value) == f"ontology {p} line 4: slot 'hotel-area' repeats line 1"
 
 
+def test_ontology_load_names_a_file_without_slots(tmp_path):
+    p = tmp_path / "ont.txt"
+    p.write_text("# comment\n\n")
+    with pytest.raises(ValueError) as exc:
+        Ontology.load(p)
+    assert str(exc.value) == f"ontology {p} lists no slot"
+
 def test_unknown_slot_skipped_and_counted(tmp_path, caplog):
     data = [{"dialogue_idx": "D0", "dialogue": [
         {"turn_idx": 0, "system_transcript": "", "transcript": "hi .",

@@ -139,9 +139,9 @@ def test_slot_accuracy_perfect_and_one_wrong():
 
 
 def test_slot_accuracy_empty_ontology_errors():
-    preds = [TurnPrediction("d", 0, 1, BeliefState(), BeliefState())]
-    with pytest.raises(ValueError):
-        slot_accuracy(preds, Ontology([]))
+    """No slot accuracy has an empty ontology: it is rejected where it is built."""
+    with pytest.raises(ValueError, match="^ontology lists no slot$"):
+        Ontology([])
 
 
 def test_classify_error_spec_examples():

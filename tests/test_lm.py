@@ -211,32 +211,74 @@ def test_empty_sequence_rejected():
         lm.loss(f, b, [1, 2], [3])
 
 
-def test_forward_with_carriers_reads_the_carrier_rows():
-    """A sequence whose rows are the first rows of a carrier reads its
-    forward states from the carrier's run, which equal its own up to
+def test_forward_with_prefix_groups_reads_the_carrier_rows():
+    """A sequence whose rows are the first rows of its group's carrier reads
+    its forward states from the carrier's run, which equal its own up to
     rounding; the backward states run per sequence and do not change.
     Gradients flow through the gathers."""
     lm, store = make_lm(dim=3, vocab=5, seed=12)
     rng = np.random.default_rng(12)
     carrier, other = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
-    # sequence 0 is the first 3 rows of sequence 2, sequence 1 carries itself
+    # sequence 0 is the first 3 rows of sequence 2, sequence 1 is alone
     emb_p = store.new("emb", (10, 3), 1.0)
     emb_p.value = np.concatenate([carrier[:3], other, carrier])
-    lengths, carriers = [3, 2, 5], [2, 1, 2]
+    lengths, groups = [3, 2, 5], [2, 1, 2]
     plain_f, plain_b = lm.forward(emb_p, lengths)
-    f, b = lm.forward(emb_p, lengths, carriers)
+    f, b = lm.forward(emb_p, lengths, groups)
     np.testing.assert_allclose(f.value, plain_f.value, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(b.value, plain_b.value)
 
     ids = rng.integers(0, 5, size=10)
-    err = ad.grad_check(lambda: lm.loss(*lm.forward(emb_p, lengths, carriers), ids, lengths),
+    err = ad.grad_check(lambda: lm.loss(*lm.forward(emb_p, lengths, groups), ids, lengths),
                         store.parameters(), eps=1e-5)
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("carriers", [[1, 1, 2], [2, 2, 1], [2, 1], [0, 1, 1]])
-def test_forward_rejects_carriers_that_do_not_carry(carriers):
-    """Each carrier carries itself and is at least as long as what it carries."""
+def record_fwd_lengths(monkeypatch, lm):
+    """The ``lengths`` of every forward-direction recurrence, in call order."""
+    seen = []
+    gru = ad.gru_sequence_batch
+
+    def recording(cell, xs, lengths, *args, **kwargs):
+        if cell is lm.fwd:
+            seen.append([int(n) for n in lengths])
+        return gru(cell, xs, lengths, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "gru_sequence_batch", recording)
+    return seen
+
+
+def test_prefix_group_carrier_need_not_be_last(monkeypatch):
+    """A group's longest sequence carries wherever it stands: the forward
+    direction runs the carriers, in stacked order."""
+    lm, _ = make_lm(dim=3, vocab=5, seed=13)
+    rng = np.random.default_rng(13)
+    carrier, other = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+    xs = ad.Node(np.concatenate([carrier, other, carrier[:3]]))
+    lengths = [5, 2, 3]
+    plain_f, _ = lm.forward(xs, lengths)
+    seen = record_fwd_lengths(monkeypatch, lm)
+    f, _ = lm.forward(xs, lengths, ["d", "e", "d"])
+    assert seen == [[5, 2]]
+    np.testing.assert_allclose(f.value, plain_f.value, rtol=0, atol=1e-12)
+
+
+def test_prefix_group_first_of_equal_lengths_carries(monkeypatch):
+    """Among sequences of equal length the first carries: the second reads
+    the first's states (its own rows are never run forward)."""
+    lm, _ = make_lm(dim=3, vocab=5, seed=14)
+    rng = np.random.default_rng(14)
+    first, second = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    xs = ad.Node(np.concatenate([first, second]))
+    alone, _ = lm.forward(ad.Node(first), [3])
+    seen = record_fwd_lengths(monkeypatch, lm)
+    f, _ = lm.forward(xs, [3, 3], ["d", "d"])
+    assert seen == [[3]]
+    np.testing.assert_array_equal(f.value, np.concatenate([alone.value, alone.value]))
+
+
+def test_forward_rejects_a_prefix_group_count_mismatch():
+    """One key per sequence."""
     lm, _ = make_lm(dim=3, vocab=5)
-    with pytest.raises(ad.ShapeError, match="carriers"):
-        lm.forward(ad.Node(np.zeros((10, 3))), [3, 2, 5], carriers)
+    with pytest.raises(ad.ShapeError, match="2 prefix groups for 3 sequences"):
+        lm.forward(ad.Node(np.zeros((10, 3))), [3, 2, 5], [0, 1])

@@ -896,8 +896,7 @@ def test_lm_forward_runs_every_example_with_dropout_or_a_graph(monkeypatch):
 
 def test_lm_forward_shares_only_within_one_dialogue_object(monkeypatch):
     """A second Dialogue object with the same id but another utterance is
-    not a carrier, and a context that is not a prefix of its dialogue's
-    longest one carries itself."""
+    not a carrier."""
     model = tiny_model()
     d = three_turn_dialogue()
     edited = three_turn_dialogue(last_user="i want west area .")
@@ -905,13 +904,6 @@ def test_lm_forward_shares_only_within_one_dialogue_object(monkeypatch):
     with ad.no_grad():
         model.prepare_batch([(d, 1), (edited, 2)])
     assert seen == [[build_context(d, 1, True).length, build_context(edited, 2, True).length]]
-
-    contexts = [build_context(d, t, True) for t in range(3)]
-    instances = [(d, t) for t in range(3)]
-    assert DstModel._lm_carriers(instances, contexts) == [2, 2, 2]
-    contexts[1].tokens[-1] = "?"  # no longer a prefix of turn 2
-    assert DstModel._lm_carriers(instances, contexts) == [2, 1, 2]
-    assert DstModel._lm_carriers(instances[:1], contexts[:1]) is None
 
 
 def test_batched_prediction_over_two_dialogues_matches_single():

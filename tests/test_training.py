@@ -267,7 +267,6 @@ def test_fit_checkpoint_reload_reproduces_val_accuracy(tmp_path):
 
 def test_predict_instances_chunks_by_length_in_turn_order():
     trainer, dialogues, _ = small_trainer()
-    dialogues = dialogues[:12]
     model = trainer.model
     model.b_gate.value = np.array([5.0, 0.0, 0.0])  # every slot ptr: words are read
     chunks = []
@@ -278,12 +277,12 @@ def test_predict_instances_chunks_by_length_in_turn_order():
         return predict_states(instances, table)
 
     model.predict_states = recording
-    preds = predict_instances(model, dialogues, chunk=4)
+    preds = predict_instances(model, dialogues)
     del model.predict_states
 
     instances = turn_instances(dialogues)
     assert [(p.dialogue_id, p.turn_index) for p in preds] == [(d.id, i) for d, i in instances]
-    assert len(chunks) == -(-len(instances) // 4) > 2
+    assert len(chunks) == -(-len(instances) // training.PREDICT_CHUNK) > 2
     for shorter, longer in zip(chunks, chunks[1:]):
         assert max(shorter) <= min(longer)
     assert any(p.predicted.entries() for p in preds)
@@ -296,7 +295,6 @@ def test_predict_instances_builds_one_table_per_call(monkeypatch):
     """Every chunk of a call reads one embedding table, and the predictions
     equal each chunk predicted on its own (which builds its own table)."""
     trainer, dialogues, _ = small_trainer()
-    dialogues = dialogues[:12]
     model = trainer.model
     model.b_gate.value = np.array([5.0, 0.0, 0.0])  # every slot ptr: words are read
     builds, chunks = [], []
@@ -312,7 +310,7 @@ def test_predict_instances_builds_one_table_per_call(monkeypatch):
 
     monkeypatch.setattr(CompositeEmbedding, "table", counting)
     model.predict_states = recording
-    preds = predict_instances(model, dialogues, chunk=4)
+    preds = predict_instances(model, dialogues)
     del model.predict_states
     assert builds == [model.embedding] and len(chunks) > 2
 
