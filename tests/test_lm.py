@@ -277,8 +277,11 @@ def test_prefix_group_first_of_equal_lengths_carries(monkeypatch):
     np.testing.assert_array_equal(f.value, np.concatenate([alone.value, alone.value]))
 
 
-def test_forward_rejects_a_prefix_group_count_mismatch():
-    """One key per sequence."""
+@pytest.mark.parametrize("carriers", [[0, 1], [2, 1, 2, 2], [], [0]])
+def test_forward_rejects_carriers_that_do_not_carry(carriers):
+    """One prefix-group key per sequence: with fewer keys some sequence has no
+    carrier, with more a key names no sequence."""
     lm, _ = make_lm(dim=3, vocab=5)
-    with pytest.raises(ad.ShapeError, match="2 prefix groups for 3 sequences"):
-        lm.forward(ad.Node(np.zeros((10, 3))), [3, 2, 5], [0, 1])
+    with pytest.raises(ad.ShapeError,
+                       match=f"{len(carriers)} prefix groups for 3 sequences"):
+        lm.forward(ad.Node(np.zeros((10, 3))), [3, 2, 5], carriers)
