@@ -1,6 +1,7 @@
 """Command-line entry point wiring the pipeline.
 
-Subcommands: preprocess, synth, train, predict, eval, analyze, sweep.
+Subcommands: preprocess, synth, train, predict, eval, analyze, sweep,
+dump-config.
 Stages communicate through files only; all randomness funnels through the
 --seed flag (or the config file's seed). DST_LOG sets log verbosity.
 """
@@ -15,23 +16,19 @@ import os
 import sys
 from pathlib import Path
 
-
 from . import autodiff as ad
-from . import corpus as corpus_mod
 from .context import context_length_stats
-from .corpus import (CorpusFormatError, Ontology, SynthConfig, filter_domains,
-                     generate_synthetic, load_multiwoz, mean_speaker_turns,
+from .corpus import (DEFAULT_EXCLUDED_DOMAINS, CorpusFormatError, Ontology, SynthConfig,
+                     filter_domains, generate_synthetic, load_multiwoz, mean_speaker_turns,
                      save_dialogues)
 from .embeddings import VectorFileError
 from .evaluation import (format_length_table, format_metrics_table,
                          format_taxonomy_table, joint_accuracy, length_report,
                          read_predictions, slot_accuracy, taxonomy_report,
-                         write_predictions)
+                         write_jsonl, write_predictions)
 from .model import DstModel
 from .training import (TrainConfig, fit, load_config_file, predict_instances,
                        save_config_file, sweep)
-
-log = logging.getLogger("lmdst")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -52,29 +49,24 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-epochs", type=int, dest="max_epochs", help="epoch cap")
 
 
+def _given(args, config_cls) -> dict:
+    """The flags given on the command line whose dests are fields of ``config_cls``."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _train_config(args) -> TrainConfig:
     cfg = TrainConfig() if args.config is None else load_config_file(args.config)
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
-             if getattr(args, f.name, None) is not None}
-    return dataclasses.replace(cfg, **given)
-
-
-def _load_corpus(args, *outputs) -> tuple[list, Ontology]:
-    for path in outputs:  # checked before a long run, not after it
-        if path is not None and not path.parent.is_dir():
-            raise FileNotFoundError(f"output directory {path.parent} of {path} does not exist")
-    ontology = Ontology.load(args.ontology)
-    dialogues = load_multiwoz(args.data, ontology)
-    return dialogues, ontology
+    return dataclasses.replace(cfg, **_given(args, TrainConfig))
 
 
 def cmd_preprocess(args) -> int:
     ontology = Ontology.load(args.ontology) if args.ontology else None
     dialogues = load_multiwoz(args.data, ontology)
-    dialogues = filter_domains(dialogues, args.exclude_domains.split(","))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_dialogues(out / "corpus.json", dialogues)
+    excluded = {name.strip() for name in args.exclude_domains.split(",")} - {""}
+    dialogues = filter_domains(dialogues, excluded)
+    args.out.mkdir(parents=True, exist_ok=True)
+    save_dialogues(args.out / "corpus.json", dialogues)
     stats = context_length_stats(dialogues)
     print(f"dialogues: {len(dialogues)}")
     print(f"mean speaker turns: {mean_speaker_turns(dialogues):.2f}")
@@ -82,32 +74,30 @@ def cmd_preprocess(args) -> int:
     print(f"max context length (untagged): {stats['max_length']}")
     print(f"fraction >= 200 tokens: {stats['fraction_ge_200']:.4f}")
     print("bucket counts: " + "  ".join(f"{k}: {v:,}" for k, v in stats["bucket_counts"].items()))
-    print(f"corpus -> {out / 'corpus.json'}")
+    print(f"corpus -> {args.out / 'corpus.json'}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)
-             if getattr(args, f.name) is not None}
-    dialogues, ontology = generate_synthetic(SynthConfig(**given))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_dialogues(out / "corpus.json", dialogues)
-    ontology.save(out / "ontology.txt")
+    dialogues, ontology = generate_synthetic(SynthConfig(**_given(args, SynthConfig)))
+    args.out.mkdir(parents=True, exist_ok=True)
+    save_dialogues(args.out / "corpus.json", dialogues)
+    ontology.save(args.out / "ontology.txt")
     print(f"{len(dialogues)} dialogues, {sum(len(d.turns) for d in dialogues)} turns, "
-          f"{len(ontology)} slots -> {out}")
+          f"{len(ontology)} slots -> {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    dialogues, ontology = _load_corpus(args, args.checkpoint, args.out)
+    ontology = Ontology.load(args.ontology)
+    dialogues = load_multiwoz(args.data, ontology)
     model, report = fit(dialogues, ontology, cfg, checkpoint_path=args.checkpoint,
                         vectors_path=args.vectors, progress=not args.quiet)
     best = report.epochs[report.best_epoch - 1]
     print(format_metrics_table(report.best_val_joint, best.val_slot, label=report.ablation))
     if args.out:
-        Path(args.out).write_text(json.dumps(dataclasses.asdict(report), indent=1, sort_keys=True))
+        args.out.write_text(json.dumps(dataclasses.asdict(report), indent=1, sort_keys=True))
         print(f"training report -> {args.out}")
     print(f"best epoch {report.best_epoch}, checkpoint -> {args.checkpoint}")
     return 0
@@ -139,18 +129,16 @@ def cmd_analyze(args) -> int:
     print("prediction error taxonomy:")
     print(format_taxonomy_table(counts))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            for label, row in report.items():
-                f.write(json.dumps({"kind": "length_bucket", "bucket": label, **row},
-                                   sort_keys=True) + "\n")
-            f.write(json.dumps({"kind": "taxonomy", **counts}, sort_keys=True) + "\n")
+        rows = [{"kind": "length_bucket", "bucket": label, **row} for label, row in report.items()]
+        write_jsonl(args.out, rows + [{"kind": "taxonomy", **counts}])
         print(f"\nmachine-readable report -> {args.out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _train_config(args)
-    dialogues, ontology = _load_corpus(args, args.out)
+    ontology = Ontology.load(args.ontology)
+    dialogues = load_multiwoz(args.data, ontology)
     alphas = [float(a) for a in args.alphas.split(",")]
     delays = [int(d) for d in args.delays.split(",")]
     rows = sweep(alphas, delays, dialogues, ontology, cfg)
@@ -159,9 +147,7 @@ def cmd_sweep(args) -> int:
         print(f"{r['alpha']:>8.2f} {r['delay_update_steps']:>6d} "
               f"{r['val_joint_accuracy']:>10.2f} {r['epochs']:>7d}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            for r in rows:
-                f.write(json.dumps(r, sort_keys=True) + "\n")
+        write_jsonl(args.out, rows)
         print(f"sweep table -> {args.out}")
     return 0
 
@@ -178,15 +164,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dialogue state generation with utterance tagging and an "
                     "auxiliary bi-directional language model.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # ``outputs`` names the flags whose paths a command writes, for main's check;
+    # preprocess and synth make their --out directory.
 
     p = sub.add_parser("preprocess", help="normalize a dataset file, emit corpus + statistics")
     p.add_argument("--data", type=Path, required=True, help="dataset file (per-turn JSON)")
     p.add_argument("--ontology", type=Path, help="ontology file (domain-slot per line)")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--exclude-domains", dest="exclude_domains",
-                   default=",".join(sorted(corpus_mod.DEFAULT_EXCLUDED_DOMAINS)),
+                   default=",".join(sorted(DEFAULT_EXCLUDED_DOMAINS)),
                    help="comma list of domains to drop (default: %(default)s)")
-    p.set_defaults(func=cmd_preprocess)
+    p.set_defaults(func=cmd_preprocess, outputs=())
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
     p.add_argument("--out", type=Path, required=True, help="output directory")
@@ -201,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--dontcare-rate", "dontcare_rate", "fraction of slot mentions that are dontcare")):
         default = getattr(SynthConfig, dest)
         p.add_argument(flag, type=type(default), dest=dest, help=f"{text} (default {default})")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, outputs=())
 
     p = sub.add_parser("train", help="train a model, persist the best checkpoint")
     p.add_argument("--data", type=Path, required=True, help="corpus file")
@@ -212,23 +200,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional GloVe-format word vectors for the embedding word part")
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, outputs=("checkpoint", "out"))
 
     p = sub.add_parser("predict", help="write a prediction dump for a corpus")
     p.add_argument("--checkpoint", type=Path, required=True, help="trained checkpoint")
     p.add_argument("--data", type=Path, required=True, help="corpus file")
     p.add_argument("--out", type=Path, required=True, help="prediction dump output (JSONL)")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, outputs=("out",))
 
     p = sub.add_parser("eval", help="joint/slot accuracy of a prediction dump")
     p.add_argument("--data", type=Path, required=True, help="prediction dump (JSONL)")
     p.add_argument("--ontology", type=Path, required=True, help="ontology file")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, outputs=())
 
     p = sub.add_parser("analyze", help="length-bucket and error-taxonomy reports")
     p.add_argument("--data", type=Path, required=True, help="prediction dump (JSONL)")
     p.add_argument("--out", type=Path, help="machine-readable report output (JSONL)")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, outputs=("out",))
 
     p = sub.add_parser("sweep", help="alpha x delay grid of training runs")
     p.add_argument("--data", type=Path, required=True, help="corpus file")
@@ -237,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delays", default="1,4", help="comma list of delay step counts")
     p.add_argument("--out", type=Path, help="sweep table output (JSONL)")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, outputs=("out",))
 
     p = sub.add_parser("dump-config", help="write the effective training config")
     p.add_argument("--out", type=Path, required=True, help="config file output path")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_dump_config)
+    p.set_defaults(func=cmd_dump_config, outputs=("out",))
 
     return parser
 
@@ -254,6 +242,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (getattr(args, name) for name in args.outputs):  # before any work
+            if path is not None and not path.parent.is_dir():
+                raise FileNotFoundError(f"output directory {path.parent} of {path} does not exist")
         return args.func(args)
     except (CorpusFormatError, VectorFileError, ad.CheckpointError, ad.GraphError,
             ad.ShapeError, ValueError, OSError) as exc:

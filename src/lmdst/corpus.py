@@ -180,7 +180,8 @@ def load_multiwoz(path, ontology: Ontology | None = None) -> list[Dialogue]:
     Belief-state entries naming a (domain, slot) outside ``ontology`` are
     skipped, each with a warning, and a last warning gives their count;
     structural problems, a slot name that is not ``domain-slot`` among them,
-    raise :class:`CorpusFormatError` naming the dialogue and turn.
+    raise :class:`CorpusFormatError` naming the dialogue and turn, and so
+    does a first turn without any utterance, whose context would be empty.
     """
     with open(path, encoding="utf-8") as f:
         content = f.read().strip()
@@ -230,6 +231,8 @@ def load_multiwoz(path, ontology: Ontology | None = None) -> list[Dialogue]:
                 state.set(domain, slot, value)
             turns.append(DialogueTurn(turn_idx, normalize_value(system),
                                       normalize_value(user), state))
+        if not (turns[0].system_utterance or turns[0].user_utterance):  # every context has turn 0
+            raise CorpusFormatError(f"dialogue {did}, turn 0: no system or user utterance")
         listed = d.get("domains", [])
         if not isinstance(listed, list) or not all(isinstance(x, str) for x in listed):
             raise CorpusFormatError(f"dialogue {did}: domains must be a list of strings, "

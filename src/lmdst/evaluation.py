@@ -108,17 +108,16 @@ def length_report(predictions: list[TurnPrediction]) -> dict[str, dict]:
 # dump io
 # ---------------------------------------------------------------------------
 
-def write_predictions(path, predictions: list[TurnPrediction]) -> None:
+def write_jsonl(path, records) -> None:
+    """Write each record as one JSON object with sorted keys per line."""
     with open(path, "w", encoding="utf-8") as f:
-        for p in predictions:
-            record = {
-                "dialogue_id": p.dialogue_id,
-                "turn_index": p.turn_index,
-                "context_length": p.context_length,
-                "predicted": p.predicted.to_json(),
-                "gold": p.gold.to_json(),
-            }
+        for record in records:
             f.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def write_predictions(path, predictions: list[TurnPrediction]) -> None:
+    write_jsonl(path, ({**vars(p), "predicted": p.predicted.to_json(), "gold": p.gold.to_json()}
+                       for p in predictions))
 
 
 def read_predictions(path) -> list[TurnPrediction]:

@@ -76,7 +76,7 @@ class TrainConfig:
 def load_config_file(path) -> TrainConfig:
     """Parse a "key = value" config file onto the default TrainConfig."""
     types = {f.name: type(f.default) for f in fields(TrainConfig)}
-    overrides = {}
+    overrides, key_lines = {}, {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
@@ -88,6 +88,10 @@ def load_config_file(path) -> TrainConfig:
             key, value = key.strip(), value.strip()
             if key not in types:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
+            if key in key_lines:
+                raise ValueError(f"config line {line_no}: key {key!r} repeats line "
+                                 f"{key_lines[key]}")
+            key_lines[key] = line_no
             try:
                 overrides[key] = _parse_value(types[key], value)
             except ValueError as exc:

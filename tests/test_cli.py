@@ -117,21 +117,59 @@ def test_preprocess_empty_exclude_domains_drops_no_domain(tmp_path, capsys):
         assert code == 0 and stdout.startswith(f"dialogues: {kept}\n")
 
 
+def test_preprocess_exclude_domains_ignores_spaces(tmp_path, capsys):
+    """Names in ``--exclude-domains`` are stripped, so a space after a comma
+    changes nothing."""
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps([
+        {"dialogue_idx": domain.upper(), "domains": [domain], "dialogue": [
+            {"turn_idx": 0, "system_transcript": "", "transcript": f"a {domain} please .",
+             "belief_state": []}]}
+        for domain in ("taxi", "train", "hotel")]))
+    for name, value in (("a", "taxi,train"), ("b", "taxi, train")):
+        code, stdout, _ = run(capsys, "preprocess", "--data", str(data),
+                              "--out", str(tmp_path / name), "--exclude-domains", value)
+        assert code == 0 and stdout.startswith("dialogues: 1\n")
+    assert (tmp_path / "a" / "corpus.json").read_bytes() == \
+        (tmp_path / "b" / "corpus.json").read_bytes()
+
+
+def test_train_empty_first_turn_one_line_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit ran on a dialogue with an empty first turn")
+
+    monkeypatch.setattr(cli, "fit", refuse)
+    data, ontology = tmp_path / "d.json", tmp_path / "ont.txt"
+    data.write_text(json.dumps([{"dialogue_idx": "E1", "dialogue": [
+        {"turn_idx": 0, "system_transcript": "", "transcript": "", "belief_state": []}]}]))
+    ontology.write_text("hotel-area\n")
+    code, _, err = run(capsys, "train", "--data", str(data), "--ontology", str(ontology),
+                       "--checkpoint", str(tmp_path / "m.npz"))
+    assert code == 1
+    assert err == "error: CorpusFormatError: dialogue E1, turn 0: no system or user utterance\n"
+
+
 @pytest.mark.parametrize("command, flag", [("train", "--checkpoint"), ("train", "--out"),
-                                           ("sweep", "--out")])
+                                           ("sweep", "--out"), ("predict", "--out"),
+                                           ("analyze", "--out"), ("dump-config", "--out")])
 def test_missing_output_directory_fails_before_the_run(synth_dir, tmp_path, capsys,
                                                        monkeypatch, command, flag):
+    """Every flag naming a written path is checked before the command's
+    first step, which is patched to fail here."""
     def refuse(*args, **kwargs):
         raise AssertionError(f"{command} ran with a missing output directory")
 
-    monkeypatch.setattr(cli, "fit", refuse)
-    monkeypatch.setattr(cli, "sweep", refuse)
+    for owner, name in ((cli, "fit"), (cli, "sweep"), (cli.DstModel, "load"),
+                        (cli, "read_predictions"), (cli, "save_config_file")):
+        monkeypatch.setattr(owner, name, refuse)
+    corpus = {"--data": synth_dir / "corpus.json", "--ontology": synth_dir / "ontology.txt"}
     missing = tmp_path / "nodir"
-    outputs = {"--checkpoint": tmp_path / "m.npz"} if command == "train" else {}
+    checkpoint = {"--checkpoint": tmp_path / "m.npz"}
+    outputs = {"train": {**corpus, **checkpoint}, "sweep": dict(corpus),
+               "predict": {**checkpoint, "--data": corpus["--data"]},
+               "analyze": {"--data": tmp_path / "dump.jsonl"}, "dump-config": {}}[command]
     outputs[flag] = missing / "out"
-    code, _, err = run(capsys, command, "--data", str(synth_dir / "corpus.json"),
-                       "--ontology", str(synth_dir / "ontology.txt"),
-                       *(str(x) for pair in outputs.items() for x in pair))
+    code, _, err = run(capsys, command, *(str(x) for pair in outputs.items() for x in pair))
     assert code == 1
     assert err.startswith("error: FileNotFoundError: ") and str(missing) in err
     assert len(err.strip().splitlines()) == 1
@@ -241,7 +279,7 @@ def test_dump_config_roundtrip_defaults(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["max_value_len = 0", "learning_rate = -1", "seed = -1",
                                   "hidden_dim = 64", "min_count = 0", "max_epochs = 1.5",
                                   "dropout = abc", "learning_rate = nan",
-                                  "learning_rate = inf"])
+                                  "learning_rate = inf", "max_epochs = 1"])
 def test_bad_config_value_one_line_error(synth_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"hidden_dim = 16\nembedding_dim = 16\nmax_epochs = 1\n{line}\n")

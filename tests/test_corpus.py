@@ -108,6 +108,23 @@ def test_malformed_turn_names_dialogue_and_turn(tmp_path, bad_turn):
     assert "BAD42" in str(exc.value) and "turn 1" in str(exc.value)
 
 
+def test_empty_first_turn_names_dialogue(tmp_path):
+    """Turn 0 without any utterance would give an empty context; a turn 0
+    with only a system utterance loads."""
+    p = tmp_path / "d.json"
+    turns = [{"turn_idx": 0, "system_transcript": " ", "transcript": "  ", "belief_state": []},
+             {"turn_idx": 1, "system_transcript": "x .", "transcript": "y .", "belief_state": []}]
+    p.write_text(json.dumps([{"dialogue_idx": "E1", "dialogue": turns}]))
+    with pytest.raises(CorpusFormatError) as exc:
+        load_multiwoz(p)
+    assert str(exc.value) == "dialogue E1, turn 0: no system or user utterance"
+    turns[0]["system_transcript"] = "Hello ."
+    p.write_text(json.dumps([{"dialogue_idx": "E1", "dialogue": turns}]))
+    (dialogue,) = load_multiwoz(p)
+    assert (dialogue.turns[0].system_utterance, dialogue.turns[0].user_utterance) == ("hello .", "")
+    assert build_context(dialogue, 0, True).tokens == ["[sys]", "hello", "."]
+
+
 @pytest.mark.parametrize("domains", [5, "hotel"], ids=["number", "string"])
 def test_domains_not_a_list_of_strings_names_dialogue(tmp_path, domains):
     data = [{"dialogue_idx": "BAD7", "domains": domains, "dialogue": [

@@ -9,7 +9,7 @@ from lmdst.evaluation import (ERROR_CLASSES, TurnPrediction, classify_error,
                               format_length_table, format_metrics_table,
                               format_taxonomy_table, joint_accuracy, length_report,
                               read_predictions, round2, slot_accuracy,
-                              taxonomy_report, write_predictions)
+                              taxonomy_report, write_jsonl, write_predictions)
 
 PAIRS = [("hotel", "area"), ("hotel", "stars"), ("train", "day"),
          ("restaurant", "food"), ("taxi", "leaveat")]
@@ -246,6 +246,14 @@ def test_dump_write_is_deterministic(tmp_path, rng):
     write_predictions(p1, preds)
     write_predictions(p2, preds)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_jsonl_one_sorted_key_object_per_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"b": 1, "a": [2, 3]}, {"z": None, "c": "é"}])
+    assert path.read_bytes() == b'{"a": [2, 3], "b": 1}\n{"c": "\\u00e9", "z": null}\n'
+    write_jsonl(path, [])
+    assert path.read_bytes() == b""
 
 
 def test_malformed_dump_line_reported(tmp_path):

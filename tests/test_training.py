@@ -444,6 +444,9 @@ def test_config_file_parsing(tmp_path):
     path.write_text("alpha = 0.5\nbatch_size = 1.5\n")
     with pytest.raises(ValueError, match="config line 2: batch_size: "):
         load_config_file(path)
+    path.write_text("alpha = 0.5\nseed = 3\nalpha = 0.0\n")  # not a silent last win
+    with pytest.raises(ValueError, match="^config line 3: key 'alpha' repeats line 1$"):
+        load_config_file(path)
 
 
 def test_config_file_unknown_key(tmp_path):
