@@ -575,9 +575,6 @@ class GruCell:
         self.u_h = store.new(f"{prefix}.u_h", (hidden_dim, hidden_dim), bound)
         self.b_h = store.new(f"{prefix}.b_h", (hidden_dim,), bound)
 
-    def params(self):
-        return [self.w_zr, self.u_zr, self.b_zr, self.w_h, self.u_h, self.b_h]
-
     def step(self, x: Node, h: Node) -> Node:
         """One step on a batch of row vectors (B x input_dim, B x hidden_dim)."""
         return gru_sequence_batch(self, x, [1] * x.shape[0], h0=h)

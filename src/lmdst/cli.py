@@ -245,6 +245,8 @@ def main(argv=None) -> int:
         for path in (getattr(args, name) for name in args.outputs):  # before any work
             if path is not None and not path.parent.is_dir():
                 raise FileNotFoundError(f"output directory {path.parent} of {path} does not exist")
+            if path is not None and path.is_dir():
+                raise IsADirectoryError(f"output path {path} is a directory")
         return args.func(args)
     except (CorpusFormatError, VectorFileError, ad.CheckpointError, ad.GraphError,
             ad.ShapeError, ValueError, OSError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,13 +125,9 @@ class Dialogue:
 @dataclass
 class Ontology:
     """Ordered (domain, slot) list; order is the decoder's iteration order.
-
-    ``known_values`` is used only by the synthetic generator, never for
-    prediction. An ontology lists at least one slot.
-    """
+    An ontology lists at least one slot."""
 
     domain_slots: list[tuple[str, str]]
-    known_values: dict[tuple[str, str], list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.domain_slots:
@@ -378,18 +374,12 @@ def _domain_name(index: int) -> str:
     return f"domain{index}"
 
 
-def generate_synthetic(config: SynthConfig) -> tuple[list[Dialogue], Ontology]:
-    """Deterministic template corpus where every gold value is copyable.
-
-    Users introduce new slot values ("i want <value> <slot> ."), systems
-    confirm previously given ones, and states accumulate monotonically, so
-    each turn's gold values all appear in its concatenated context.
-    """
-    rng = np.random.default_rng(config.seed)
-
+def _value_pools(config: SynthConfig) -> dict[tuple[str, str], list[str]]:
+    """Each (domain, slot)'s synthetic value words, in ontology order."""
+    n_slots = config.n_domains * config.n_slots_per_domain
     # "none" is how belief states spell an absent value, never a value word
     reserved = {"none"} | set(_DOMAIN_WORDS[:config.n_domains]) | {
-        _slot_name(i) for i in range(config.n_domains * config.n_slots_per_domain)}
+        _slot_name(i) for i in range(n_slots)}
     pool: list[str] = []
     i = 0
     while len(pool) < config.vocab_size:
@@ -398,25 +388,27 @@ def generate_synthetic(config: SynthConfig) -> tuple[list[Dialogue], Ontology]:
         if w not in reserved:
             pool.append(w)
 
-    per_slot = config.vocab_size // (config.n_domains * config.n_slots_per_domain)
+    per_slot = config.vocab_size // n_slots
+    return {(_domain_name(flat // config.n_slots_per_domain), _slot_name(flat)):
+            pool[flat * per_slot:(flat + 1) * per_slot] for flat in range(n_slots)}
 
-    domain_slots: list[tuple[str, str]] = []
-    known_values: dict[tuple[str, str], list[str]] = {}
-    flat = 0
-    for di in range(config.n_domains):
-        domain = _domain_name(di)
-        for _ in range(config.n_slots_per_domain):
-            pair = (domain, _slot_name(flat))
-            domain_slots.append(pair)
-            known_values[pair] = pool[flat * per_slot:(flat + 1) * per_slot]
-            flat += 1
-    ontology = Ontology(domain_slots, known_values)
+
+def generate_synthetic(config: SynthConfig) -> tuple[list[Dialogue], Ontology]:
+    """Deterministic template corpus where every gold value is copyable.
+
+    Users introduce new slot values ("i want <value> <slot> ."), systems
+    confirm previously given ones, and states accumulate monotonically, so
+    each turn's gold values all appear in its concatenated context.
+    """
+    rng = np.random.default_rng(config.seed)
+    pools = _value_pools(config)
+    ontology = Ontology(list(pools))
 
     dialogues: list[Dialogue] = []
     for dlg_i in range(config.n_dialogues):
         n_dlg_domains = int(rng.integers(1, min(2, config.n_domains) + 1))
         dlg_domain_idx = rng.choice(config.n_domains, size=n_dlg_domains, replace=False)
-        open_slots = [pair for pair in domain_slots
+        open_slots = [pair for pair in ontology.domain_slots
                       if pair[0] in {_domain_name(int(i)) for i in dlg_domain_idx}]
         rng.shuffle(open_slots)
         n_turns = int(rng.integers(min(2, config.max_turns), config.max_turns + 1))
@@ -442,7 +434,7 @@ def generate_synthetic(config: SynthConfig) -> tuple[list[Dialogue], Ontology]:
                     state.set(domain, slot, "dontcare")
                     mentions.append(f"any {slot} is fine , i dont mind .")
                 else:
-                    values = known_values[(domain, slot)]
+                    values = pools[(domain, slot)]
                     value = values[int(rng.integers(0, len(values)))]
                     state.set(domain, slot, value)
                     tmpl = _USER_TEMPLATES[int(rng.integers(0, len(_USER_TEMPLATES)))]

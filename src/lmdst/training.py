@@ -162,7 +162,9 @@ class Trainer:
 
     Gradients of each micro-batch accumulate in the parameters' grad
     buffers; parameters change only every ``delay_update_steps`` micro-steps
-    and are bit-identical in between.
+    and are bit-identical in between. Micro-step k draws its dropout masks
+    from the k-th child of ``SeedSequence(config.seed)``: they depend on the
+    seed, k and the batch only, not on earlier micro-steps or the init stream.
     """
 
     def __init__(self, model: DstModel, config: TrainConfig):
@@ -170,13 +172,14 @@ class Trainer:
         self.config = config
         self.optimizer = Adam(model.store, lr=config.learning_rate)
         self.micro_step = 0
-        self.rng = np.random.default_rng(config.seed)
 
     def micro_batch_loss(self, batch: list[tuple[Dialogue, int]]) -> tuple[ad.Node, float, float]:
         """Mean over the batch of (dst + alpha * lm), with training-time
-        dropout; also returns the two mean raw loss values for reporting.
-        Without the LM, lm is the constant 0."""
-        dst_sum, lm_sum = self.model.batch_loss(batch, self.rng)
+        dropout drawn for the current micro-step; also returns the two mean
+        raw loss values for reporting. Without the LM, lm is the constant 0."""
+        rng = np.random.default_rng(
+            np.random.SeedSequence(self.config.seed, spawn_key=(self.micro_step,)))
+        dst_sum, lm_sum = self.model.batch_loss(batch, rng)
         mean = ad.elementwise_mul(total_loss(dst_sum, lm_sum, self.config.alpha),
                                   1.0 / len(batch))
         return mean, float(dst_sum.value) / len(batch), float(lm_sum.value) / len(batch)
@@ -282,15 +285,18 @@ def fit(dialogues: list[Dialogue], ontology: Ontology, config: TrainConfig,
         progress: bool = False) -> tuple[DstModel, TrainReport]:
     """Train on a corpus with early stopping on validation joint accuracy.
 
-    Deterministic for a fixed config seed: data order, initialization and
-    dropout masks all derive from it. An epoch is the new best when its
-    rounded validation joint accuracy beats every earlier epoch's (epoch 1
-    always is). Training stops after ``config.patience`` epochs without a
-    new best, or at once when the best reads 100.00, which no epoch can
-    beat; ``report.epochs`` then ends there. The best model is restored at
-    the end and optionally persisted. If
-    ``vectors_path`` names a GloVe-format file, covered word rows start from
-    it (and stay frozen under ``config.freeze_embeddings``).
+    Deterministic for a fixed config seed, from which every random draw
+    derives: the initial parameter values from ``default_rng(seed)``, the
+    batch order of the whole run from ``default_rng(seed + 1)``, and each
+    micro-step's dropout masks from its own child of ``SeedSequence(seed)``
+    (see :class:`Trainer`). An epoch is the new best when its rounded
+    validation joint accuracy beats every earlier epoch's (epoch 1 always
+    is). Training stops after ``config.patience`` epochs without a new
+    best, or at once when the best reads 100.00, which no epoch can beat;
+    ``report.epochs`` then ends there. The best model is restored at the end
+    and optionally persisted. If ``vectors_path`` names a GloVe-format file,
+    covered word rows start from it (and stay frozen under
+    ``config.freeze_embeddings``).
     """
     start = time.monotonic()
     train_dlgs, val_dlgs = split_corpus(dialogues, config.val_fraction)

@@ -38,6 +38,9 @@ def peak_traced_mib(fn) -> float:
     return peak / 2**20
 
 
+GRU_WEIGHTS = ("w_zr", "u_zr", "b_zr", "w_h", "u_h", "b_h")  # a GruCell's parameters
+
+
 def numpy_gru(cell, xs, reverse=False):
     """States of ``cell`` over the rows of ``xs`` from a zero start, one
     straight-line numpy step at a time (read last to first if ``reverse``)."""

@@ -149,30 +149,52 @@ def test_train_empty_first_turn_one_line_error(tmp_path, capsys, monkeypatch):
     assert err == "error: CorpusFormatError: dialogue E1, turn 0: no system or user utterance\n"
 
 
-@pytest.mark.parametrize("command, flag", [("train", "--checkpoint"), ("train", "--out"),
-                                           ("sweep", "--out"), ("predict", "--out"),
-                                           ("analyze", "--out"), ("dump-config", "--out")])
-def test_missing_output_directory_fails_before_the_run(synth_dir, tmp_path, capsys,
-                                                       monkeypatch, command, flag):
-    """Every flag naming a written path is checked before the command's
-    first step, which is patched to fail here."""
+OUTPUT_FLAGS = [("train", "--checkpoint"), ("train", "--out"), ("sweep", "--out"),
+                ("predict", "--out"), ("analyze", "--out"), ("dump-config", "--out")]
+
+
+def run_refusing_work(synth_dir, tmp_path, capsys, monkeypatch, command, flag, out):
+    """Run ``command`` with ``flag`` set to ``out``; every command's first
+    step is patched to fail, so only a check made before it can answer."""
     def refuse(*args, **kwargs):
-        raise AssertionError(f"{command} ran with a missing output directory")
+        raise AssertionError(f"{command} ran with {flag} {out}")
 
     for owner, name in ((cli, "fit"), (cli, "sweep"), (cli.DstModel, "load"),
                         (cli, "read_predictions"), (cli, "save_config_file")):
         monkeypatch.setattr(owner, name, refuse)
     corpus = {"--data": synth_dir / "corpus.json", "--ontology": synth_dir / "ontology.txt"}
-    missing = tmp_path / "nodir"
     checkpoint = {"--checkpoint": tmp_path / "m.npz"}
     outputs = {"train": {**corpus, **checkpoint}, "sweep": dict(corpus),
                "predict": {**checkpoint, "--data": corpus["--data"]},
                "analyze": {"--data": tmp_path / "dump.jsonl"}, "dump-config": {}}[command]
-    outputs[flag] = missing / "out"
-    code, _, err = run(capsys, command, *(str(x) for pair in outputs.items() for x in pair))
+    outputs[flag] = out
+    return run(capsys, command, *(str(x) for pair in outputs.items() for x in pair))
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_missing_output_directory_fails_before_the_run(synth_dir, tmp_path, capsys,
+                                                       monkeypatch, command, flag):
+    """Every flag naming a written path is checked before the command's
+    first step."""
+    missing = tmp_path / "nodir"
+    code, _, err = run_refusing_work(synth_dir, tmp_path, capsys, monkeypatch,
+                                     command, flag, missing / "out")
     assert code == 1
     assert err.startswith("error: FileNotFoundError: ") and str(missing) in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_output_path_that_is_a_directory_fails_before_the_run(synth_dir, tmp_path, capsys,
+                                                              monkeypatch, command, flag):
+    """An output path naming an existing directory is refused by the same
+    check, not by the write after the command's work."""
+    existing = tmp_path / "outdir"
+    existing.mkdir()
+    code, _, err = run_refusing_work(synth_dir, tmp_path, capsys, monkeypatch,
+                                     command, flag, existing)
+    assert code == 1
+    assert err == f"error: IsADirectoryError: output path {existing} is a directory\n"
 
 
 def test_train_empty_ontology_one_line_error(synth_dir, tmp_path, capsys):

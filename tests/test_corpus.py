@@ -345,10 +345,11 @@ def test_synth_zero_dialogues():
 def test_synth_value_pool_skips_none():
     """Pool word 1519 spells "none", which encodes absence in belief states;
     the generator must skip it rather than fail to store it."""
-    dialogues, ontology = synth(vocab_size=1600, seed=15)
+    config = SynthConfig(vocab_size=1600, seed=15)
+    dialogues, _ = generate_synthetic(config)
     values = {v for d in dialogues for t in d.turns for v in t.gold_state.entries().values()}
     assert dialogues and "none" not in values
-    assert all("none" not in pool for pool in ontology.known_values.values())
+    assert all("none" not in pool for pool in corpus._value_pools(config).values())
 
 
 def test_synth_vocab_too_small():
@@ -364,13 +365,15 @@ def test_synth_config_checked_when_built():
 
 
 def test_synth_ontology_consistent():
-    dialogues, ontology = synth(n_dialogues=25, seed=11)
-    pairs = set(ontology.domain_slots)
+    config = SynthConfig(n_dialogues=25, seed=11)
+    dialogues, ontology = generate_synthetic(config)
+    pools = corpus._value_pools(config)
+    assert list(pools) == ontology.domain_slots
     for d in dialogues:
         for t in d.turns:
             for pair, value in t.gold_state.entries().items():
-                assert pair in pairs
-                assert value in ontology.known_values[pair] or value == "dontcare"
+                assert pair in pools
+                assert value in pools[pair] or value == "dontcare"
 
 
 def test_synth_dontcare_rate():

@@ -6,7 +6,7 @@ import pytest
 from lmdst import autodiff as ad
 from lmdst.lm import LanguageModel
 
-from conftest import numpy_gru
+from conftest import GRU_WEIGHTS, numpy_gru
 from test_model import tiny_dialogue, tiny_model
 
 
@@ -147,8 +147,8 @@ def test_reversal_swaps_directional_roles():
 
         mirrored, _ = make_lm(dim=3, vocab=5, seed=99)
         for mine, theirs in ((mirrored.fwd, lm.bwd), (mirrored.bwd, lm.fwd)):
-            for p_m, p_t in zip(mine.params(), theirs.params()):
-                p_m.value = p_t.value.copy()
+            for w in GRU_WEIGHTS:
+                getattr(mine, w).value = getattr(theirs, w).value.copy()
         mirrored.w_f.value = lm.w_b.value.copy()
         mirrored.w_b.value = lm.w_f.value.copy()
         rev_term = float(run_lm(mirrored, emb[::-1].copy(), ids[::-1])[1].value) - 3 * math.log(5)
@@ -160,7 +160,7 @@ def test_fuse_identity_when_hiddens_zero():
     embeddings, and everything the encoder computes from them, unchanged."""
     fused_model = tiny_model()
     for cell in (fused_model.lm.fwd, fused_model.lm.bwd):
-        for p in cell.params():
+        for p in (getattr(cell, w) for w in GRU_WEIGHTS):
             p.value = np.zeros_like(p.value)
     rng = np.random.default_rng(4)
     states, _ = run_lm(fused_model.lm, rng.normal(size=(5, 8)), rng.integers(0, 12, size=5))

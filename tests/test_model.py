@@ -22,9 +22,7 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def tiny_ontology():
-    return Ontology([("hotel", "area"), ("hotel", "price")],
-                    {("hotel", "area"): ["east", "west"],
-                     ("hotel", "price"): ["cheap", "dear"]})
+    return Ontology([("hotel", "area"), ("hotel", "price")])
 
 
 def tiny_dialogue():

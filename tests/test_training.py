@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 
@@ -167,6 +168,62 @@ def test_delay_one_is_plain_updates():
     trainer.train_step(turn_instances(dialogues)[:4])
     assert any((trainer.model.store[name].value != value).any()
                for name, value in snapshot.items())
+
+
+def dropout_config(**kw):
+    return small_config(dropout=TrainConfig.dropout, word_dropout=TrainConfig.word_dropout, **kw)
+
+
+def test_micro_step_masks_depend_only_on_the_seed_and_the_micro_step():
+    """Micro-step 3 after three micro-steps that update nothing gives the
+    loss and gradients, bit for bit, of a fresh trainer set to micro-step 3:
+    no earlier micro-step's draws move its dropout masks."""
+    cfg = dropout_config(delay_update_steps=4)
+    trainer, dialogues, _ = small_trainer(cfg)
+    instances = turn_instances(dialogues)
+    batches = [instances[i * 4:(i + 1) * 4] for i in range(4)]
+    for batch in batches[:3]:
+        trainer.train_step(batch)
+    assert trainer.optimizer.t == 0
+
+    def step_three(t):
+        t.model.store.zero_grad()
+        loss, _, _ = t.micro_batch_loss(batches[3])
+        ad.backward(loss)
+        return loss.value, {p.name: p.grad for p in t.model.store.parameters()}
+
+    fresh, _, _ = small_trainer(cfg)
+    fresh.micro_step = 3
+    (loss, grads), (fresh_loss, fresh_grads) = step_three(trainer), step_three(fresh)
+    assert loss.tobytes() == fresh_loss.tobytes()
+    assert grads.keys() == fresh_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(grad, fresh_grads[name], err_msg=name)
+
+
+def test_dropout_stream_is_neither_the_init_nor_the_batch_order_stream(monkeypatch):
+    """The generator each micro-step hands ``batch_loss`` starts from other
+    draws than the parameter-init stream (seed) and the batch-order stream
+    (seed + 1), and differs between micro-steps."""
+    cfg = dropout_config()
+    trainer, dialogues, _ = small_trainer(cfg)
+    received = []
+    batch_loss = trainer.model.batch_loss
+
+    def keep_copy(batch, rng):
+        received.append(copy.deepcopy(rng))
+        return batch_loss(batch, rng)
+
+    monkeypatch.setattr(trainer.model, "batch_loss", keep_copy)
+    instances = turn_instances(dialogues)
+    trainer.train_step(instances[:4])
+    trainer.train_step(instances[4:8])
+    first = [rng.random(16) for rng in received]
+    assert len(first) == 2
+    for draws in first:
+        for seed in (cfg.seed, cfg.seed + 1):
+            assert not np.array_equal(draws, np.random.default_rng(seed).random(16))
+    assert not np.array_equal(first[0], first[1])
 
 
 def test_nan_loss_aborts_with_op_name():
