@@ -116,14 +116,9 @@ def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(x)
 
 
-def _records(parents: Sequence[Node]) -> bool:
-    """Whether an op on ``parents`` joins the graph, so its backward may run."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
-
-
 def _op(name: str, value: Tensor, parents: Sequence[Node], backward) -> Node:
     out = Node(value, op=name)
-    if _records(parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):  # joins the graph
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
@@ -609,9 +604,11 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     first, so ``reverse`` only flips the time index of each row and the one
     loop runs either direction: every sequence starts from its ``h0`` row at
     step 0, and finished sequences drop off the end of the prefix. Backward
-    is hand-rolled BPTT over the stashed gate activations on the same
-    prefixes; a call that records no graph (under :func:`no_grad`, or with
-    no input that needs a gradient) stashes nothing. The input projections
+    is hand-rolled BPTT on the same prefixes over the kept gates and
+    candidates, reading each row's previous state from the output (or from
+    ``h0`` at a sequence's first row in reading order); a call that records
+    no graph (under :func:`no_grad`, or with no input that needs a
+    gradient) stashes nothing. The input projections
     are GEMMs over the rows gathered into packed order, each step writes its
     states straight to their stacked rows, and the weight gradients are
     GEMMs over the stacked rows. Batching
@@ -648,7 +645,6 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
     w_zr, u_zr, b_zr = cell.w_zr, cell.u_zr, cell.b_zr
     w_h, u_h, b_h = cell.w_h, cell.u_h, cell.b_h
     parents = (xs, w_zr, u_zr, b_zr, w_h, u_h, b_h, h0)
-    record = _records(parents)  # else nothing is stashed for backward
 
     x = xs.value
     # Input projections of the rows gathered into packed order, the bias
@@ -664,14 +660,11 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
 
     steps = [(int(lo[t]), int(ks[t])) for t in range(t_max)]
     out = np.empty_like(cands)  # each step's states go to their stacked rows
-    h_before = np.empty_like(cands) if record else None
 
     h = h0s
     uzr_v, uh_v = u_zr.value, u_h.value
     for a, k in steps:
         h = h[:k]  # finished sequences drop off the end of the prefix
-        if record:
-            h_before[a:a + k] = h
         zr = zrs[a:a + k]
         zr[:] = _sigmoid(zr + h @ uzr_v)
         z, r = zr[:, :d], zr[:, d:]
@@ -681,6 +674,9 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         out[stacked[a:a + k]] = h
 
     def backward(g):
+        # each stacked row's previous state in reading order, or its h0 row
+        hp_flat = np.roll(out, -1 if reverse else 1, axis=0)
+        hp_flat[t_idx == 0] = h0.value
         gp = g[stacked]
         dxzr = np.empty((packed.size, 2 * d), dtype=x.dtype)
         dxh = np.empty((packed.size, d), dtype=x.dtype)
@@ -689,7 +685,7 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         for a, k in reversed(steps):
             gt = gp[a:a + k]
             gt[:len(gh)] += gh
-            zr, c, hp = zrs[a:a + k], cands[a:a + k], h_before[a:a + k]
+            zr, c, hp = zrs[a:a + k], cands[a:a + k], hp_flat[stacked[a:a + k]]
             z, r = zr[:, :d], zr[:, d:]
             dz = gt * (c - hp)
             dcpre = gt * z * (1.0 - c * c)
@@ -702,7 +698,6 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
         # big gemms on the rows unpacked to stacked order
         dxzr_flat = dxzr[packed]
         dxh_flat = dxh[packed]
-        hp_flat = h_before[packed]
         rhp_flat = zrs[packed, d:] * hp_flat
         if xs.requires_grad:
             xs.accumulate(dxzr_flat @ w_zr.value.T + dxh_flat @ w_h.value.T)

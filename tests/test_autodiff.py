@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -630,8 +631,8 @@ def test_no_grad_gru_sequence_batch_stashes_nothing():
     """Under ``no_grad`` the kernel keeps no backward stash: its traced
     peak is the gate and candidate work buffers (3 units of rows x d here,
     float64), the states it returns (1 unit) and the step temporaries, about
-    4.2 units. Filling the previous-state stash as well adds a unit; so does
-    staging the states in packed order and gathering them at the end."""
+    4.2 units. Staging the states in packed order and gathering them at the
+    end would add a unit."""
     store = ad.ParameterStore(43)
     lengths = [300] * 4
     d = 64
@@ -644,6 +645,35 @@ def test_no_grad_gru_sequence_batch_stashes_nothing():
             ad.gru_sequence_batch(cell, xs, lengths, reverse=True)
 
     assert peak_traced_mib(run) < 4.6 * unit
+
+
+def test_recorded_gru_sequence_batch_keeps_one_copy_of_its_states():
+    """A recorded call holds its gates (2 units of rows x d here, float64),
+    its candidates and its output (1 unit each) between forward and
+    backward, 4.07 units in all: backward reads each row's previous state
+    from the output. A second copy of the states, shifted one step, held
+    5.06 units, and forward plus backward peaked at 16.08 units with it;
+    without it the peak is 15.10 units, so building the previous states
+    from a concatenated copy of ``h0`` and the output would not fit."""
+    store = ad.ParameterStore(43)
+    lengths = [300] * 4
+    d = 64
+    cell = ad.GruCell(store, "g", d, d)
+    xs = ad.Node(np.random.default_rng(43).normal(size=(sum(lengths), d)),
+                 requires_grad=True)
+    g = np.random.default_rng(44).normal(size=xs.shape)
+    unit = sum(lengths) * d * 8 / 2**20
+
+    tracemalloc.start()
+    try:
+        out = ad.gru_sequence_batch(cell, xs, lengths, reverse=True)
+        live, _ = tracemalloc.get_traced_memory()
+        out._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live / 2**20 < 4.5 * unit
+    assert peak / 2**20 < 15.6 * unit
 
 
 def test_gru_sequence_batch_has_no_padded_staging():

@@ -86,3 +86,20 @@ def test_bench_workloads_construct_their_configs(monkeypatch, tmp_path):
     for name, dim in (("train-synth128", 128), ("train-synth400", 400)):
         assert built[name].config == TrainConfig(hidden_dim=dim, embedding_dim=dim,
                                                  learning_rate=0.003, seed=1)
+
+
+def test_bench_workloads_build_and_run_one_op(monkeypatch, tmp_path):
+    """Each declared workload builds its corpus and model, runs one op and
+    checks it, finishes and summarises, as the benchmark's timed loop does,
+    so a package change the benchmark cannot run fails here first."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    for w in json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]:
+        wl = workloads.make(w["name"], 1, str(tmp_path / "m.npz"))
+        wl.build(None)
+        prepared = wl.prepare(0)
+        _, out = wl.op(prepared)
+        assert wl.check(0, prepared, out) is None, w["name"]
+        assert wl.finish() == {}, w["name"]
+        assert wl.summary()["vocab_size"] > 0
