@@ -22,12 +22,13 @@ no dropout and no graph, also shares prefixes: a turn's context is the first
 rows of its dialogue's longest context in the batch, so its dialogue is its
 LM prefix group: the LM's forward direction runs once per dialogue and each
 turn reads its forward states from those rows (the backward direction and
-the encoder read later rows and run per turn). Attention reads the
-encoder states zero-padded to (B, t_max, d) under a length mask, grouped by
-example. Training is teacher-forced, so every decoder input is known up
-front: the decoder GRU runs once over all rows as sequences of their own
-target lengths, attention and the output heads run once over every step of
-every row, and one log-space loss scores each target
+the encoder read later rows and run per turn). Decoding never reads the LM
+states, so prediction drops them once they are fused into the encoder input.
+Attention reads the encoder states zero-padded to (B, t_max, d) under a
+length mask, grouped by example. Training is teacher-forced, so every
+decoder input is known up front: the decoder GRU runs once over all rows as
+sequences of their own target lengths, attention and the output heads run
+once over every step of every row, and one log-space loss scores each target
 (:func:`lmdst.autodiff.copy_nll_rows`). Greedy prediction decodes only what
 it reads, one step at a time: the first step computes every row's gate, and
 from then on only the ptr rows that have not emitted EOS step.
@@ -78,7 +79,7 @@ class BatchContext:
     table: ad.Node       # |V| x emb
     final_all: ad.Node   # B x d_h, one encoder final state per example
     hiddens: ad.Node     # B x t_max x d_h encoder states, zero-padded
-    lm_states: tuple[ad.Node, ad.Node] | None  # LM (forward, backward) states
+    lm_states: tuple[ad.Node, ad.Node] | None  # LM (forward, backward) states; None if decode-only
     # one row per example, t_max wide; every slot row of an example reads it:
     mask: np.ndarray     # True at the example's context positions
     ext_ids: np.ndarray  # extended id per position (0 in the padding)
@@ -253,7 +254,7 @@ class DstModel:
 
     def prepare_batch(self, instances: list[tuple[Dialogue, int]],
                       rng: np.random.Generator | None = None,
-                      table: ad.Node | None = None) -> BatchContext:
+                      table: ad.Node | None = None, *, keep_lm_states: bool = True) -> BatchContext:
         """Context -> embeddings -> optional LM -> encoder for a batch.
 
         Passing ``rng`` enables training-time dropout (embedding rows,
@@ -265,6 +266,9 @@ class DstModel:
         runs once per dialogue. A graph keeps one recurrence over every
         example, so gradients keep their summation order.
         ``table`` is the embedding table to read, built here when not given.
+        ``keep_lm_states=False`` (for a caller that only decodes) drops the LM
+        states once fused. A missing graph does not imply it: ``grad_check``
+        runs :meth:`batch_loss` under ``no_grad`` and needs its LM term.
         """
         if not instances:
             raise ValueError("prepare_batch: empty instance list")
@@ -299,6 +303,7 @@ class DstModel:
             lm_states = self.lm.forward(emb, lengths, groups)
         fused = emb if lm_states is None else ad.add(emb, ad.add(*lm_states))
         del emb  # without a graph, nothing holds it while the encoder runs
+        lm_states = lm_states if keep_lm_states else None  # nor these, unless kept
 
         ends = np.cumsum(lengths)
         f, b = self.encoder.forward(fused, lengths)
@@ -483,10 +488,10 @@ class DstModel:
                        table: ad.Node | None = None) -> list[BeliefState]:
         """Greedy predictions for a batch of turns (all slots, fixed order);
         ``table`` is an embedding table built from the current parameters,
-        built here when not given."""
+        built here when not given. Decoding never reads the LM states, so
+        the batch drops them before the encoder runs."""
         with ad.no_grad():
-            batch = self.prepare_batch(instances, table=table)
-            batch.lm_states = None  # only the LM loss reads them; decoding does not
+            batch = self.prepare_batch(instances, table=table, keep_lm_states=False)
             probs, words = self._greedy_decode(batch)
         return [self._assemble_state(p, w) for p, w in zip(probs, words)]
 
