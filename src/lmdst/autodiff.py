@@ -279,28 +279,28 @@ def sigmoid(a) -> Node:
     return _op("sigmoid", value, (a,), backward)
 
 
-def softmax(a, axis: int = -1, mask=None) -> Node:
-    """Softmax along ``axis``. With ``mask`` (boolean, the shape of ``a``),
-    only the entries where it is true take part and the others get exactly
-    0; every slice along ``axis`` must keep at least one entry."""
+def softmax(a, mask=None) -> Node:
+    """Softmax along the last axis. With ``mask`` (boolean, the shape of
+    ``a``), only the entries where it is true take part and the others get
+    exactly 0; every slice along the last axis must keep at least one entry."""
     a = as_node(a)
-    if a.value.ndim == 0 or a.value.shape[axis] == 0:
-        raise ShapeError(f"softmax: empty axis {axis} on shape {a.shape}")
+    if a.value.ndim == 0 or a.value.shape[-1] == 0:
+        raise ShapeError(f"softmax: empty last axis on shape {a.shape}")
     x = a.value
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
         if keep.shape != a.shape:
             raise ShapeError(f"softmax: mask {keep.shape} for shape {a.shape}")
-        if not keep.any(axis=axis).all():
-            raise ShapeError(f"softmax: a slice of shape {a.shape} along axis {axis} "
+        if not keep.any(axis=-1).all():
+            raise ShapeError(f"softmax: a slice of shape {a.shape} along the last axis "
                              "has no unmasked entry")
         x = np.where(keep, x, -np.inf)
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    value = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    value = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
-            dot = (g * value).sum(axis=axis, keepdims=True)
+            dot = (g * value).sum(axis=-1, keepdims=True)
             a.accumulate((g - dot) * value)
 
     return _op("softmax", value, (a,), backward)
@@ -501,7 +501,7 @@ def segment_grouping(indices, offsets) -> tuple[Tensor, Tensor, Tensor]:
     return rows, first, sorted_idx[first]
 
 
-def gather_segment_sum(table, indices, offsets, weights, grouping=None) -> Node:
+def gather_segment_sum(table, indices, offsets, weights, grouping) -> Node:
     """Weighted sums of gathered table rows, one per segment of ``indices``.
 
     Output row r is ``weights[r] * table[indices[offsets[r]:offsets[r + 1]]]
@@ -511,7 +511,7 @@ def gather_segment_sum(table, indices, offsets, weights, grouping=None) -> Node:
     ``np.add.reduceat``. Both gather columns of the transposed rows and
     reduce along the contiguous axis, which is faster than reducing rows
     and gives the same bits. ``grouping`` is :func:`segment_grouping` of the
-    same indices and offsets, computed here when not given.
+    same indices and offsets, built once by the caller.
     """
     table = as_node(table)
     idx = np.asarray(indices, dtype=np.intp)
@@ -537,7 +537,7 @@ def gather_segment_sum(table, indices, offsets, weights, grouping=None) -> Node:
     def backward(g):
         if table.requires_grad and idx.size:
             # each group of entries sums the weighted gradients of its output rows
-            rows, first, table_rows = segment_grouping(idx, off) if grouping is None else grouping
+            rows, first, table_rows = grouping
             sums = np.add.reduceat(np.take((g * w[:, None]).T, rows, axis=1), first, axis=1).T
             if table.grad is None:
                 table.grad = np.zeros(table.shape, dtype=table.value.dtype)

@@ -15,7 +15,7 @@ token is prepended). The LM is an auxiliary training task: prediction reads
 only its states, which the model fuses with the embeddings. The two passes
 are therefore separate: :meth:`BiGru.forward` returns the directional
 states, and :meth:`LanguageModel.loss` builds the two |V|-wide heads on
-them and sums the loss over the sequences; only the training loss calls it.
+them and sums the loss over the sequences; every batch but a decode one does.
 A single sequence is the batch ``lengths=[T]``; sequences named as one
 prefix group share one forward run (:meth:`BiGru.forward`).
 """

@@ -17,13 +17,14 @@ embedding-table id, UNK for a copied surface) and
 
 Turn instances of a micro-batch run through stacked graphs purely for
 throughput: one embedding table build, batched recurrences over the stacked
-contexts, and a decoder over the (example, slot) rows. Prediction, which has
-no dropout and no graph, also shares prefixes: a turn's context is the first
+contexts, and a decoder over the (example, slot) rows. ``decode`` is the
+caller's one signal: a training batch carries the LM loss; prediction's
+decode batch builds none and shares prefixes: a turn's context is the first
 rows of its dialogue's longest context in the batch, so its dialogue is its
 LM prefix group: the LM's forward direction runs once per dialogue and each
 turn reads its forward states from those rows (the backward direction and
-the encoder read later rows and run per turn). Decoding never reads the LM
-states, so prediction drops them once they are fused into the encoder input.
+the encoder read later rows and run per turn). No batch keeps the LM states
+once they are fused into the encoder input.
 Attention reads the encoder states zero-padded to (B, t_max, d) under a
 length mask, grouped by example. Training is teacher-forced, so every
 decoder input is known up front: the decoder GRU runs once over all rows as
@@ -79,7 +80,7 @@ class BatchContext:
     table: ad.Node       # |V| x emb
     final_all: ad.Node   # B x d_h, one encoder final state per example
     hiddens: ad.Node     # B x t_max x d_h encoder states, zero-padded
-    lm_states: tuple[ad.Node, ad.Node] | None  # LM (forward, backward) states; None if decode-only
+    lm_loss: ad.Node | None  # summed LM loss (0 with the LM off); None in a decode batch
     # one row per example, t_max wide; every slot row of an example reads it:
     mask: np.ndarray     # True at the example's context positions
     ext_ids: np.ndarray  # extended id per position (0 in the padding)
@@ -150,7 +151,7 @@ def copy_grouping(context_ext_ids, context_mask) -> np.ndarray:
 
 
 def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.ndarray,
-                context_ext_ids, context_mask, grouping=None) -> np.ndarray:
+                context_ext_ids, context_mask, grouping) -> np.ndarray:
     """``np.argmax(copy_mixture(softmax(vocab_logits), context_probs, p_gen,
     context_ext_ids, |V|, n_oov).value, axis=1)`` for per-row ids, exactly,
     ties to the lowest id, without building the rows x (|V| + n_oov) mixture.
@@ -163,12 +164,11 @@ def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.n
     operations ``copy_mixture`` does: the copy mass of a column sums its
     positions in position order. ``context_probs`` is 0 outside
     ``context_mask``; ``grouping`` is :func:`copy_grouping` of the ids and
-    mask, computed here when not given.
+    mask, built once per batch.
     """
     v = vocab_logits
     ids = np.asarray(context_ext_ids, dtype=np.intp)
     keep_pos = np.asarray(context_mask, dtype=bool)
-    slots = copy_grouping(ids, keep_pos) if grouping is None else grouping
     n, t = ids.shape
     rows = np.arange(n)
     # p_gen * softmax(v), in one buffer, as softmax and copy_mixture compute it
@@ -179,11 +179,11 @@ def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.n
     best_gen = gen.argmax(axis=1)
     # each column's copy mass, accumulated at its first position
     copy = np.zeros((n, t), dtype=gen.dtype)
-    np.add.at(copy.reshape(-1), (rows[:, None] * t + slots).ravel(), context_probs.ravel())
+    np.add.at(copy.reshape(-1), (rows[:, None] * t + grouping).ravel(), context_probs.ravel())
     in_vocab = ids < v.shape[1]
     gen_at = np.take_along_axis(gen, np.where(in_vocab, ids, 0), axis=1)
     mixed = (np.where(in_vocab, gen_at, 0.0)
-             + np.take_along_axis(copy, slots, axis=1) * (1.0 - p_gen))
+             + np.take_along_axis(copy, grouping, axis=1) * (1.0 - p_gen))
     mixed[~keep_pos] = -np.inf
     values = np.concatenate([gen[rows, best_gen][:, None], mixed], axis=1)
     cols = np.concatenate([best_gen[:, None], ids], axis=1)
@@ -254,21 +254,21 @@ class DstModel:
 
     def prepare_batch(self, instances: list[tuple[Dialogue, int]],
                       rng: np.random.Generator | None = None,
-                      table: ad.Node | None = None, *, keep_lm_states: bool = True) -> BatchContext:
+                      table: ad.Node | None = None, *, decode: bool = False) -> BatchContext:
         """Context -> embeddings -> optional LM -> encoder for a batch.
 
         Passing ``rng`` enables training-time dropout (embedding rows,
         encoder outputs) and word dropout on the embedding input ids.
-        Without it and without a graph (prediction), a turn's embedded rows
-        depend only on its tokens, and :func:`build_context` makes them the
-        first rows of every later turn of the same :class:`Dialogue` object.
-        So the dialogue is the LM's prefix group, and its forward direction
-        runs once per dialogue. A graph keeps one recurrence over every
-        example, so gradients keep their summation order.
         ``table`` is the embedding table to read, built here when not given.
-        ``keep_lm_states=False`` (for a caller that only decodes) drops the LM
-        states once fused. A missing graph does not imply it: ``grad_check``
-        runs :meth:`batch_loss` under ``no_grad`` and needs its LM term.
+        ``decode`` is the caller's one signal of what it reads. Without it
+        the LM's forward direction runs over every example, so gradients
+        keep their summation order, and the batch carries the LM loss on
+        the ids before word dropout. With it (prediction, no ``rng``) no LM
+        loss is built, and a turn's embedded rows, which depend only on its
+        tokens, are the first rows of every later turn of the same
+        :class:`Dialogue` object (:func:`build_context`): the dialogue is the
+        LM's prefix group, and its forward direction runs once per dialogue.
+        Either way the LM states are dropped once fused.
         """
         if not instances:
             raise ValueError("prepare_batch: empty instance list")
@@ -285,7 +285,7 @@ class DstModel:
         ext_ids = np.zeros(in_context.shape, dtype=np.intp)
         ext_ids[in_context] = np.concatenate(
             [extend_context_ids(self.vocab, seq.tokens, s) for seq, s in zip(contexts, oov)])
-        input_ids = self._input_ids(ext_ids[in_context])
+        input_ids = lm_ids = self._input_ids(ext_ids[in_context])
         if rng is not None and self.word_dropout > 0:
             drop = rng.random(input_ids.size) < self.word_dropout
             input_ids = np.where(drop, self.vocab.id(UNK), input_ids)
@@ -296,14 +296,16 @@ class DstModel:
             mask = (rng.random(emb.shape) >= self.dropout) / (1.0 - self.dropout)
             emb = ad.elementwise_mul(emb, ad.Node(mask))
 
-        lm_states = None
+        lm_loss = None if decode else ad.Node(0.0)
+        fused = emb
         if self.lm_enabled:
-            groups = ([id(dialogue) for dialogue, _ in instances]
-                      if rng is None and not emb.requires_grad else None)
-            lm_states = self.lm.forward(emb, lengths, groups)
-        fused = emb if lm_states is None else ad.add(emb, ad.add(*lm_states))
-        del emb  # without a graph, nothing holds it while the encoder runs
-        lm_states = lm_states if keep_lm_states else None  # nor these, unless kept
+            groups = [id(dialogue) for dialogue, _ in instances] if decode else None
+            states = self.lm.forward(emb, lengths, groups)
+            if not decode:
+                lm_loss = self.lm.loss(*states, lm_ids, lengths)
+            fused = ad.add(emb, ad.add(*states))
+            del states  # without a graph, nothing holds these while the encoder runs
+        del emb  # nor this
 
         ends = np.cumsum(lengths)
         f, b = self.encoder.forward(fused, lengths)
@@ -318,7 +320,7 @@ class DstModel:
         return BatchContext(
             contexts=contexts, oov=oov, table=table, final_all=final_all,
             hiddens=ad.pad_sequences(hiddens_all, lengths),
-            lm_states=lm_states, mask=in_context, ext_ids=ext_ids)
+            lm_loss=lm_loss, mask=in_context, ext_ids=ext_ids)
 
     def _decoder_init(self, batch: BatchContext):
         """Stacked first inputs (slot embeddings) and initial states (tiled
@@ -420,10 +422,7 @@ class DstModel:
         token_total = ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits, targets,
                                        batch.ext_ids[ex], batch.mask[ex])
         dst_sum = ad.elementwise_mul(ad.add(token_total, gate_total), 1.0 / len(self.ontology))
-        if batch.lm_states is None:
-            return dst_sum, ad.Node(0.0)
-        return dst_sum, self.lm.loss(*batch.lm_states, self._input_ids(batch.ext_ids[batch.mask]),
-                                     [seq.length for seq in batch.contexts])
+        return dst_sum, batch.lm_loss
 
     # -- inference ---------------------------------------------------------
 
@@ -450,7 +449,7 @@ class DstModel:
         eos = self.vocab.id(EOS)
         x, h = self._decoder_init(batch)
         step = self._attend(batch, x, self.decoder_cell.step(x, h), np.arange(n_b * n_s))
-        probs = ad.softmax(self._gate_logits(step.context_vec), axis=1).value
+        probs = ad.softmax(self._gate_logits(step.context_vec)).value
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
         step = step.take(np.flatnonzero(probs.argmax(axis=1) == GATE_PTR))
         grouping = copy_grouping(batch.ext_ids, batch.mask)
@@ -488,10 +487,10 @@ class DstModel:
                        table: ad.Node | None = None) -> list[BeliefState]:
         """Greedy predictions for a batch of turns (all slots, fixed order);
         ``table`` is an embedding table built from the current parameters,
-        built here when not given. Decoding never reads the LM states, so
-        the batch drops them before the encoder runs."""
+        built here when not given. It is the one caller of a decode batch:
+        no LM loss, and the LM's forward direction shared per dialogue."""
         with ad.no_grad():
-            batch = self.prepare_batch(instances, table=table, keep_lm_states=False)
+            batch = self.prepare_batch(instances, table=table, decode=True)
             probs, words = self._greedy_decode(batch)
         return [self._assemble_state(p, w) for p, w in zip(probs, words)]
 

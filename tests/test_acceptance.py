@@ -124,12 +124,12 @@ def test_criterion_1_gradient_correctness():
             mm = ad.matmul(a, b)                       # matmul
             s = ad.add(mm, c)                               # add
             s = ad.elementwise_mul(s, ad.sigmoid(c))        # mul, sigmoid
-            sm = ad.softmax(s, axis=1)                           # softmax
+            sm = ad.softmax(s)                           # softmax
             ce = ad.cross_entropy_rows(s, targets)               # batched cross entropy
             ce1 = ad.cross_entropy_rows(logits_row, [int(targets[0])])  # one row
             looked = ad.embedding_lookup(emb, idx)          # lookup
             cat = ad.concat(looked, ad.transpose(b), axis=0)
-            sc = ad.scatter_cols(ad.softmax(cat, axis=1), cols, 7)
+            sc = ad.scatter_cols(ad.softmax(cat), cols, 7)
             stack = ad.pad_sequences(ad.embedding_lookup(cat, np.arange(9)),
                                      lengths)                    # (2, 5, 4) padded
             scores = ad.bmm(cat, stack, [5, 5], transpose_b=True)  # (10, 5)
@@ -218,8 +218,8 @@ def test_criterion_3_copy_mixture_simplex():
         t = int(rng.integers(1, 8))
         v = int(rng.integers(2, 10))
         n_oov = int(rng.integers(0, 3))
-        vocab_probs = ad.softmax(ad.Node(rng.normal(scale=3.0, size=(s, v))), axis=1)
-        attn = ad.softmax(ad.Node(rng.normal(scale=3.0, size=(s, t))), axis=1)
+        vocab_probs = ad.softmax(ad.Node(rng.normal(scale=3.0, size=(s, v))))
+        attn = ad.softmax(ad.Node(rng.normal(scale=3.0, size=(s, t))))
         p_gen = ad.sigmoid(ad.Node(rng.normal(scale=3.0, size=(s, 1))))
         ids = rng.integers(0, v + n_oov, size=t)
         out = copy_mixture(vocab_probs, attn, p_gen, ids, v, n_oov).value

@@ -19,7 +19,7 @@ def make_param(store, name, shape, rng):
 
 
 def test_softmax_uniform_logits():
-    out = ad.softmax(ad.Node(np.zeros(3)), axis=0)
+    out = ad.softmax(ad.Node(np.zeros(3)))
     np.testing.assert_allclose(out.value, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
 
@@ -27,14 +27,14 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.normal(scale=5.0, size=(rng.integers(1, 6), rng.integers(1, 9)))
-        p = ad.softmax(ad.Node(x), axis=1).value
+        p = ad.softmax(ad.Node(x)).value
         assert (p >= 0).all()
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_softmax_empty_axis_errors():
     with pytest.raises(ad.ShapeError):
-        ad.softmax(ad.Node(np.zeros((2, 0))), axis=1)
+        ad.softmax(ad.Node(np.zeros((2, 0))))
 
 
 def test_sigmoid_at_zero():
@@ -55,7 +55,7 @@ def test_forward_passes_bit_identical():
     w = ad.Node(rng.normal(size=(5, 3)))
 
     def run():
-        return ad.softmax(ad.sigmoid(ad.matmul(x, w)), axis=1).value.copy()
+        return ad.softmax(ad.sigmoid(ad.matmul(x, w))).value.copy()
 
     first, second = run(), run()
     assert (first == second).all()
@@ -108,7 +108,7 @@ def test_fd_activations_softmax(seed):
     a = make_param(store, "a", shape, rng)
 
     def loss():
-        s = ad.softmax(ad.sigmoid(a), axis=1)
+        s = ad.softmax(ad.sigmoid(a))
         return ad.sum_all(ad.elementwise_mul(s, a))
 
     _fd_case(loss, [a], seed)
@@ -191,7 +191,7 @@ def test_fd_scatter_pad_tile(seed):
     row_ids = rng.integers(0, 5, size=(3, 6))  # column ids per row
 
     def loss():
-        sc = ad.scatter_cols(ad.softmax(w, axis=1), ids, 5)
+        sc = ad.scatter_cols(ad.softmax(w), ids, 5)
         sc_rows = ad.scatter_cols(ad.sigmoid(w), row_ids, 5)
         tiled = ad.embedding_lookup(v, np.zeros(3, dtype=np.intp))  # row repeated 3x
         padded = ad.concat(tiled, ad.Node(np.zeros((3, 1))), axis=1)
@@ -250,20 +250,18 @@ def test_bmm_matches_per_group_matmul():
 
 
 def test_softmax_all_true_mask_is_the_plain_softmax():
-    """``mask`` of all True gives softmax's value and gradient bit for bit,
-    along either axis."""
+    """``mask`` of all True gives softmax's value and gradient bit for bit."""
     rng = np.random.default_rng(736)
     x, g = rng.normal(scale=4.0, size=(4, 6)), rng.normal(size=(4, 6))
-    for axis in (0, 1):
-        values, grads = [], []
-        for mask in (None, np.ones((4, 6), dtype=bool)):
-            a = ad.Node(x.copy(), requires_grad=True)
-            p = ad.softmax(a, axis=axis, mask=mask)
-            ad.backward(ad.sum_all(ad.elementwise_mul(p, ad.Node(g))))
-            values.append(p.value)
-            grads.append(a.grad)
-        np.testing.assert_array_equal(values[0], values[1])
-        np.testing.assert_array_equal(grads[0], grads[1])
+    values, grads = [], []
+    for mask in (None, np.ones((4, 6), dtype=bool)):
+        a = ad.Node(x.copy(), requires_grad=True)
+        p = ad.softmax(a, mask=mask)
+        ad.backward(ad.sum_all(ad.elementwise_mul(p, ad.Node(g))))
+        values.append(p.value)
+        grads.append(a.grad)
+    np.testing.assert_array_equal(values[0], values[1])
+    np.testing.assert_array_equal(grads[0], grads[1])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -345,7 +343,8 @@ def test_fd_gather_segment_sum(seed):
     weights = rng.uniform(0.1, 1.0, size=6)
 
     def loss():
-        out = ad.gather_segment_sum(table, idx, offsets, weights)
+        out = ad.gather_segment_sum(table, idx, offsets, weights,
+                                    ad.segment_grouping(idx, offsets))
         return ad.sum_all(ad.elementwise_mul(out, out))
 
     _fd_case(loss, [table], seed)
@@ -358,28 +357,24 @@ def test_gather_segment_sum_matches_dense_product():
     dense = np.zeros((3, 5))
     np.add.at(dense, (np.repeat(np.arange(3), np.diff(offsets)), idx), 1.0)
     dense *= np.array(weights)[:, None]
-    out = ad.gather_segment_sum(table, idx, offsets, weights).value
+    out = ad.gather_segment_sum(table, idx, offsets, weights,
+                                ad.segment_grouping(idx, offsets)).value
     np.testing.assert_allclose(out, dense @ table, rtol=0, atol=1e-12)
     assert (out[0] == 0).all()
 
 
 def test_gather_segment_sum_precomputed_grouping():
-    """A grouping built once gives the table gradient of the dense product,
-    bit for bit what the op computes without it."""
+    """A grouping built once gives the table gradient of the dense product."""
     rng = np.random.default_rng(770)
     idx, offsets, weights = [4, 0, 0, 2, 1, 4], [0, 0, 3, 5, 6], [2.0, 0.5, -1.0, 3.0]
     g = rng.normal(size=(4, 3))
-    grads = []
-    for grouping in (None, ad.segment_grouping(idx, offsets)):
-        table = ad.Node(rng.normal(size=(5, 3)), requires_grad=True)
-        out = ad.gather_segment_sum(table, idx, offsets, weights, grouping)
-        ad.backward(ad.sum_all(ad.elementwise_mul(out, ad.Node(g))))
-        grads.append(table.grad)
-    np.testing.assert_array_equal(grads[0], grads[1])
+    table = ad.Node(rng.normal(size=(5, 3)), requires_grad=True)
+    out = ad.gather_segment_sum(table, idx, offsets, weights, ad.segment_grouping(idx, offsets))
+    ad.backward(ad.sum_all(ad.elementwise_mul(out, ad.Node(g))))
     dense = np.zeros((4, 5))
     np.add.at(dense, (np.repeat(np.arange(4), np.diff(offsets)), idx), 1.0)
     dense *= np.array(weights)[:, None]
-    np.testing.assert_allclose(grads[1], dense.T @ g, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.grad, dense.T @ g, rtol=0, atol=1e-12)
     assert [a.size for a in ad.segment_grouping([], [0, 0])] == [0, 0, 0]
 
 
@@ -399,14 +394,14 @@ def test_gather_segment_sum_bytes_equal_the_row_reduction():
     table = ad.Node(rng.normal(size=(n_table, dim)), requires_grad=True)
     g = rng.normal(size=(counts.size, dim))
 
-    out = ad.gather_segment_sum(table, idx, offsets, weights)
+    rows, first, table_rows = grouping = ad.segment_grouping(idx, offsets)
+    out = ad.gather_segment_sum(table, idx, offsets, weights, grouping)
     ad.backward(ad.sum_all(ad.elementwise_mul(out, ad.Node(g))))
 
     starts, filled = offsets[:-1], counts > 0
     want = np.zeros_like(out.value)
     want[filled] = (np.add.reduceat(table.value[idx], starts[filled], axis=0)
                     * weights[filled, None])
-    rows, first, table_rows = ad.segment_grouping(idx, offsets)
     assert np.diff(np.append(first, idx.size)).max() == 200
     want_grad = np.zeros_like(table.value)
     want_grad[table_rows] += np.add.reduceat((g * weights[:, None])[rows], first, axis=0)
@@ -420,8 +415,8 @@ def test_gather_segment_sum_rejects_bad_segments():
                                   ([0, 1], [0, 2, 1, 2], [1.0] * 3),  # decreasing
                                   ([0, 4], [0, 2], [1.0]),          # index out of range
                                   ([0, 1], [0, 2], [1.0, 1.0])):    # weight per segment
-        with pytest.raises(ad.ShapeError):
-            ad.gather_segment_sum(table, idx, offsets, weights)
+        with pytest.raises(ad.ShapeError):  # before the grouping is read
+            ad.gather_segment_sum(table, idx, offsets, weights, None)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -12,7 +12,7 @@ from lmdst.context import EOS, UNK, Vocabulary, build_context, build_vocabulary
 from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
 from lmdst.lm import BiGru
 from lmdst.model import (CHECKPOINT_FIELDS, GATE_DONTCARE, GATE_NONE, GATE_PTR, DstModel,
-                         copy_argmax, copy_mixture, extend_context_ids)
+                         copy_argmax, copy_grouping, copy_mixture, extend_context_ids)
 from lmdst.training import TrainConfig, Trainer, predict_instances, turn_instances
 
 from conftest import numpy_gru, peak_traced_mib
@@ -99,8 +99,8 @@ def test_encoder_rejects_empty():
 # ---------------------------------------------------------------------------
 
 def random_mixture_inputs(rng, s=3, t=5, v=7, n_oov=0):
-    vocab_probs = ad.softmax(ad.Node(rng.normal(size=(s, v))), axis=1)
-    attn = ad.softmax(ad.Node(rng.normal(size=(s, t))), axis=1)
+    vocab_probs = ad.softmax(ad.Node(rng.normal(size=(s, v))))
+    attn = ad.softmax(ad.Node(rng.normal(size=(s, t))))
     p_gen = ad.sigmoid(ad.Node(rng.normal(size=(s, 1))))
     ids = rng.integers(0, v + n_oov, size=t)
     return vocab_probs, attn, p_gen, ids
@@ -151,8 +151,8 @@ def test_mixture_gradients_match_finite_differences():
     weights = ad.Node(rng.normal(size=(2, 7)))
 
     def loss():
-        out = copy_mixture(ad.softmax(logits, axis=1),
-                           ad.softmax(scores, axis=1),
+        out = copy_mixture(ad.softmax(logits),
+                           ad.softmax(scores),
                            ad.sigmoid(gate), ids, 5, 2)
         return ad.sum_all(ad.elementwise_mul(out, weights))
 
@@ -193,10 +193,11 @@ def test_greedy_argmax_matches_dense_mixture():
         ids[~keep] = 0  # padding: column 0, outside the mask
         p_gen = ad.sigmoid(ad.Node(gen_logits))
         attn = ad.softmax(ad.Node(copy_logits), mask=keep)
-        mixture = copy_mixture(ad.softmax(ad.Node(vocab_logits), axis=1), attn, p_gen,
+        mixture = copy_mixture(ad.softmax(ad.Node(vocab_logits)), attn, p_gen,
                                ids, v, n_oov).value
         want = np.argmax(mixture, axis=1)
-        got = copy_argmax(vocab_logits, attn.value, p_gen.value, ids, keep)
+        got = copy_argmax(vocab_logits, attn.value, p_gen.value, ids, keep,
+                          copy_grouping(ids, keep))
         np.testing.assert_array_equal(got, want)
         top = mixture == mixture.max(axis=1, keepdims=True)
         assert p_gen.value[0, 0] == 1.0 and p_gen.value[3, 0] == 0.0
@@ -372,9 +373,9 @@ def full_width_decode(model, batch):
     for j in range(model.max_value_len):
         step = model._attend(batch, x, model.decoder_cell.step(x, h), rows)
         if j == 0:
-            probs = ad.softmax(model._gate_logits(step.context_vec), axis=1).value
+            probs = ad.softmax(model._gate_logits(step.context_vec)).value
         vocab_logits, gen_logits = model._output_logits(batch, step)
-        mixture = copy_mixture(ad.softmax(vocab_logits, axis=1), step.attn,
+        mixture = copy_mixture(ad.softmax(vocab_logits), step.attn,
                                ad.sigmoid(gen_logits), batch.ext_ids[rows // n_s],
                                len(model.vocab), n_oov)
         choice = np.argmax(mixture.value, axis=1)
@@ -453,7 +454,7 @@ def record_mixtures(model):
     def recording(batch, step):
         vocab_logits, gen_logits = output_logits(batch, step)
         mixtures.append(copy_mixture(
-            ad.softmax(vocab_logits, axis=1), step.attn, ad.sigmoid(gen_logits),
+            ad.softmax(vocab_logits), step.attn, ad.sigmoid(gen_logits),
             batch.ext_ids[step.rows // len(model.ontology)], len(model.vocab),
             max(len(surfaces) for surfaces in batch.oov)))
         return vocab_logits, gen_logits
@@ -569,7 +570,7 @@ def test_copy_nll_rows_is_minus_log_of_the_mixture():
     for _ in range(20):
         vl, cl, gl, targets, ids, keep = copy_nll_case(rng, v=v, n_oov=n_oov)
         kept = np.flatnonzero(rng.integers(0, 2, size=len(targets)))  # the rows scored
-        mixture = copy_mixture(ad.softmax(ad.Node(vl), axis=1),
+        mixture = copy_mixture(ad.softmax(ad.Node(vl)),
                                ad.softmax(ad.Node(cl), mask=keep),
                                ad.sigmoid(ad.Node(gl)), ids, v, n_oov).value
         want = -np.log(mixture[kept, targets[kept]]).sum()
@@ -597,7 +598,7 @@ def test_copy_nll_rows_survives_underflow():
     targets, ids = [2, 4], np.array([[0, 1, 3], [0, 1, 3]])
     keep = np.ones((2, 3), dtype=bool)
 
-    mixture = copy_mixture(ad.softmax(vocab, axis=1), ad.softmax(copy, axis=1),
+    mixture = copy_mixture(ad.softmax(vocab), ad.softmax(copy),
                            ad.sigmoid(gen), ids, 5, 0).value
     assert mixture[0, 2] == 0.0 and mixture[1, 4] == 0.0
 
@@ -859,29 +860,38 @@ def record_lm_forward_lengths(monkeypatch, model):
 
 
 def test_prediction_runs_the_lm_forward_direction_once_per_dialogue(monkeypatch):
-    """Without dropout and without a graph, a turn's context is a prefix of
-    its dialogue's longest context in the batch, so the LM's forward
-    direction runs one sequence per dialogue and each turn reads its states
-    from the first rows: they equal the turn's states run alone."""
+    """In a decode batch a turn's context is a prefix of its dialogue's
+    longest context in the batch, so the LM's forward direction runs one
+    sequence per dialogue and each turn reads its states from the first
+    rows: they equal the turn's states run alone."""
     model = tiny_model()
     d, other = three_turn_dialogue(), tiny_dialogue()
     instances = [(d, 0), (other, 1), (d, 2), (other, 0), (d, 1)]
     lengths = [build_context(dlg, t, True).length for dlg, t in instances]
     seen = record_lm_forward_lengths(monkeypatch, model)
+    states = []
+    lm_forward = model.lm.forward
+
+    def lm_recording(*args, **kwargs):
+        states.append(lm_forward(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(model.lm, "forward", lm_recording)
     with ad.no_grad():
-        batch = model.prepare_batch(instances)
+        model.prepare_batch(instances, decode=True)
         assert seen == [[lengths[1], lengths[2]]]  # the carriers, in stacked order
         offsets = np.cumsum(lengths) - lengths
         for i, (dlg, turn) in enumerate(instances):
-            alone = model.prepare_batch([(dlg, turn)])
-            for got, want in zip(batch.lm_states, alone.lm_states):
+            model.prepare_batch([(dlg, turn)], decode=True)
+            for got, want in zip(states[0], states[-1]):
                 np.testing.assert_allclose(got.value[offsets[i]:offsets[i] + lengths[i]],
                                            want.value, rtol=0, atol=1e-12)
 
 
 def test_lm_forward_runs_every_example_with_dropout_or_a_graph(monkeypatch):
-    """With ``rng`` (training) or with a graph, the forward direction is the
-    one recurrence over every example."""
+    """Outside a decode batch the forward direction is the one recurrence
+    over every example: with ``rng`` (training), with a graph, and without
+    one (``batch_loss`` under ``no_grad``, as grad_check runs it)."""
     model = tiny_model()
     d = three_turn_dialogue()
     instances = [(d, 0), (d, 1), (d, 2)]
@@ -889,7 +899,9 @@ def test_lm_forward_runs_every_example_with_dropout_or_a_graph(monkeypatch):
     seen = record_lm_forward_lengths(monkeypatch, model)
     model.prepare_batch(instances, np.random.default_rng(0))
     model.batch_loss(instances)
-    assert seen == [lengths, lengths]
+    with ad.no_grad():
+        model.batch_loss(instances)
+    assert seen == [lengths, lengths, lengths]
 
 
 def test_lm_forward_shares_only_within_one_dialogue_object(monkeypatch):
@@ -900,7 +912,7 @@ def test_lm_forward_shares_only_within_one_dialogue_object(monkeypatch):
     edited = three_turn_dialogue(last_user="i want west area .")
     seen = record_lm_forward_lengths(monkeypatch, model)
     with ad.no_grad():
-        model.prepare_batch([(d, 1), (edited, 2)])
+        model.prepare_batch([(d, 1), (edited, 2)], decode=True)
     assert seen == [[build_context(d, 1, True).length, build_context(edited, 2, True).length]]
 
 
@@ -928,8 +940,7 @@ def test_prediction_skips_lm_heads(monkeypatch):
     instances = [(d, 0), (d, 1)]
     with ad.no_grad():
         batch = model.prepare_batch(instances)
-        model.lm.loss(*batch.lm_states, model._input_ids(batch.ext_ids[batch.mask]),
-                      [seq.length for seq in batch.contexts])
+        assert batch.lm_loss.value > 0
         gates, words = model._greedy_decode(batch)
     want = [model._assemble_state(g, w) for g, w in zip(gates, words)]
     assert all(len(state) for state in want)
@@ -944,11 +955,11 @@ def test_prediction_skips_lm_heads(monkeypatch):
 
 
 def test_prediction_frees_the_lm_states_before_the_encoder_runs(monkeypatch):
-    """predict_states asks prepare_batch to drop the LM states once they are
-    fused into the encoder input, so neither direction's array is alive
-    while the encoder runs. The choice is the caller's, not the missing
-    graph's: batch_loss under ``no_grad`` (grad_check's finite differences)
-    still gets the LM term it gets with a graph."""
+    """prepare_batch drops the LM states once they are fused into the
+    encoder input, so neither direction's array is alive while the encoder
+    runs in predict_states. batch_loss under ``no_grad`` (grad_check's
+    finite differences) gets the LM term it gets with a graph, bit for bit:
+    only ``decode`` leaves it out, not the missing graph."""
     model = tiny_model()
     d = three_turn_dialogue()
     instances = [(d, 0), (d, 2), (tiny_dialogue(), 1)]
@@ -973,7 +984,7 @@ def test_prediction_frees_the_lm_states_before_the_encoder_runs(monkeypatch):
     with ad.no_grad():
         _, lm_no_grad = model.batch_loss(instances)
     assert lm_graph.value > 0
-    np.testing.assert_allclose(lm_no_grad.value, lm_graph.value, rtol=1e-12)
+    np.testing.assert_array_equal(lm_no_grad.value, lm_graph.value)
 
 
 def test_prediction_peak_on_infer_woz_leaves_out_the_lm_states(monkeypatch):
