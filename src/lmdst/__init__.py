@@ -11,7 +11,7 @@ from .context import Vocabulary, build_context, build_vocabulary, length_bucket,
 from .evaluation import (TurnPrediction, classify_error, joint_accuracy,
                          length_report, slot_accuracy, taxonomy_report)
 from .model import DstModel
-from .training import TrainConfig, TrainReport, fit, sweep, total_loss
+from .training import TrainConfig, TrainReport, fit, sweep
 
 __version__ = "0.1.0"
 
@@ -21,5 +21,5 @@ __all__ = [
     "Vocabulary", "build_context", "build_vocabulary", "classify_error",
     "filter_domains", "fit", "generate_synthetic", "joint_accuracy",
     "length_bucket", "length_report", "load_multiwoz", "slot_accuracy",
-    "sweep", "taxonomy_report", "tokenize", "total_loss",
+    "sweep", "taxonomy_report", "tokenize",
 ]

@@ -805,7 +805,7 @@ class ParameterStore:
     :meth:`load_state_dict` of the same state then reports it.
     """
 
-    def __init__(self, seed: int = 0, state: dict[str, Tensor] | None = None):
+    def __init__(self, seed: int, state: dict[str, Tensor] | None = None):
         self._params: dict[str, Node] = {}
         self.rng = np.random.default_rng(seed)
         self._state = state
@@ -860,7 +860,7 @@ class ParameterStore:
             p.value = v
 
 
-def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
+def save_checkpoint(path, params: dict[str, Tensor], meta: dict) -> None:
     """Write a checkpoint: numpy .npz, one array per parameter name in the
     default dtype, plus a '_meta' JSON string. Round-trips bit-exactly.
 
@@ -868,7 +868,7 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -
     file name would append ``.npz`` to one that lacks it).
     """
     with open(path, "wb") as f:
-        np.savez(f, _meta=np.array(json.dumps(meta or {}, sort_keys=True)), **params)
+        np.savez(f, _meta=np.array(json.dumps(meta, sort_keys=True)), **params)
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:

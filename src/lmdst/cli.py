@@ -18,10 +18,8 @@ from pathlib import Path
 
 from . import autodiff as ad
 from .context import context_length_stats
-from .corpus import (DEFAULT_EXCLUDED_DOMAINS, CorpusFormatError, Ontology, SynthConfig,
-                     filter_domains, generate_synthetic, load_multiwoz, mean_speaker_turns,
-                     save_dialogues)
-from .embeddings import VectorFileError
+from .corpus import (DEFAULT_EXCLUDED_DOMAINS, Ontology, SynthConfig, filter_domains,
+                     generate_synthetic, load_multiwoz, mean_speaker_turns, save_dialogues)
 from .evaluation import (format_length_table, format_metrics_table,
                          format_taxonomy_table, joint_accuracy, length_report,
                          read_predictions, slot_accuracy, taxonomy_report,
@@ -248,8 +246,7 @@ def main(argv=None) -> int:
             if path is not None and path.is_dir():
                 raise IsADirectoryError(f"output path {path} is a directory")
         return args.func(args)
-    except (CorpusFormatError, VectorFileError, ad.CheckpointError, ad.GraphError,
-            ad.ShapeError, ValueError, OSError) as exc:
+    except (ad.CheckpointError, ad.GraphError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

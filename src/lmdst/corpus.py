@@ -31,6 +31,15 @@ def normalize_value(value: str) -> str:
     return _WS.sub(" ", str(value).strip().lower())
 
 
+def int_field(record: dict, key: str) -> int:
+    """``record[key]`` read by ``int``, after rejecting a JSON boolean or a
+    non-integral number (``int`` would read ``true`` as 1 and 1.9 as 1)."""
+    value = record[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def split_slot_key(key: str) -> tuple[str, str]:
     """``(domain, slot)`` of a ``domain-slot`` name, split at the first ``-``.
 
@@ -203,7 +212,7 @@ def load_multiwoz(path, ontology: Ontology | None = None) -> list[Dialogue]:
             if not isinstance(t, dict):
                 raise CorpusFormatError(f"dialogue {did}, turn {t_pos}: not an object")
             try:
-                turn_idx = int(t["turn_idx"])
+                turn_idx = int_field(t, "turn_idx")
                 system = str(t.get("system_transcript", ""))
                 user = str(t["transcript"])
                 pairs = [(split_slot_key(str(name)), value) for entry in t["belief_state"]

@@ -45,7 +45,7 @@ class CompositeEmbedding:
     """Trainable table of concat(word_vector, weighted char-n-gram sum)."""
 
     def __init__(self, store: ad.ParameterStore, vocab: Vocabulary,
-                 embedding_dim: int = 400, freeze_word: bool = False):
+                 embedding_dim: int, freeze_word: bool):
         self.vocab = vocab
         self.embedding_dim = embedding_dim
         self.word_dim, self.char_dim = split_dims(embedding_dim)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .context import BUCKET_LABELS, length_bucket
-from .corpus import BeliefState, Ontology
+from .corpus import BeliefState, Ontology, int_field
 
 ERROR_CLASSES = ("correct", "over_prediction", "partial_prediction", "false_prediction")
 
@@ -130,7 +130,8 @@ def read_predictions(path) -> list[TurnPrediction]:
             try:
                 r = json.loads(line)
                 out.append(TurnPrediction(
-                    str(r["dialogue_id"]), int(r["turn_index"]), int(r["context_length"]),
+                    str(r["dialogue_id"]), int_field(r, "turn_index"),
+                    int_field(r, "context_length"),
                     BeliefState.from_json(r["predicted"]), BeliefState.from_json(r["gold"])))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"prediction dump line {line_no}: {exc}") from exc

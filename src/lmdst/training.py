@@ -1,4 +1,4 @@
-"""Multi-task training: total loss = state-tracking loss + alpha * LM loss,
+"""Multi-task training (the objective is :meth:`Trainer.micro_batch_loss`),
 with micro-batching, delayed (accumulated) parameter updates, early stopping
 on validation joint accuracy, and the alpha/delay sweep.
 
@@ -115,24 +115,14 @@ def save_config_file(path, cfg: TrainConfig) -> None:
             f.write(f"{fld.name} = {getattr(cfg, fld.name)}\n")
 
 
-def total_loss(l_dst: ad.Node, l_lm: ad.Node, alpha: float) -> ad.Node:
-    """total = dst + alpha * lm."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if l_dst.shape != () or l_lm.shape != ():
-        raise ad.ShapeError(f"total_loss: losses must be scalars, "
-                            f"got {l_dst.shape} and {l_lm.shape}")
-    return ad.add(l_dst, ad.elementwise_mul(l_lm, alpha))
-
-
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adaptive-moment optimizer: learning rate ``lr`` (0.001 by default) and
-    the fixed moment decays ``ADAM_BETA1`` / ``ADAM_BETA2`` and ``ADAM_EPS``."""
+    """Adaptive-moment optimizer: learning rate ``lr`` and the fixed moment
+    decays ``ADAM_BETA1`` / ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
-    def __init__(self, store: ad.ParameterStore, lr: float = 0.001):
+    def __init__(self, store: ad.ParameterStore, lr: float):
         self.store = store
         self.lr = lr
         self.t = 0
@@ -174,14 +164,16 @@ class Trainer:
         self.micro_step = 0
 
     def micro_batch_loss(self, batch: list[tuple[Dialogue, int]]) -> tuple[ad.Node, float, float]:
-        """Mean over the batch of (dst + alpha * lm), with training-time
-        dropout drawn for the current micro-step; also returns the two mean
-        raw loss values for reporting. Without the LM, lm is the constant 0."""
+        """The training objective: the mean over the batch of each turn's
+        dst + alpha * lm (``TrainConfig`` keeps alpha finite and
+        non-negative), with training-time dropout drawn for the current
+        micro-step; also returns the two mean raw loss values for reporting.
+        Without the LM, lm is the constant 0."""
         rng = np.random.default_rng(
             np.random.SeedSequence(self.config.seed, spawn_key=(self.micro_step,)))
         dst_sum, lm_sum = self.model.batch_loss(batch, rng)
-        mean = ad.elementwise_mul(total_loss(dst_sum, lm_sum, self.config.alpha),
-                                  1.0 / len(batch))
+        mean = ad.elementwise_mul(
+            ad.add(dst_sum, ad.elementwise_mul(lm_sum, self.config.alpha)), 1.0 / len(batch))
         return mean, float(dst_sum.value) / len(batch), float(lm_sum.value) / len(batch)
 
     def train_step(self, batch: list[tuple[Dialogue, int]]) -> tuple[float, float]:

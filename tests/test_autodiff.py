@@ -759,7 +759,7 @@ def test_unused_parameter_gets_zero_gradient():
     before = unused.value.copy()
     ad.backward(ad.sum_all(x))
     assert unused.grad is None
-    Adam(store).step()
+    Adam(store, lr=0.001).step()
     np.testing.assert_array_equal(unused.value.view(np.uint8), before.view(np.uint8))
     err = ad.grad_check(lambda: ad.sum_all(ad.elementwise_mul(x, x)), [x, unused])
     assert err < 1e-6

@@ -108,6 +108,26 @@ def test_malformed_turn_names_dialogue_and_turn(tmp_path, bad_turn):
     assert "BAD42" in str(exc.value) and "turn 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("turn_idx", [0.5, 1.7, True, float("inf")],
+                         ids=["half", "fraction", "true", "infinity"])
+def test_non_integer_turn_idx_names_dialogue_and_turn(tmp_path, turn_idx):
+    """A boolean or a non-integral turn_idx is an error, not the index
+    ``int`` truncates it to; an integer or a numeric string reads as one."""
+    turns = [{"turn_idx": turn_idx, "system_transcript": "", "transcript": "hi .",
+              "belief_state": []},
+             {"turn_idx": 5, "system_transcript": "x .", "transcript": "y .", "belief_state": []}]
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps([{"dialogue_idx": "N1", "dialogue": turns}]))
+    with pytest.raises(CorpusFormatError) as exc:
+        load_multiwoz(p)
+    assert str(exc.value) == (f"dialogue N1, turn 0: turn_idx must be an integer, "
+                              f"got {json.dumps(turn_idx)}")
+    turns[0]["turn_idx"], turns[1]["turn_idx"] = "1", 2.0
+    p.write_text(json.dumps([{"dialogue_idx": "N1", "dialogue": turns}]))
+    (dialogue,) = load_multiwoz(p)
+    assert [t.turn_index for t in dialogue.turns] == [1, 2]
+
+
 def test_empty_first_turn_names_dialogue(tmp_path):
     """Turn 0 without any utterance would give an empty context; a turn 0
     with only a system utterance loads."""

@@ -10,7 +10,7 @@ from lmdst.embeddings import CompositeEmbedding, VectorFileError, char_ngrams, s
 def make_embedding(tokens=("hotel", "east", "cheap"), dim=400):
     store = ad.ParameterStore(3)
     vocab = Vocabulary(list(tokens))
-    return CompositeEmbedding(store, vocab, embedding_dim=dim), store, vocab
+    return CompositeEmbedding(store, vocab, embedding_dim=dim, freeze_word=False), store, vocab
 
 
 def dense_char_avg(emb):

@@ -276,6 +276,23 @@ def test_malformed_slot_name_in_dump_names_the_line(tmp_path):
         read_predictions(path)
 
 
+@pytest.mark.parametrize("field", ["turn_index", "context_length"])
+@pytest.mark.parametrize("value", [1.9, True, False, float("nan")])
+def test_non_integer_field_in_dump_names_the_line(tmp_path, field, value):
+    """A boolean or a non-integral number is an error naming its line, not
+    the integer ``int`` truncates it to; a numeric string reads as one."""
+    good = {"dialogue_id": "d", "turn_index": 0, "context_length": 3,
+            "predicted": {}, "gold": {}}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_predictions(path)
+    assert str(exc.value) == (f"prediction dump line 2: {field} must be an integer, "
+                              f"got {json.dumps(value)}")
+    path.write_text(json.dumps({**good, field: "4"}) + "\n")
+    assert getattr(read_predictions(path)[0], field) == 4
+
+
 @pytest.mark.parametrize("field", ["predicted", "gold"])
 @pytest.mark.parametrize("value, kind", [([], "list"), ("east", "str"), (None, "NoneType")])
 def test_non_object_state_in_dump_names_the_line(tmp_path, field, value, kind):

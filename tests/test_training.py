@@ -13,7 +13,7 @@ from lmdst.model import DstModel
 from lmdst.context import build_context, build_vocabulary
 from lmdst.training import (Adam, TrainConfig, Trainer, ablation_name, fit,
                             load_config_file, predict_instances, save_config_file,
-                            split_corpus, sweep, total_loss, turn_instances)
+                            split_corpus, sweep, turn_instances)
 
 
 def small_corpus(n=24, seed=3):
@@ -81,19 +81,10 @@ def test_from_config_equals_explicit_construction():
 
 
 # ---------------------------------------------------------------------------
-# total loss
+# the objective
 # ---------------------------------------------------------------------------
 
-def test_total_loss_alpha_zero_is_dst():
-    dst, lm = ad.Node(2.5), ad.Node(7.0)
-    assert float(total_loss(dst, lm, 0.0).value) == 2.5
-
-
-def test_total_loss_arithmetic():
-    assert float(total_loss(ad.Node(2.0), ad.Node(1.0), 0.9).value) == pytest.approx(2.9)
-
-
-def test_total_loss_default_alpha_is_09():
+def test_train_config_defaults_are_the_papers():
     assert TrainConfig().alpha == 0.9
     assert TrainConfig().delay_update_steps == 4
     assert TrainConfig().batch_size == 8
@@ -101,15 +92,26 @@ def test_total_loss_default_alpha_is_09():
     assert TrainConfig().embedding_dim == 400
 
 
-def test_total_loss_negative_alpha_errors():
-    with pytest.raises(ValueError):
-        total_loss(ad.Node(1.0), ad.Node(1.0), -0.1)
+@pytest.mark.parametrize("alpha", [0.0, 0.9, 2.0])
+def test_micro_batch_loss_is_the_batch_mean_of_dst_plus_alpha_lm(monkeypatch, alpha):
+    """The loss node is (dst_sum + lm_sum * alpha) * (1 / B), bit for bit,
+    over the two sums ``batch_loss`` returned."""
+    trainer, dialogues, _ = small_trainer(small_config(alpha=alpha))
+    sums = []
+    batch_loss = trainer.model.batch_loss
 
+    def keep_sums(batch, rng):
+        sums.append(batch_loss(batch, rng))
+        return sums[-1]
 
-def test_total_loss_monotone_in_alpha():
-    dst, lm = ad.Node(1.5), ad.Node(0.75)
-    values = [float(total_loss(dst, lm, a).value) for a in (0.0, 0.3, 0.9, 2.0)]
-    assert values == sorted(values)
+    monkeypatch.setattr(trainer.model, "batch_loss", keep_sums)
+    batch = turn_instances(dialogues)[:4]
+    loss, dst, lm = trainer.micro_batch_loss(batch)
+    [(dst_sum, lm_sum)] = sums
+    dst_sum, lm_sum = float(dst_sum.value), float(lm_sum.value)
+    assert lm_sum > 0  # the LM is on, so alpha weighs a real term
+    assert float(loss.value) == (dst_sum + lm_sum * alpha) * (1.0 / len(batch))
+    assert (dst, lm) == (dst_sum / len(batch), lm_sum / len(batch))
 
 
 # ---------------------------------------------------------------------------
