@@ -349,6 +349,68 @@ def cross_entropy_rows(logits, targets) -> Node:
     return _op("cross_entropy_rows", value, (logits,), backward)
 
 
+# logits one block of :func:`linear_cross_entropy` holds at a time (8 MiB in float64)
+LOGIT_BLOCK = 1 << 20
+
+
+def linear_cross_entropy(h, rows, w, targets) -> Node:
+    """Sum of per-row cross entropies of the logits ``h[rows] @ w``, each
+    row scored at its class id in ``targets``; the logits are never held
+    whole.
+
+    Equal to ``cross_entropy_rows(matmul(embedding_lookup(h, rows), w),
+    targets)`` without its rows x |V| arrays: the rows run in blocks of at
+    most :data:`LOGIT_BLOCK` logits (at least one row each). Forward keeps
+    each row's log-sum-exp and target logit; backward recomputes each
+    block's logits, scatters ``dh`` into ``h``'s rows and adds the block's
+    ``dw`` into ``w``'s gradient. Where the rows fit one block it runs the
+    chain's GEMMs, so values and gradients are the chain's bits; over
+    several blocks ``dw`` is summed block by block. (Blockwise loss over a
+    large vocabulary: Wijmans et al. 2024, "Cut Your Losses in
+    Large-Vocabulary Language Models", arXiv 2411.09009.)
+    """
+    h, w = as_node(h), as_node(w)
+    idx = np.asarray(rows, dtype=np.intp)
+    t = np.asarray(targets, dtype=np.intp)
+    if (h.value.ndim != 2 or w.value.ndim != 2 or h.shape[1] != w.shape[0]
+            or idx.ndim != 1 or t.shape != idx.shape):
+        raise ShapeError(f"linear_cross_entropy: h {h.shape}, w {w.shape}, "
+                         f"{idx.shape} rows, {t.shape} targets")
+    if idx.size and (idx.min() < 0 or idx.max() >= h.shape[0]):
+        raise ShapeError(f"linear_cross_entropy: row index out of range for h {h.shape}")
+    step = max(1, LOGIT_BLOCK // w.shape[1])
+    blocks = [(lo, min(lo + step, idx.size)) for lo in range(0, idx.size, step)]
+    lse = np.empty(idx.size, dtype=h.value.dtype)
+    picked = np.empty(idx.size, dtype=h.value.dtype)
+    for lo, hi in blocks:
+        x = h.value[idx[lo:hi]] @ w.value
+        picked[lo:hi] = x[np.arange(hi - lo), t[lo:hi]]
+        mx = x.max(axis=1, keepdims=True)
+        x -= mx
+        np.exp(x, out=x)
+        lse[lo:hi] = mx[:, 0] + np.log(x.sum(axis=1))
+        del x  # before the next block's logits exist
+    value = (lse - picked).sum()
+
+    def backward(g):
+        if h.requires_grad and h.grad is None:
+            h.grad = np.zeros(h.shape, dtype=h.value.dtype)
+        for lo, hi in blocks:
+            hb = h.value[idx[lo:hi]]
+            p = hb @ w.value
+            p -= lse[lo:hi, None]
+            np.exp(p, out=p)
+            p[np.arange(hi - lo), t[lo:hi]] -= 1.0
+            p *= g
+            if h.requires_grad:
+                np.add.at(h.grad, idx[lo:hi], p @ w.value.T)
+            if w.requires_grad:
+                w.accumulate(hb.T @ p)
+            del p
+
+    return _op("linear_cross_entropy", value, (h, w), backward)
+
+
 def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids,
                   copy_mask) -> Node:
     """Sum over rows of -log p(target) under a pointer-generator mixture,
@@ -695,18 +757,28 @@ def gru_sequence_batch(cell: GruCell, xs, lengths: Sequence[int],
             dxzr[a:a + k, :d] = dz * z * (1.0 - z)
             dxzr[a:a + k, d:] = dr * r * (1.0 - r)
             gh = gt * (1.0 - z) + drh * r + dxzr[a:a + k] @ uzr_t
-        # big gemms on the rows unpacked to stacked order
+        # big gemms on the rows unpacked to stacked order; each rows x d
+        # temporary goes as soon as it has been read for the last time
+        del gp, gt
         dxzr_flat = dxzr[packed]
+        del dxzr
         dxh_flat = dxh[packed]
-        rhp_flat = zrs[packed, d:] * hp_flat
-        if xs.requires_grad:
-            xs.accumulate(dxzr_flat @ w_zr.value.T + dxh_flat @ w_h.value.T)
+        del dxh
         if w_zr.requires_grad:
             w_zr.accumulate(x.T @ dxzr_flat)
         if u_zr.requires_grad:
             u_zr.accumulate(hp_flat.T @ dxzr_flat)
         if b_zr.requires_grad:
             b_zr.accumulate(dxzr_flat.sum(axis=0))
+        if xs.requires_grad:
+            gx = dxzr_flat @ w_zr.value.T
+            del dxzr_flat
+            gx += dxh_flat @ w_h.value.T
+            xs.accumulate(gx)
+            del gx
+        rhp_flat = zrs[packed, d:]
+        rhp_flat *= hp_flat
+        del hp_flat
         if w_h.requires_grad:
             w_h.accumulate(x.T @ dxh_flat)
         if u_h.requires_grad:
@@ -880,6 +952,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
         raise
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint {path}: metadata is not a JSON object")
     return params, meta
 
 

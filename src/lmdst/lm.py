@@ -14,8 +14,11 @@ is the sum of both negative log-likelihood chains:
 token is prepended). The LM is an auxiliary training task: prediction reads
 only its states, which the model fuses with the embeddings. The two passes
 are therefore separate: :meth:`BiGru.forward` returns the directional
-states, and :meth:`LanguageModel.loss` builds the two |V|-wide heads on
+states, and :meth:`LanguageModel.loss` scores the two |V|-wide heads on
 them and sums the loss over the sequences; every batch but a decode one does.
+Each head is one :func:`lmdst.autodiff.linear_cross_entropy`, which builds
+its logits a block of rows at a time and again in backward, so the loss
+holds no rows x |V| array: only each row's log-sum-exp and target logit.
 A single sequence is the batch ``lengths=[T]``; sequences named as one
 prefix group share one forward run (:meth:`BiGru.forward`).
 """
@@ -100,8 +103,6 @@ class LanguageModel(BiGru):
         rows_f = np.delete(np.arange(ids.size), np.cumsum(lengths) - 1)
         if not rows_f.size:
             return ad.Node(0.0)
-        next_ce = ad.cross_entropy_rows(
-            ad.matmul(ad.embedding_lookup(f, rows_f), self.w_f), ids[rows_f + 1])
-        prev_ce = ad.cross_entropy_rows(
-            ad.matmul(ad.embedding_lookup(b, rows_f + 1), self.w_b), ids[rows_f])
+        next_ce = ad.linear_cross_entropy(f, rows_f, self.w_f, ids[rows_f + 1])
+        prev_ce = ad.linear_cross_entropy(b, rows_f + 1, self.w_b, ids[rows_f])
         return ad.add(next_ce, prev_ce)

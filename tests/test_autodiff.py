@@ -9,6 +9,7 @@ import pytest
 
 from conftest import GRU_WEIGHTS, peak_traced_mib
 from lmdst import autodiff as ad
+from lmdst.lm import LanguageModel
 from lmdst.training import Adam
 
 
@@ -311,6 +312,113 @@ def test_fd_copy_nll_rows(seed):
                                 targets[kept], ids[kept], keep[kept])
 
     _fd_case(loss, store.parameters(), seed)
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 5, 6], ids=["1-row", "inside", "rows-1", "rows"])
+def test_fd_linear_cross_entropy(monkeypatch, block_rows):
+    """Blocks of one row, of four (a short last block), of all rows but one
+    and of exactly the rows; a row of ``h`` repeats and one is never read."""
+    rng = np.random.default_rng(760 + block_rows)
+    store = ad.ParameterStore(block_rows)
+    h = make_param(store, "h", (6, 3), rng)
+    w = make_param(store, "w", (3, 7), rng)
+    rows = np.array([4, 0, 2, 0, 3, 1])  # row 5 unread
+    targets = rng.integers(0, 7, size=rows.size)
+    monkeypatch.setattr(ad, "LOGIT_BLOCK", block_rows * 7)
+
+    def loss():
+        return ad.linear_cross_entropy(h, rows, w, targets)
+
+    _fd_case(loss, [h, w], block_rows)
+
+
+def fused_and_chain_loss(h_value, rows, w_value, targets, shared):
+    """(value, h grad, w grad) of :func:`ad.linear_cross_entropy` and of the
+    unfused gather -> matmul -> cross-entropy chain, each scaled by 0.7 in
+    the loss; with ``shared``, ``h`` also feeds a second term."""
+    results = []
+    for fused in (True, False):
+        store = ad.ParameterStore(0)
+        h = store.new("h", h_value.shape, 1.0)
+        w = store.new("w", w_value.shape, 1.0)
+        h.value, w.value = h_value.copy(), w_value.copy()
+        if fused:
+            ce = ad.linear_cross_entropy(h, rows, w, targets)
+        else:
+            ce = ad.cross_entropy_rows(ad.matmul(ad.embedding_lookup(h, rows), w), targets)
+        loss = ad.elementwise_mul(ce, 0.7)
+        if shared:
+            loss = ad.add(loss, ad.sum_all(ad.elementwise_mul(h, h)))
+        ad.backward(loss)
+        results.append((ce.value, h.grad, w.grad))
+    return results
+
+
+def chain_case(n_h=400, d=32, vocab=198, seed=8):
+    """A head at a benchmark shape: 400 rows of width 32, |V| 198, the rows
+    read in a shuffled order with repeats."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([rng.permutation(n_h), rng.integers(0, n_h, size=60)])
+    return (rng.normal(size=(n_h, d)), rows, rng.normal(scale=0.3, size=(d, vocab)),
+            rng.integers(0, vocab, size=rows.size))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["alone", "shared"])
+def test_linear_cross_entropy_in_one_block_is_the_chain_bit_for_bit(shared):
+    """Where the rows fit one block the op runs the chain's GEMMs: value
+    and gradients are its bits."""
+    h, rows, w, targets = chain_case()
+    assert rows.size * w.shape[1] <= ad.LOGIT_BLOCK
+    (value, gh, gw), (ref_value, ref_gh, ref_gw) = fused_and_chain_loss(
+        h, rows, w, targets, shared)
+    assert value == ref_value
+    np.testing.assert_array_equal(gh, ref_gh)
+    np.testing.assert_array_equal(gw, ref_gw)
+
+
+@pytest.mark.parametrize("block_rows", [1, 37, 459], ids=["1-row", "37-rows", "rows-1"])
+def test_linear_cross_entropy_over_blocks_matches_the_chain(monkeypatch, block_rows):
+    """Over several blocks only the GEMM shapes and the order of the
+    weight-gradient sum change: every value within 1e-12."""
+    h, rows, w, targets = chain_case()
+    monkeypatch.setattr(ad, "LOGIT_BLOCK", block_rows * w.shape[1])
+    (value, gh, gw), (ref_value, ref_gh, ref_gw) = fused_and_chain_loss(
+        h, rows, w, targets, shared=True)
+    np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gh, ref_gh, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-12)
+
+
+def test_linear_cross_entropy_survives_large_logits(monkeypatch):
+    """Logits of magnitude 1e3 overflow a plain exp; the op subtracts each
+    row's maximum, so its value and gradients stay finite with no warning
+    (tier-1 turns a RuntimeWarning into an error)."""
+    monkeypatch.setattr(ad, "LOGIT_BLOCK", 2 * 50)
+    rng = np.random.default_rng(9)
+    store = ad.ParameterStore(9)
+    h = make_param(store, "h", (5, 2), rng)
+    w = make_param(store, "w", (2, 50), rng)
+    h.value *= 40.0
+    w.value *= 40.0
+    logits = h.value @ w.value
+    assert np.abs(logits).max() > 1e3
+    targets = rng.integers(0, 50, size=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = ad.linear_cross_entropy(h, np.arange(5), w, targets)
+        ad.backward(loss)
+    expected = (np.logaddexp.reduce(logits, axis=1) - logits[np.arange(5), targets]).sum()
+    np.testing.assert_allclose(loss.value, expected, rtol=1e-12)
+    assert np.isfinite(h.grad).all() and np.isfinite(w.grad).all()
+
+
+def test_linear_cross_entropy_rejects_bad_shapes():
+    h, w = ad.Node(np.zeros((4, 3))), ad.Node(np.zeros((3, 5)))
+    for args in ((h, [0, 1], ad.Node(np.zeros((2, 5))), [0, 1]),  # h and w do not conform
+                 (h, [0, 1], w, [0]),  # one target for two rows
+                 (h, [0, 4], w, [0, 1])):  # row 4 of 4
+        with pytest.raises(ad.ShapeError, match="linear_cross_entropy"):
+            ad.linear_cross_entropy(*args)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -669,6 +777,55 @@ def test_recorded_gru_sequence_batch_keeps_one_copy_of_its_states():
         tracemalloc.stop()
     assert live / 2**20 < 4.5 * unit
     assert peak / 2**20 < 15.6 * unit
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_recorded_gru_sequence_batch_backward_frees_what_it_has_read(reverse):
+    """One backward over 1,180 rows of five lengths (d 64) allocates at
+    most 6.5 units of rows x d, float64, input gradient included: 6.03
+    units, since the packed gradients, the unpacked copies and the previous
+    states each go once read for the last time. Holding them all to the end
+    of the op allocated 11.03 units."""
+    store = ad.ParameterStore(43)
+    lengths = [300, 290, 250, 200, 140]
+    d = 64
+    cell = ad.GruCell(store, "g", d, d)
+    xs = ad.Node(np.random.default_rng(43).normal(size=(sum(lengths), d)),
+                 requires_grad=True)
+    g = np.random.default_rng(44).normal(size=xs.shape)
+    unit = sum(lengths) * d * 8 / 2**20
+    out = ad.gru_sequence_batch(cell, xs, lengths, reverse=reverse)
+    assert peak_traced_mib(lambda: out._backward(g)) <= 6.5 * unit
+
+
+def test_lm_loss_holds_no_logits():
+    """The LM loss at d 16 and |V| 4,000 over 597 head rows, in 3 blocks of
+    ``LOGIT_BLOCK`` logits: after forward it holds 0.002 units of rows x
+    |V| (float64), each row's log-sum-exp, and with backward it peaks at
+    0.53 units. With the logits of both heads built whole it held 2.01 units
+    after forward and peaked at 5.01."""
+    store = ad.ParameterStore(3)
+    lm = LanguageModel(store, 16, 4000)
+    lengths = [200, 200, 200]
+    rng = np.random.default_rng(3)
+    xs = ad.Node(rng.normal(size=(sum(lengths), 16)), requires_grad=True)
+    ids = rng.integers(0, 4000, size=sum(lengths))
+    f, b = lm.forward(xs, lengths)
+    head_rows = sum(lengths) - len(lengths)
+    assert head_rows * 4000 > 2 * ad.LOGIT_BLOCK  # 3 blocks at least
+    unit = head_rows * 4000 * 8 / 2**20
+
+    tracemalloc.start()
+    try:
+        loss = lm.loss(f, b, ids, lengths)
+        live, _ = tracemalloc.get_traced_memory()
+        del f, b
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live / 2**20 <= 0.1 * unit
+    assert peak / 2**20 <= 1.5 * unit
 
 
 def test_gru_sequence_batch_has_no_padded_staging():

@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 from conftest import build_table_fixture
+from lmdst import autodiff as ad
 from lmdst import cli
 from lmdst.cli import build_parser, main
 from lmdst.evaluation import write_predictions
+from test_model import tiny_model
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_dialogues.json"
 
@@ -217,6 +219,17 @@ def test_predict_eval_pipeline(trained, tmp_path, capsys):
                           "--ontology", str(synth_dir / "ontology.txt"))
     assert code == 0
     assert "joint accuracy" in stdout and "slot accuracy" in stdout
+
+
+@pytest.mark.parametrize("meta", [5, "hidden_dim vocab ontology"], ids=["number", "string"])
+def test_predict_metadata_not_an_object_one_line_error(synth_dir, tmp_path, capsys, meta):
+    ckpt = tmp_path / "model.npz"
+    ad.save_checkpoint(ckpt, tiny_model().store.state_dict(), meta)
+    code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt),
+                       "--data", str(synth_dir / "corpus.json"),
+                       "--out", str(tmp_path / "dump.jsonl"))
+    assert code == 1
+    assert err == f"error: CheckpointError: checkpoint {ckpt}: metadata is not a JSON object\n"
 
 
 def test_eval_all_correct_prints_100(tmp_path, capsys):

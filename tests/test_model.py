@@ -1189,6 +1189,17 @@ def test_model_load_rejects_a_mistyped_field(tmp_path, field, value, message):
     assert str(exc.value) == f"checkpoint {path}: {message}"
 
 
+@pytest.mark.parametrize("meta", [5, "hidden_dim vocab ontology"], ids=["number", "string"])
+def test_model_load_rejects_metadata_that_is_not_an_object(tmp_path, meta):
+    """Metadata that parses to a number or a string is a checkpoint error
+    naming the path, not a ``TypeError`` or a substring search."""
+    path = tmp_path / "model.npz"
+    ad.save_checkpoint(path, tiny_model().store.state_dict(), meta)
+    with pytest.raises(ad.CheckpointError) as exc:
+        DstModel.load(path)
+    assert str(exc.value) == f"checkpoint {path}: metadata is not a JSON object"
+
+
 def test_model_load_keeps_a_dash_in_a_slot_name(tmp_path):
     ontology = Ontology([("hotel", "book-day"), ("hotel", "area")])
     model = DstModel(tiny_vocab(), ontology, hidden_dim=8, embedding_dim=8, seed=5)
