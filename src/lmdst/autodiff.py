@@ -279,22 +279,13 @@ def sigmoid(a) -> Node:
     return _op("sigmoid", value, (a,), backward)
 
 
-def softmax(a, mask=None) -> Node:
-    """Softmax along the last axis. With ``mask`` (boolean, the shape of
-    ``a``), only the entries where it is true take part and the others get
-    exactly 0; every slice along the last axis must keep at least one entry."""
+def softmax(a) -> Node:
+    """Softmax along the last axis. An entry far below its slice's maximum
+    (a masked logit, :data:`lmdst.model.MASKED_LOGIT`) gets exactly 0."""
     a = as_node(a)
     if a.value.ndim == 0 or a.value.shape[-1] == 0:
         raise ShapeError(f"softmax: empty last axis on shape {a.shape}")
     x = a.value
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool)
-        if keep.shape != a.shape:
-            raise ShapeError(f"softmax: mask {keep.shape} for shape {a.shape}")
-        if not keep.any(axis=-1).all():
-            raise ShapeError(f"softmax: a slice of shape {a.shape} along the last axis "
-                             "has no unmasked entry")
-        x = np.where(keep, x, -np.inf)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     value = e / e.sum(axis=-1, keepdims=True)
 
@@ -411,16 +402,18 @@ def linear_cross_entropy(h, rows, w, targets) -> Node:
     return _op("linear_cross_entropy", value, (h, w), backward)
 
 
-def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids,
-                  copy_mask) -> Node:
+def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids) -> Node:
     """Sum over rows of -log p(target) under a pointer-generator mixture,
     computed in log space from the logits.
 
     Row i mixes ``softmax(vocab_logits[i])`` over the vocabulary ids with
     weight p_gen = sigmoid(gen_logits[i, 0]) and, with weight 1 - p_gen, the
-    copy distribution ``softmax(copy_logits[i])`` over the positions t where
-    ``copy_mask[i, t]`` holds, position t voting for the (extended) id
-    ``copy_ids[i, t]``. With g the p_gen logit, v and e the two logit rows:
+    copy distribution ``softmax(copy_logits[i])`` over the positions t,
+    position t voting for the (extended) id ``copy_ids[i, t]``. A position
+    outside the row's context holds a masked logit
+    (:data:`lmdst.model.MASKED_LOGIT`): its exp is exactly 0, so it adds
+    nothing to either sum below, whatever id it holds. With g the p_gen
+    logit, v and e the two logit rows:
 
         log p(y) = logaddexp(log sigmoid(g) + log_softmax(v)[y],
                              log sigmoid(-g) + LSE_{t: id_t = y}(e_t) - LSE_t(e_t))
@@ -436,15 +429,12 @@ def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids,
     v, e = vocab_logits.value, copy_logits.value
     y = np.asarray(targets, dtype=np.intp)
     ids = np.asarray(copy_ids, dtype=np.intp)
-    keep = np.asarray(copy_mask, dtype=bool)
     n = v.shape[0] if v.ndim == 2 else -1
     if (n < 0 or e.ndim != 2 or e.shape[0] != n or gen_logits.shape != (n, 1)
-            or y.shape != (n,) or ids.shape != e.shape or keep.shape != e.shape):
+            or y.shape != (n,) or ids.shape != e.shape):
         raise ShapeError(f"copy_nll_rows: vocab logits {v.shape}, copy logits {e.shape}, "
                          f"gen logits {gen_logits.shape}, {y.shape} targets, "
-                         f"{ids.shape} copy ids, {keep.shape} copy mask")
-    if not keep.any(axis=1).all():
-        raise ShapeError("copy_nll_rows: a row has no copy position")
+                         f"{ids.shape} copy ids")
     rows = np.arange(n)
     g = gen_logits.value[:, 0]
 
@@ -459,11 +449,10 @@ def copy_nll_rows(vocab_logits, copy_logits, gen_logits, targets, copy_ids,
         v_y = v[rows, np.where(in_vocab, y, 0)] - v_max[:, 0]
         gen = np.where(in_vocab, v_y - np.log(v_sum) - np.logaddexp(0.0, -g), -np.inf)
         # copy: log sigmoid(-g) + LSE over the target's positions - LSE over all
-        e_all = np.where(keep, e, -np.inf)
-        e_max = e_all.max(axis=1, keepdims=True)
-        e_exp = np.exp(e_all - e_max)
+        e_max = e.max(axis=1, keepdims=True)
+        e_exp = np.exp(e - e_max)
         e_sum = e_exp.sum(axis=1)
-        hit = keep & (ids == y[:, None])
+        hit = ids == y[:, None]
         has = hit.any(axis=1)
         e_hit = np.where(hit, e, -np.inf)
         h_max = np.where(has, e_hit.max(axis=1), 0.0)

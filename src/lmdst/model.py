@@ -25,11 +25,13 @@ LM prefix group: the LM's forward direction runs once per dialogue and each
 turn reads its forward states from those rows (the backward direction and
 the encoder read later rows and run per turn). No batch keeps the LM states
 once they are fused into the encoder input.
-Attention reads the encoder states zero-padded to (B, t_max, d) under a
-length mask, grouped by example. Training is teacher-forced, so every
-decoder input is known up front: the decoder GRU runs once over all rows as
-sequences of their own target lengths, attention and the output heads run
-once over every step of every row, and one log-space loss scores each target
+Attention reads the encoder states zero-padded to (B, t_max, d), grouped by
+example; its logits carry ``MASKED_LOGIT`` outside each context, so the
+softmax, the copy loss and the greedy argmax read no mask. Training is
+teacher-forced, so every decoder input is known up front: the decoder GRU
+runs once over all rows as sequences of their own target lengths,
+attention and the output heads run once over every step of every row, and
+one log-space loss scores each target
 (:func:`lmdst.autodiff.copy_nll_rows`). Greedy prediction decodes only what
 it reads, one step at a time: the first step computes every row's gate, and
 from then on only the ptr rows that have not emitted EOS step.
@@ -67,6 +69,13 @@ GATE_PTR, GATE_NONE, GATE_DONTCARE = 0, 1, 2  # the gate logits' column order
 CHECKPOINT_FIELDS = {"hidden_dim": int, "embedding_dim": int, "tagging": bool,
                      "lm_enabled": bool, "max_value_len": int}
 
+# The attention logit of a position outside a row's context, added once in
+# DstModel._attend; every reader of the logits or their softmax takes no mask.
+# Finite, so backward's finiteness check still names the first op whose value
+# is non-finite (with -inf it would name the mask's add); and exp underflows
+# it to exactly 0, so every sum reads the same bits as with -inf.
+MASKED_LOGIT = -1e30
+
 
 @dataclass
 class BatchContext:
@@ -82,7 +91,7 @@ class BatchContext:
     hiddens: ad.Node     # B x t_max x d_h encoder states, zero-padded
     lm_loss: ad.Node | None  # summed LM loss (0 with the LM off); None in a decode batch
     # one row per example, t_max wide; every slot row of an example reads it:
-    mask: np.ndarray     # True at the example's context positions
+    mask: np.ndarray     # True at the example's context positions; only _attend reads it
     ext_ids: np.ndarray  # extended id per position (0 in the padding)
 
     @functools.cached_property
@@ -102,8 +111,8 @@ class DecodeStep(NamedTuple):
     rows: np.ndarray       # decoder row (example * |slots| + slot) of each entry, ascending
     x: ad.Node             # the decoder inputs
     h: ad.Node             # the decoder states they step to
-    attn_logits: ad.Node   # rows x t_max, 0 outside the row's context
-    attn: ad.Node          # softmax of ``attn_logits`` over the row's context
+    attn_logits: ad.Node   # rows x t_max, MASKED_LOGIT outside the row's context
+    attn: ad.Node          # softmax of ``attn_logits``: 0 outside the row's context
     context_vec: ad.Node   # attention-weighted encoder states
 
     def take(self, keep: np.ndarray) -> "DecodeStep":
@@ -137,21 +146,19 @@ def copy_mixture(vocab_probs: ad.Node, context_probs: ad.Node, p_gen: ad.Node,
     return ad.add(gen, ad.elementwise_mul(copy, keep))
 
 
-def copy_grouping(context_ext_ids, context_mask) -> np.ndarray:
-    """For each row and context position, the first position of the row
-    that holds the same extended id; a position outside ``context_mask``
-    points at itself. Fixed for a batch, so greedy decoding builds it once."""
+def copy_grouping(context_ext_ids) -> np.ndarray:
+    """For each row and position, the first position of the row that holds
+    the same extended id. Fixed for a batch, so greedy decoding builds it
+    once."""
     ids = np.asarray(context_ext_ids, dtype=np.intp)
     n, t = ids.shape
-    width = ids.max(initial=0) + 1 + t
-    # one key per (row, id); a padding position gets a key of its own
-    keys = np.arange(n)[:, None] * width + np.where(context_mask, ids, width - t + np.arange(t))
+    keys = np.arange(n)[:, None] * (ids.max(initial=0) + 1) + ids  # one key per (row, id)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return first[inverse].reshape(n, t) % t
 
 
 def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.ndarray,
-                context_ext_ids, context_mask, grouping) -> np.ndarray:
+                context_ext_ids, grouping) -> np.ndarray:
     """``np.argmax(copy_mixture(softmax(vocab_logits), context_probs, p_gen,
     context_ext_ids, |V|, n_oov).value, axis=1)`` for per-row ids, exactly,
     ties to the lowest id, without building the rows x (|V| + n_oov) mixture.
@@ -162,13 +169,14 @@ def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.n
     mixture values (an extended id no position holds is 0, never the
     maximum of a row that sums to 1). Those values come from the float
     operations ``copy_mixture`` does: the copy mass of a column sums its
-    positions in position order. ``context_probs`` is 0 outside
-    ``context_mask``; ``grouping`` is :func:`copy_grouping` of the ids and
-    mask, built once per batch.
+    positions in position order. A position outside a row's context has
+    probability exactly 0, so it adds +0.0 to its column's sum, and as a
+    candidate it carries its column's true mixture value, whatever id it
+    holds: no mask is needed. ``grouping`` is :func:`copy_grouping` of the
+    ids, built once per batch.
     """
     v = vocab_logits
     ids = np.asarray(context_ext_ids, dtype=np.intp)
-    keep_pos = np.asarray(context_mask, dtype=bool)
     n, t = ids.shape
     rows = np.arange(n)
     # p_gen * softmax(v), in one buffer, as softmax and copy_mixture compute it
@@ -184,7 +192,6 @@ def copy_argmax(vocab_logits: np.ndarray, context_probs: np.ndarray, p_gen: np.n
     gen_at = np.take_along_axis(gen, np.where(in_vocab, ids, 0), axis=1)
     mixed = (np.where(in_vocab, gen_at, 0.0)
              + np.take_along_axis(copy, grouping, axis=1) * (1.0 - p_gen))
-    mixed[~keep_pos] = -np.inf
     values = np.concatenate([gen[rows, best_gen][:, None], mixed], axis=1)
     cols = np.concatenate([best_gen[:, None], ids], axis=1)
     top = values == values.max(axis=1, keepdims=True)
@@ -336,13 +343,15 @@ class DstModel:
         """Attention of the decoder states ``h`` (stepped from the inputs
         ``x``) over each one's own context: ``rows`` holds the decoder row
         (example * |slots| + slot) of each state, ascending, so the states
-        of example ``rows // |slots|`` form one group of ``bmm`` rows and
-        read its ``mask``. The gate and the output heads read the result
-        (:meth:`_gate_logits`, :meth:`_output_logits`)."""
+        of example ``rows // |slots|`` form one group of ``bmm`` rows. The
+        logits outside the example's context are :data:`MASKED_LOGIT`, the
+        one place the batch's ``mask`` is applied. The gate and the output
+        heads read the result (:meth:`_gate_logits`, :meth:`_output_logits`)."""
         ex = rows // len(self.ontology)
         per_example = np.bincount(ex, minlength=len(batch.contexts))
-        attn_logits = ad.bmm(h, batch.hiddens, per_example, transpose_b=True)
-        attn = ad.softmax(attn_logits, mask=batch.mask[ex])
+        attn_logits = ad.add(ad.bmm(h, batch.hiddens, per_example, transpose_b=True),
+                             ad.Node(np.where(batch.mask[ex], 0.0, MASKED_LOGIT)))
+        attn = ad.softmax(attn_logits)
         context_vec = ad.bmm(attn, batch.hiddens, per_example)
         return DecodeStep(rows, x, h, attn_logits, attn, context_vec)
 
@@ -418,9 +427,8 @@ class DstModel:
         gate_total = ad.cross_entropy_rows(
             self._gate_logits(ad.embedding_lookup(step.context_vec, starts)), gates)
         vocab_logits, gen_logits = self._output_logits(batch, step)
-        ex = rows // len(self.ontology)
         token_total = ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits, targets,
-                                       batch.ext_ids[ex], batch.mask[ex])
+                                       batch.ext_ids[rows // len(self.ontology)])
         dst_sum = ad.elementwise_mul(ad.add(token_total, gate_total), 1.0 / len(self.ontology))
         return dst_sum, batch.lm_loss
 
@@ -452,15 +460,14 @@ class DstModel:
         probs = ad.softmax(self._gate_logits(step.context_vec)).value
         words: list[list[list[str]]] = [[[] for _ in range(n_s)] for _ in range(n_b)]
         step = step.take(np.flatnonzero(probs.argmax(axis=1) == GATE_PTR))
-        grouping = copy_grouping(batch.ext_ids, batch.mask)
+        grouping = copy_grouping(batch.ext_ids)
         for j in range(self.max_value_len):
             if not step.rows.size:
                 break
             vocab_logits, gen_logits = self._output_logits(batch, step)
             ex = step.rows // n_s
             choice = copy_argmax(vocab_logits.value, step.attn.value,
-                                 ad.sigmoid(gen_logits).value, batch.ext_ids[ex],
-                                 batch.mask[ex], grouping[ex])
+                                 ad.sigmoid(gen_logits).value, batch.ext_ids[ex], grouping[ex])
             going = np.flatnonzero(choice != eos)
             for r, c in zip(step.rows[going].tolist(), choice[going].tolist()):
                 i, s = divmod(r, n_s)

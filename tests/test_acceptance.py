@@ -25,7 +25,7 @@ from lmdst.corpus import (BeliefState, Dialogue, DialogueTurn, Ontology, SynthCo
                           mean_speaker_turns)
 from lmdst.evaluation import (ERROR_CLASSES, joint_accuracy, length_report,
                               slot_accuracy, taxonomy_report)
-from lmdst.model import DstModel, copy_mixture
+from lmdst.model import MASKED_LOGIT, DstModel, copy_mixture
 from lmdst.training import (TrainConfig, Trainer, fit, predict_instances, split_corpus,
                             turn_instances)
 
@@ -133,9 +133,10 @@ def test_criterion_1_gradient_correctness():
             stack = ad.pad_sequences(ad.embedding_lookup(cat, np.arange(9)),
                                      lengths)                    # (2, 5, 4) padded
             scores = ad.bmm(cat, stack, [5, 5], transpose_b=True)  # (10, 5)
-            attn = ad.softmax(scores, mask=keep)
+            masked = ad.add(scores, ad.Node(np.where(keep, 0.0, MASKED_LOGIT)))
+            attn = ad.softmax(masked)
             context = ad.bmm(attn, stack, [5, 5])                # (10, 4)
-            nll = ad.copy_nll_rows(cat, scores, gen, nll_targets, copy_ids, keep)
+            nll = ad.copy_nll_rows(cat, masked, gen, nll_targets, copy_ids)
             total = ad.add(ad.add(ce, ce1), ad.add(nll, ad.sum_all(sm)))
             total = ad.add(total, ad.sum_all(ad.elementwise_mul(context, context)))
             padded = ad.concat(sc, ad.Node(np.zeros((sc.shape[0], 2))), axis=1)

@@ -10,6 +10,7 @@ import pytest
 from conftest import GRU_WEIGHTS, peak_traced_mib
 from lmdst import autodiff as ad
 from lmdst.lm import LanguageModel
+from lmdst.model import MASKED_LOGIT
 from lmdst.training import Adam
 
 
@@ -175,7 +176,7 @@ def test_fd_cross_entropy_rows_and_nll(seed):
         ce = ad.cross_entropy_rows(rows, targets[kept])
         nll = ad.copy_nll_rows(rows, ad.embedding_lookup(copy_logits, kept),
                                ad.embedding_lookup(gen_logits, kept), targets[kept],
-                               copy_ids[kept], np.ones((kept.size, 3), dtype=bool))
+                               copy_ids[kept])
         return ad.add(ce, nll)
 
     _fd_case(loss, [logits], seed)
@@ -251,13 +252,14 @@ def test_bmm_matches_per_group_matmul():
 
 
 def test_softmax_all_true_mask_is_the_plain_softmax():
-    """``mask`` of all True gives softmax's value and gradient bit for bit."""
+    """An all-true mask adds 0.0 to every logit, as ``DstModel._attend``
+    does inside each context: softmax's value and gradient bit for bit."""
     rng = np.random.default_rng(736)
     x, g = rng.normal(scale=4.0, size=(4, 6)), rng.normal(size=(4, 6))
     values, grads = [], []
-    for mask in (None, np.ones((4, 6), dtype=bool)):
+    for zeros in (None, np.zeros((4, 6))):
         a = ad.Node(x.copy(), requires_grad=True)
-        p = ad.softmax(a, mask=mask)
+        p = ad.softmax(a if zeros is None else ad.add(a, ad.Node(zeros)))
         ad.backward(ad.sum_all(ad.elementwise_mul(p, ad.Node(g))))
         values.append(p.value)
         grads.append(a.grad)
@@ -274,7 +276,7 @@ def test_fd_masked_softmax(seed):
     w = ad.Node(rng.normal(size=(4, 5)))
 
     def loss():
-        p = ad.softmax(a, mask=keep)
+        p = ad.softmax(ad.add(a, ad.Node(np.where(keep, 0.0, MASKED_LOGIT))))
         return ad.sum_all(ad.elementwise_mul(ad.elementwise_mul(p, w), ad.sigmoid(a)))
 
     _fd_case(loss, [a], seed)
@@ -284,13 +286,11 @@ def test_masked_softmax_zeroes_the_padding():
     rng = np.random.default_rng(735)
     x = rng.normal(scale=5.0, size=(3, 6))
     keep = np.arange(6) < np.array([6, 3, 1])[:, None]
-    p = ad.softmax(ad.Node(x), mask=keep).value
+    p = ad.softmax(ad.add(ad.Node(x), ad.Node(np.where(keep, 0.0, MASKED_LOGIT)))).value
     assert (p[~keep] == 0.0).all()
     for row, n in zip(range(3), (6, 3, 1)):
         np.testing.assert_allclose(p[row, :n], ad.softmax(ad.Node(x[row, :n])).value,
                                    rtol=0, atol=1e-15)
-    with pytest.raises(ad.ShapeError):
-        ad.softmax(ad.Node(x), mask=np.zeros((3, 6), dtype=bool))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -308,8 +308,9 @@ def test_fd_copy_nll_rows(seed):
     kept = np.arange(5 if seed % 2 else 4)  # odd seeds score the last row too
 
     def loss():
-        return ad.copy_nll_rows(*(ad.embedding_lookup(p, kept) for p in (vocab, copy, gen)),
-                                targets[kept], ids[kept], keep[kept])
+        vl, cl, gl = (ad.embedding_lookup(p, kept) for p in (vocab, copy, gen))
+        cl = ad.add(cl, ad.Node(np.where(keep[kept], 0.0, MASKED_LOGIT)))
+        return ad.copy_nll_rows(vl, cl, gl, targets[kept], ids[kept])
 
     _fd_case(loss, store.parameters(), seed)
 
@@ -826,6 +827,38 @@ def test_lm_loss_holds_no_logits():
         tracemalloc.stop()
     assert live / 2**20 <= 0.1 * unit
     assert peak / 2**20 <= 1.5 * unit
+
+
+def test_copy_nll_rows_memory_in_units_of_rows_by_vocab():
+    """The decoder's copy loss at |V| 4,000 over 200 rows of up to 40
+    context positions (masked past each row's length): it holds one rows x
+    |V| array between forward and backward, the vocabulary softmax's
+    exponentials, at 1.022 units of rows x |V| (float64), and peaks at 4.023
+    units with backward, that array, the softmax, its weighted gradient and
+    the gradient buffer. These bounds pin that level; the loss is what
+    paper-scale training peaks in (217 rows x |V| 5,971)."""
+    rows, v, t = 200, 4000, 40
+    rng = np.random.default_rng(9)
+    keep = np.arange(t) < rng.integers(1, t + 1, size=rows)[:, None]
+    vocab = ad.Node(rng.normal(size=(rows, v)), requires_grad=True)
+    copy = ad.Node(np.where(keep, rng.normal(size=(rows, t)), MASKED_LOGIT),
+                   requires_grad=True)
+    gen = ad.Node(rng.normal(size=(rows, 1)), requires_grad=True)
+    ids = np.where(keep, rng.integers(0, v + 20, size=(rows, t)), 0)
+    targets = rng.integers(1, v, size=rows)
+    ids[::2, 0] = targets[::2] = v + 3  # half the rows copy an extended id
+    unit = rows * v * 8 / 2**20
+
+    tracemalloc.start()
+    try:
+        loss = ad.copy_nll_rows(vocab, copy, gen, targets, ids)
+        live, _ = tracemalloc.get_traced_memory()
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live / 2**20 <= 1.03 * unit
+    assert peak / 2**20 <= 4.03 * unit
 
 
 def test_gru_sequence_batch_has_no_padded_staging():

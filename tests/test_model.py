@@ -11,7 +11,8 @@ from lmdst import autodiff as ad
 from lmdst.context import EOS, UNK, Vocabulary, build_context, build_vocabulary
 from lmdst.corpus import BeliefState, Dialogue, DialogueTurn, Ontology
 from lmdst.lm import BiGru
-from lmdst.model import (CHECKPOINT_FIELDS, GATE_DONTCARE, GATE_NONE, GATE_PTR, DstModel,
+from lmdst.model import (CHECKPOINT_FIELDS, GATE_DONTCARE, GATE_NONE, GATE_PTR, MASKED_LOGIT,
+                         DstModel,
                          copy_argmax, copy_grouping, copy_mixture, extend_context_ids)
 from lmdst.training import TrainConfig, Trainer, predict_instances, turn_instances
 
@@ -162,7 +163,8 @@ def test_mixture_gradients_match_finite_differences():
 def test_greedy_argmax_matches_dense_mixture():
     """copy_argmax equals the argmax of the dense copy_mixture exactly, ties
     to the lowest id: padded rows with repeated and extended ids, planted
-    exact ties and p_gen of exactly 0 and 1."""
+    exact ties and p_gen of exactly 0 and 1. It takes no mask: the padding
+    has probability 0, whether it holds id 0 or arbitrary ids."""
     rng = np.random.default_rng(21)
     v, n_oov, t = 9, 3, 7
     lengths = np.array([7, 4, 1, 7, 5, 7, 3, 6])
@@ -190,15 +192,18 @@ def test_greedy_argmax_matches_dense_mixture():
         ids[5] = 0
         if trial % 2:  # half the trials share one row of ids, as one example does
             ids[6] = ids[7]
-        ids[~keep] = 0  # padding: column 0, outside the mask
         p_gen = ad.sigmoid(ad.Node(gen_logits))
-        attn = ad.softmax(ad.Node(copy_logits), mask=keep)
+        attn = ad.softmax(ad.add(ad.Node(copy_logits),
+                                 ad.Node(np.where(keep, 0.0, MASKED_LOGIT))))
+        assert (attn.value[~keep] == 0.0).all()
         mixture = copy_mixture(ad.softmax(ad.Node(vocab_logits)), attn, p_gen,
                                ids, v, n_oov).value
         want = np.argmax(mixture, axis=1)
-        got = copy_argmax(vocab_logits, attn.value, p_gen.value, ids, keep,
-                          copy_grouping(ids, keep))
-        np.testing.assert_array_equal(got, want)
+        # the padding as prepare_batch fills it (column 0), and as drawn
+        for pad_ids in (np.where(keep, ids, 0), ids):
+            got = copy_argmax(vocab_logits, attn.value, p_gen.value, pad_ids,
+                              copy_grouping(pad_ids))
+            np.testing.assert_array_equal(got, want)
         top = mixture == mixture.max(axis=1, keepdims=True)
         assert p_gen.value[0, 0] == 1.0 and p_gen.value[3, 0] == 0.0
         assert top[0, [2, 5]].all() and top[1, [3, 6]].all() and top[2, [4, 7]].all()
@@ -540,16 +545,16 @@ def test_gate_term_zero_when_prediction_matches_onehot():
 
 def test_uniform_token_term_is_log_vocab():
     # p_gen saturated at 1 and a target no context position holds
-    loss = ad.copy_nll_rows(np.zeros((1, 4)), np.zeros((1, 3)), [[1e4]], [2],
-                            [[0, 1, 3]], np.ones((1, 3), dtype=bool))
+    loss = ad.copy_nll_rows(np.zeros((1, 4)), np.zeros((1, 3)), [[1e4]], [2], [[0, 1, 3]])
     assert float(loss.value) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def copy_nll_case(rng, n=5, t=6, v=7, n_oov=2):
     """Logits for ``n`` rows over |V| = ``v`` plus ``n_oov`` extended ids,
-    with rows 1 and 3 padded to 4 and 2 context positions, and targets that
-    cover a vocabulary id held only by generation, an in-context id and an
-    extended (copy-only) id."""
+    with rows 1 and 3 padded to 4 and 2 context positions (their copy logits
+    masked), and targets that cover a vocabulary id held only by generation,
+    an in-context id (row 1's is also held by its padding) and an extended
+    (copy-only) id."""
     vocab_logits = rng.normal(size=(n, v))
     copy_logits = rng.normal(size=(n, t))
     gen_logits = rng.normal(size=(n, 1))
@@ -558,24 +563,24 @@ def copy_nll_case(rng, n=5, t=6, v=7, n_oov=2):
     ids = rng.integers(0, v + n_oov, size=(n, t))
     ids[:, 0] = v           # every row holds extended id |V| in context
     ids[:, 1] = 0
-    ids[~keep] = 0          # padding: column 0, outside the mask
+    ids[~keep] = 0          # padding: column 0, as prepare_batch fills it
+    copy_logits[~keep] = MASKED_LOGIT
     targets = np.array([v, 0, 1, v, 0])[:n]
     targets[2] = next(i for i in range(v) if i not in ids[2][keep[2]])
-    return vocab_logits, copy_logits, gen_logits, targets, ids, keep
+    return vocab_logits, copy_logits, gen_logits, targets, ids
 
 
 def test_copy_nll_rows_is_minus_log_of_the_mixture():
     rng = np.random.default_rng(12)
     v, n_oov = 7, 2
     for _ in range(20):
-        vl, cl, gl, targets, ids, keep = copy_nll_case(rng, v=v, n_oov=n_oov)
+        vl, cl, gl, targets, ids = copy_nll_case(rng, v=v, n_oov=n_oov)
         kept = np.flatnonzero(rng.integers(0, 2, size=len(targets)))  # the rows scored
-        mixture = copy_mixture(ad.softmax(ad.Node(vl)),
-                               ad.softmax(ad.Node(cl), mask=keep),
+        mixture = copy_mixture(ad.softmax(ad.Node(vl)), ad.softmax(ad.Node(cl)),
                                ad.sigmoid(ad.Node(gl)), ids, v, n_oov).value
         want = -np.log(mixture[kept, targets[kept]]).sum()
-        got = float(ad.copy_nll_rows(vl[kept], cl[kept], gl[kept], targets[kept], ids[kept],
-                                     keep[kept]).value)
+        got = float(ad.copy_nll_rows(vl[kept], cl[kept], gl[kept], targets[kept],
+                                     ids[kept]).value)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -596,13 +601,12 @@ def test_copy_nll_rows_survives_underflow():
     copy.value = np.array([[0.5, -0.5, 1.0], [0.2, 0.1, -0.3]])
     gen.value = np.array([[1e4], [-1e4]])
     targets, ids = [2, 4], np.array([[0, 1, 3], [0, 1, 3]])
-    keep = np.ones((2, 3), dtype=bool)
 
     mixture = copy_mixture(ad.softmax(vocab), ad.softmax(copy),
                            ad.sigmoid(gen), ids, 5, 0).value
     assert mixture[0, 2] == 0.0 and mixture[1, 4] == 0.0
 
-    loss = ad.copy_nll_rows(vocab, copy, gen, targets, ids, keep)
+    loss = ad.copy_nll_rows(vocab, copy, gen, targets, ids)
     assert np.isfinite(loss.value)
     assert float(loss.value) == pytest.approx(800.0 + math.log(4) + 1e4 + math.log(5),
                                               rel=1e-12)
@@ -795,7 +799,7 @@ def stepwise_dst_loss(model, instances, rng):
         vocab_logits, gen_logits = model._output_logits(batch, step)
         ex = rows // len(model.ontology)
         total = ad.add(total, ad.copy_nll_rows(vocab_logits, step.attn_logits, gen_logits,
-                                               targets, batch.ext_ids[ex], batch.mask[ex]))
+                                               targets, batch.ext_ids[ex]))
         going = np.flatnonzero([len(seqs[r]) > j + 1 for r in rows])
         rows = rows[going]
         x, h = model._feed(batch, targets[going]), ad.embedding_lookup(step.h, going)
@@ -1011,6 +1015,54 @@ def test_prediction_peak_on_infer_woz_leaves_out_the_lm_states(monkeypatch):
 def test_dst_loss_empty_batch_errors():
     with pytest.raises(ValueError):
         tiny_model().batch_loss([])
+
+
+@pytest.mark.parametrize("decode", [False, True], ids=["train", "decode"])
+def test_prepare_batch_rejects_an_empty_context(decode):
+    """A turn whose context has no token is rejected by name, beside a turn
+    that has one: no attention row without a context position reaches the
+    softmax, which takes no mask and would read only masked logits."""
+    empty = Dialogue("mute7", {"hotel"}, [DialogueTurn(0, "", " ", BeliefState())])
+    with pytest.raises(ad.ShapeError, match="dialogue mute7 turn 0"):
+        tiny_model().prepare_batch([(tiny_dialogue(), 1), (empty, 0)], decode=decode)
+
+
+@pytest.fixture
+def float32():
+    """Nodes built in the test are float32; float64 is restored after it."""
+    ad.set_default_dtype("float32")
+    try:
+        yield
+    finally:
+        ad.set_default_dtype("float64")
+
+
+def test_float32_training_step_and_prediction(float32, monkeypatch):
+    """One micro-step, with dropout, padding and an OOV copy target, keeps
+    every graph node value and every gradient backward passes float32, and
+    prediction runs: ``MASKED_LOGIT`` is finite in float32 too."""
+    f32 = np.dtype("float32")
+    model = tiny_model(dropout=0.3, word_dropout=0.2)
+    passed = []
+    accumulate = ad.Node.accumulate
+
+    def spy(node, g):
+        passed.append(np.asarray(g).dtype)
+        accumulate(node, g)
+
+    monkeypatch.setattr(ad.Node, "accumulate", spy)
+    loss, _, _ = Trainer(model, TrainConfig()).micro_batch_loss(
+        [(oov_dialogue(), 0), (oov_dialogue(), 1), (tiny_dialogue(), 0)])
+    nodes = ad._topo(loss)
+    assert {node.value.dtype for node in nodes} == {f32}
+    assert all(np.isfinite(node.value).all() for node in nodes)
+    ad.backward(loss)
+    assert passed and set(passed) == {f32}
+    grads = [p.grad for p in model.store.parameters() if p.grad is not None]
+    assert len(grads) > 20 and {g.dtype for g in grads} == {f32}
+    preds = predict_instances(model, [tiny_dialogue(), oov_dialogue()])
+    assert [(p.dialogue_id, p.turn_index) for p in preds] == [
+        ("toy0", 0), ("toy0", 1), ("toy1", 0), ("toy1", 1)]
 
 
 def test_gradients_reach_encoder_from_both_loss_terms():
